@@ -6,14 +6,19 @@ to "every finite intersection is infinite", so a valid base always extends
 to nonprincipal ultrafilters; for a finite family that is equivalent to
 the single condition that the meet of all members is infinite.
 
-Everything here is exact: meets are computed in the periodic-set algebra
-and infinitude is decidable there.
+Everything here is exact.  Edits are finite, so the meet is infinite iff
+the meet of the members' periodic parts is nonempty, and that meet is kept
+factored by CRT: members whose moduli share a prime factor are intersected
+into one component, and components have pairwise coprime moduli, so the
+meet is nonempty iff every component is.  No lcm of the whole family is
+ever materialised to decide a question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -33,6 +38,40 @@ def _meet(members: Sequence) -> PeriodicSet:
     return progression(1, 0) if out is None else out
 
 
+def _join(parts: tuple, s: PeriodicSet) -> Optional[tuple]:
+    """Component meets after adding the periodic part of s, or None when
+    the meet of periodic parts becomes empty.
+
+    `parts` are edit-free PeriodicSets with pairwise coprime moduli greater
+    than 1.  Only the components whose modulus shares a factor with s are
+    intersected with it; the result divides the lcm of their moduli and so
+    stays coprime to the untouched components.
+    """
+    if not s.residues:
+        return None
+    joined = PeriodicSet(s.modulus, s.residues, frozenset(), frozenset())
+    rest = []
+    for c in parts:
+        if gcd(c.modulus, s.modulus) > 1:
+            joined = joined.intersect(c)
+            if not joined.residues:
+                return None
+        else:
+            rest.append(c)
+    if joined.modulus > 1:
+        rest.append(joined)
+    return tuple(rest)
+
+
+def _components(members: Sequence) -> Optional[tuple]:
+    parts = ()
+    for s in members:
+        parts = _join(parts, s)
+        if parts is None:
+            return None
+    return parts
+
+
 @dataclass(frozen=True)
 class FilterBase:
     members: tuple = ()
@@ -45,24 +84,24 @@ class FilterBase:
                 raise TypeError(f"filter base members must be PeriodicSet, got {type(s).__name__}")
             if s.is_empty():
                 raise ValueError("filter base members must be nonempty")
-        meet = _meet(members)
-        if not meet.is_infinite():
+        parts = _components(members)
+        if parts is None:
             raise ValueError("every finite intersection of a filter base must be infinite")
-        object.__setattr__(self, "_intersection", meet)
+        object.__setattr__(self, "_parts", parts)
 
-    @property
+    @cached_property
     def intersection(self) -> PeriodicSet:
-        """Meet of all members (cached)."""
-        return self._intersection
+        """Meet of all members, materialised on first access (cached)."""
+        return _meet(self.members)
 
 
 BaseLike = Union[FilterBase, Sequence]
 
 
-def _meet_of(base: BaseLike) -> PeriodicSet:
+def _parts_of(base: BaseLike) -> Optional[tuple]:
     if isinstance(base, FilterBase):
-        return base.intersection
-    return _meet(tuple(base))
+        return base._parts
+    return _components(tuple(base))
 
 
 def has_fip(members: BaseLike) -> bool:
@@ -72,15 +111,20 @@ def has_fip(members: BaseLike) -> bool:
     is infinite.  Accepts a FilterBase or any sequence of PeriodicSets, so
     candidate families can be tested before constructing a base.
     """
-    return _meet_of(members).is_infinite()
+    return _parts_of(members) is not None
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> Optional[FilterBase]:
     """Base with s appended when that preserves the intersection property,
     else None."""
-    if not base.intersection.meets_infinitely(s):
+    parts = _join(base._parts, s)
+    if parts is None:
         return None
-    return FilterBase(base.members + (s,))
+    # valid by construction: keep the joined components instead of re-deriving them
+    out = object.__new__(FilterBase)
+    object.__setattr__(out, "members", base.members + (s,))
+    object.__setattr__(out, "_parts", parts)
+    return out
 
 
 def feasible_residues(base: BaseLike, modulus: int) -> set:
@@ -88,19 +132,26 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
 
     These are exactly the r for which extend(base, progression(modulus, r))
     would succeed; every ultrafilter extending the base has its residue in
-    this set.  A degenerate base whose meet is finite (a principal carrier)
-    falls back to the residues actually hit by the finite meet.
+    this set.  By CRT, r is feasible iff r mod g_i is hit by component i for
+    every component, where g_i = gcd(component modulus, modulus).  A
+    degenerate base whose meet is finite (a principal carrier) falls back
+    to the residues actually hit by the finite meet.
     """
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    meet = _meet_of(base)
-    if meet.is_infinite():
-        g = gcd(meet.modulus, modulus)
-        hit = {r % g for r in meet.residues}
-        return {r for r in range(modulus) if r % g in hit}
-    if not meet.is_empty():
-        return {x % modulus for x in meet.added}
-    return set()
+    if not isinstance(base, FilterBase):
+        base = tuple(base)
+    parts = _parts_of(base)
+    if parts is None:
+        # the periodic parts miss each other, so the meet is made of added points
+        carrier = set().union(*(s.added for s in base))
+        return {x % modulus for x in carrier if all(x in s for s in base)}
+    checks = []
+    for c in parts:
+        g = gcd(c.modulus, modulus)
+        if g > 1:
+            checks.append((g, {r % g for r in c.residues}))
+    return {r for r in range(modulus) if all(r % g in hit for g, hit in checks)}
 
 
 class CongruenceVerdict(Enum):
@@ -146,7 +197,6 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
     upward-closed member.  This checks only the upward-closed sets the
     base exhibits, so a pass is never a completeness claim.
     """
-    target = base_g.intersection
     found = False
     for member in base_f.members:
         if (member.added | member.removed) - {0}:
@@ -154,7 +204,7 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
         if not member.residues or not is_upward_closed(member):
             continue
         found = True
-        if not target.meets_infinitely(member):
+        if _join(base_g._parts, member) is None:
             return DividesReport(DividesStatus.FAILS, member)
     return DividesReport(DividesStatus.PASSES if found else DividesStatus.VACUOUS)
 

@@ -200,7 +200,9 @@ def structure_check(p: int, residues: Iterable) -> StructureReport:
     rset = set(off)
     r1 = off[0]
     gcd_closed = all(gcd(a, b) in rset for a in off for b in off)
-    multiples_closed = all((t * r1) % (p - 1) in rset | {0} for t in range(1, p))
+    # the multiples of r1 modulo p-1 are those of g = gcd(r1, p-1): 0, g, 2g, ...
+    g = gcd(r1, p - 1)
+    multiples_closed = all(k in rset for k in range(g, p - 1, g))
     ap = list(off) == [i * r1 for i in range(1, len(off) + 1)]
     return StructureReport(gcd_closed, multiples_closed, ap)
 

@@ -157,16 +157,19 @@ def _rebuild(modulus, residues, operands, truth):
 
 def _minimal_period(modulus, residues):
     """Shrink (modulus, residues) until the residues are not a union of
-    full cosets of any proper divisor of the modulus."""
+    full cosets of any proper divisor of the modulus.
+
+    A union of full cosets modulo m/p holds a multiple of p residues, so
+    only the primes of gcd(m, |R|) are candidates: the modulus itself is
+    never factored, only a number no larger than |R|.
+    """
     if not residues:
         return 1, frozenset()
     while modulus > 1:
-        for p in prime_factors(modulus):
+        for p in prime_factors(gcd(modulus, len(residues))):
             d = modulus // p
-            counts = {}
-            for r in residues:
-                counts[r % d] = counts.get(r % d, 0) + 1
-            if all(c == p for c in counts.values()):
+            # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
+            if all((r + d) % modulus in residues for r in residues):
                 residues = frozenset(r % d for r in residues)
                 modulus = d
                 break

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Deterministic Miller-Rabin witness set; correct for every n < 3.317e24.
-# Beyond that range the same witnesses make the test a very strong
-# probable-prime check (still deterministic as a function).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes.  No composite below
+# psi13 = 3317044064679887385961981 is a strong pseudoprime to all of them
+# (Sorenson & Webster 2015), so the test is exact below that bound; psi13
+# itself passes them all.  Above the bound the answer is a strong
+# probable-prime verdict, not a proof.  The first 12 primes alone would
+# stop at psi12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class FactorizationBudgetError(ValueError):
@@ -15,10 +16,16 @@ class FactorizationBudgetError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 3.3e24."""
+    """Miller-Rabin primality test over the first 13 prime bases.
+
+    Exact for n < psi13 = 3317044064679887385961981 (about 3.3e24).  At and
+    above that bound a True answer means n is a strong probable prime to
+    those bases; composites such as psi13 itself are reported prime.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    # trial division by the witnesses leaves n larger than every witness
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

@@ -218,6 +218,34 @@ def test_non_geometric_sets_break_structure_or_recognition():
         assert not rep.all_hold or geo.is_geometric(p, s) is None
 
 
+def _structure_by_full_scan(p, s):
+    # the original formula: every multiple t * r1 for t = 1..p-1
+    off = geo.exponent_offsets(p, s).offsets
+    if not off:
+        return geo.StructureReport(True, True, True)
+    rset, r1 = set(off), off[0]
+    return geo.StructureReport(
+        all(gcd(a, b) in rset for a in off for b in off),
+        all((t * r1) % (p - 1) in rset | {0} for t in range(1, p)),
+        list(off) == [i * r1 for i in range(1, len(off) + 1)],
+    )
+
+
+def test_structure_check_matches_full_multiples_scan():
+    # the zero-free families of the tests above, for every prime up to 61:
+    # the worked examples, every geometric set and random subsets
+    rng = random.Random(613)
+    checked = 0
+    for p in primes_up_to(61):
+        families = [s for s in geo.enumerate_geometric(p) if 0 not in s]
+        families += [frozenset(rng.sample(range(1, p), rng.randint(1, p - 1))) for _ in range(60)]
+        families += {7: [{3, 5, 6}], 13: [{5}]}.get(p, [])
+        for s in families:
+            assert geo.structure_check(p, s) == _structure_by_full_scan(p, s), (p, sorted(s))
+            checked += 1
+    assert checked > 1000
+
+
 # -- Dirichlet search and witness numbers ------------------------------------------------
 
 

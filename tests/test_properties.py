@@ -1,0 +1,107 @@
+"""Property tests: canonical periods, and the componentwise meet of
+filter_lab against the meet materialised in the periodic-set algebra."""
+
+from math import gcd
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from congruence_lattice import filter_lab as fl, periodic_sets as ps
+from congruence_lattice.filter_lab import FilterBase, _meet
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# mixes coprime moduli with ones sharing 2, 3 or 5, and keeps lcms desk-sized
+MODULI = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 20, 24)
+
+
+@st.composite
+def residue_sets(draw, max_modulus=60):
+    """(m, R): R is random, or a union of cosets of a divisor d of m."""
+    m = draw(st.integers(1, max_modulus))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    base = draw(st.sets(st.integers(0, d - 1)))
+    residues = {x for x in range(m) if x % d in base}
+    flips = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    return m, residues ^ flips if draw(st.booleans()) else residues
+
+
+@st.composite
+def periodic_members(draw, allow_empty=False):
+    m = draw(st.sampled_from(MODULI))
+    residues = draw(st.sets(st.integers(0, m - 1), min_size=0 if allow_empty else 1))
+    added = draw(st.sets(st.integers(0, 80), max_size=3))
+    removed = draw(st.sets(st.integers(0, 80), max_size=3)) - added
+    s = ps.make(m, residues, added, removed)
+    assume(allow_empty or not s.is_empty())
+    return s
+
+
+families = st.lists(periodic_members(allow_empty=True), max_size=5)
+
+
+def least_period(m, residues):
+    """Least d | m such that membership in R depends only on x mod d."""
+    return next(
+        d for d in range(1, m + 1)
+        if m % d == 0 and all((x in residues) == ((x + d) % m in residues) for x in range(m))
+    )
+
+
+def materialised_feasible(members, modulus):
+    """feasible_residues read off the full meet, as the meet defines it."""
+    meet = _meet(members)
+    if meet.is_infinite():
+        g = gcd(meet.modulus, modulus)
+        hit = {r % g for r in meet.residues}
+        return {r for r in range(modulus) if r % g in hit}
+    return {x % modulus for x in meet.added}
+
+
+@SETTINGS
+@given(residue_sets())
+def test_make_finds_the_least_period(case):
+    m, residues = case
+    s = ps.make(m, residues)
+    d = least_period(m, residues)
+    assert s.modulus == d
+    assert s.residues == {r % d for r in residues}
+
+
+@SETTINGS
+@given(families, st.integers(2, 40))
+def test_componentwise_decisions_match_the_materialised_meet(members, modulus):
+    meet = _meet(members)
+    assert fl.has_fip(members) == meet.is_infinite()
+    assert fl.feasible_residues(members, modulus) == materialised_feasible(members, modulus)
+
+
+@SETTINGS
+@given(st.lists(periodic_members(), max_size=4), periodic_members(allow_empty=True), st.integers(2, 40))
+def test_extend_matches_the_materialised_meet(base_members, s, modulus):
+    assume(_meet(base_members).is_infinite())
+    base = FilterBase(tuple(base_members))
+    extended = fl.extend(base, s)
+    if not base.intersection.meets_infinitely(s):
+        assert extended is None
+        return
+    assert extended == FilterBase(base.members + (s,))
+    assert hash(extended) == hash(FilterBase(base.members + (s,)))
+    assert fl.has_fip(extended)
+    assert fl.feasible_residues(extended, modulus) == materialised_feasible(extended.members, modulus)
+    assert extended.intersection == _meet(extended.members)
+
+
+@SETTINGS
+@given(st.lists(periodic_members(), max_size=5))
+def test_intersection_is_the_meet(base_members):
+    assume(_meet(base_members).is_infinite())
+    base = FilterBase(tuple(base_members))
+    assert base.intersection == _meet(base_members)
+    assert base.intersection is base.intersection
+
+
+def test_semiprime_progression_is_not_factored():
+    m = (10**6 + 3) * (10**6 + 33)  # both factors prime, beyond trial division
+    s = ps.progression(m, 5)
+    assert s.modulus == m and s.residues == {5}
+    assert ps.make(m, (5, 7)).modulus == m
