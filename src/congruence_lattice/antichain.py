@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .crt import Congruence, solve_system
+from .crt import Congruence, solve_system, validate_chain_table
 from .lattice import is_antichain, omega_lower_bound
-from .primes import is_prime
+from .primes import is_prime, json_int
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
@@ -45,10 +45,8 @@ class AntichainSpec:
     divisor_primes: tuple = ()
 
     def __post_init__(self):
-        chains = tuple((int(p), tuple(int(r) for r in chain)) for p, chain in self.chains)
-        divisors = tuple(int(q) for q in self.divisor_primes)
-        object.__setattr__(self, "chains", chains)
-        object.__setattr__(self, "divisor_primes", divisors)
+        chains = tuple((json_int(p, "chain prime"), chain) for p, chain in self.chains)
+        divisors = tuple(json_int(q, "divisor prime") for q in self.divisor_primes)
         if not chains:
             raise ValueError("at least one chain prime is required")
         seen = set()
@@ -58,25 +56,13 @@ class AntichainSpec:
             if p in seen:
                 raise ValueError(f"prime {p} listed twice")
             seen.add(p)
+        # the primes are distinct, so the table keeps every chain
+        chains = tuple(validate_chain_table(dict(chains)).items())
         for p, chain in chains:
-            if not chain:
-                raise ValueError(f"empty residue chain for prime {p}")
-            power = 1
-            prev = 0
-            for depth, r in enumerate(chain, start=1):
-                power *= p
-                if not 0 <= r < power:
-                    raise ValueError(
-                        f"residue {r} at depth {depth} out of range for {p}^{depth}"
-                    )
-                if depth > 1 and r % (power // p) != prev:
-                    raise ValueError(
-                        f"chain for {p} inconsistent at depth {depth}: "
-                        f"{r} != {prev} (mod {p}^{depth - 1})"
-                    )
-                prev = r
             if all(r == 0 for r in chain):
                 raise ValueError(f"chain for {p} is all zero: first nonzero depth undefined")
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "divisor_primes", divisors)
 
     @property
     def chain_primes(self) -> tuple:
@@ -90,14 +76,17 @@ class AntichainSpec:
 
     @staticmethod
     def from_json(data: dict) -> "AntichainSpec":
-        if not isinstance(data, dict) or "chains" not in data:
-            raise ValueError('antichain spec JSON: missing field "chains"')
+        if not isinstance(data, dict) or not isinstance(data.get("chains"), list):
+            raise ValueError('antichain spec JSON: needs a "chains" array')
         chains = []
         for i, entry in enumerate(data["chains"]):
             if not isinstance(entry, dict) or "prime" not in entry or "residues" not in entry:
                 raise ValueError(f'antichain spec JSON: chain {i} needs "prime" and "residues"')
-            chains.append((int(entry["prime"]), tuple(int(r) for r in entry["residues"])))
-        return AntichainSpec(tuple(chains), tuple(int(q) for q in data.get("divisors", ())))
+            chains.append((entry["prime"], entry["residues"]))
+        divisors = data.get("divisors", [])
+        if not isinstance(divisors, list):
+            raise ValueError('antichain spec JSON: field "divisors" must be an array')
+        return AntichainSpec(tuple(chains), tuple(divisors))
 
 
 def first_nonzero_depths(spec: AntichainSpec) -> list:

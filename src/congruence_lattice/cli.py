@@ -1,5 +1,7 @@
 """Command-line front end: thin JSON adapters over the library operations.
 
+Each subcommand is one COMMANDS entry; the argparse tree and DISPATCH are built from it.
+
 Output is deterministic: keys sorted, set-valued results sorted, integers
 beyond 2^53-1 rendered as decimal strings.  Exit codes: 0 success, 1 for
 flagged domain negatives (e.g. --fail-on-infeasible), 2 for usage errors
@@ -12,50 +14,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 from . import antichain, crt, filter_lab, geometry, lattice, oracles
 from .periodic_sets import PeriodicSet
+from .primes import DEFAULT_TRIAL_BUDGET, json_int
 
 JSON_INT_MAX = 2**53 - 1
 
-# subcommand -> the one library operation it exposes
-DISPATCH = {
-    ("crt", "solve"): "crt.solve_system",
-    ("crt", "stream"): "crt.FeasibilityStream",
-    ("crt", "classify"): "crt.classify_prime_support",
-    ("geom", "expand"): "geometry.expand",
-    ("geom", "check"): "geometry.is_geometric",
-    ("geom", "enum"): "geometry.enumerate_geometric",
-    ("geom", "root"): "geometry.primitive_root",
-    ("geom", "order"): "geometry.multiplicative_order",
-    ("geom", "dlog"): "geometry.discrete_log",
-    ("geom", "offsets"): "geometry.exponent_offsets",
-    ("geom", "structure"): "geometry.structure_check",
-    ("geom", "prime-in-class"): "geometry.prime_in_progression",
-    ("geom", "witnesses"): "geometry.witness_class_set",
-    ("lattice", "up"): "lattice.up_closure",
-    ("lattice", "down"): "lattice.down_closure",
-    ("lattice", "is-antichain"): "lattice.is_antichain",
-    ("lattice", "is-convex"): "lattice.is_convex",
-    ("lattice", "hull"): "lattice.convex_hull",
-    ("lattice", "omega"): "lattice.omega",
-    ("lattice", "omega-bound"): "lattice.omega_lower_bound",
-    ("lattice", "levels"): "lattice.level_members",
-    ("lattice", "is-upward"): "lattice.is_upward_closed",
-    ("antichain", "depths"): "antichain.first_nonzero_depths",
-    ("antichain", "build"): "antichain.build",
-    ("antichain", "verify"): "antichain.verify",
-    ("filter", "fip"): "filter_lab.has_fip",
-    ("filter", "extend"): "filter_lab.extend",
-    ("filter", "residues"): "filter_lab.feasible_residues",
-    ("filter", "congruent"): "filter_lab.congruent_mod",
-    ("filter", "divides"): "filter_lab.divides_check",
-    ("filter", "nmax"): "filter_lab.nmax_witness",
-    ("oracle", "run"): "oracles.run_suite",
-}
 
-
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -81,24 +50,11 @@ def _emit(payload, pretty: bool):
     print(text)
 
 
-def _as_int(value, what):
-    if isinstance(value, bool):
-        raise UsageError(f"{what}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise UsageError(f"{what}: expected an integer, got {value!r}") from None
-    raise UsageError(f"{what}: expected an integer, got {value!r}")
-
-
-def _int_list(text, what="list"):
+def _int_list(text):
     try:
-        return [int(part) for part in str(text).split(",") if part != ""]
+        return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise UsageError(f"{what}: expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load_json(source, what):
@@ -124,19 +80,18 @@ def _parse_congruences(text):
         for key in ("m", "a"):
             if key not in item:
                 raise UsageError(f'congruence {i}: missing field "{key}"')
-        m = _as_int(item["m"], f'congruence {i}: field "m"')
-        a = _as_int(item["a"], f'congruence {i}: field "a"')
+        m = json_int(item["m"], f'congruence {i}: field "m"')
+        a = json_int(item["a"], f'congruence {i}: field "a"')
         if m < 1:
             raise UsageError(f'congruence {i}: field "m" must be >= 1, got {m}')
         out.append(crt.Congruence(m, a))
     return out
 
 
-def _parse_periodic_set(data, what):
-    if not isinstance(data, dict):
-        raise UsageError(f"{what}: expected a JSON object")
+def _named(what, build, data):
+    """build(data), naming `what` in the message of any ValueError it raises."""
     try:
-        return PeriodicSet.from_json(data)
+        return build(data)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from None
 
@@ -145,240 +100,259 @@ def _parse_base(source, what):
     data = _load_json(source, what)
     if not isinstance(data, list):
         raise UsageError(f"{what}: expected a JSON array of periodic sets")
-    return [_parse_periodic_set(item, f"{what}[{i}]") for i, item in enumerate(data)]
+    return [_named(f"{what}[{i}]", PeriodicSet.from_json, item) for i, item in enumerate(data)]
 
 
-def _parse_filter_base(source, what):
-    members = _parse_base(source, what)
-    try:
-        return filter_lab.FilterBase(tuple(members))
-    except ValueError as exc:
-        raise UsageError(f"{what}: {exc}") from None
+def _filter_base(source, what):
+    return _named(what, filter_lab.FilterBase, tuple(_parse_base(source, what)))
 
 
 def _parse_spec(source):
-    data = _load_json(source, "antichain spec")
-    try:
-        return antichain.AntichainSpec.from_json(data)
-    except ValueError as exc:
-        raise UsageError(f"antichain spec: {exc}") from None
+    return _named("antichain spec", antichain.AntichainSpec.from_json, _load_json(source, "antichain spec"))
 
 
-def _descriptor_json(d):
-    return {"p": d.p, "s": d.seed, "r": d.ratio}
+def _class_json(c):
+    return {"infeasible": True} if c is None else {"M": c.modulus, "x0": c.residue}
 
 
-# -- handlers ------------------------------------------------------------------
+def _set(args):
+    return _named("--set", PeriodicSet.from_json, _load_json(args.set, "--set"))
 
 
-def _cmd_crt_solve(args):
-    sol = crt.solve_system(_parse_congruences(args.system))
-    if sol is None:
-        return {"infeasible": True}, (1 if args.fail_on_infeasible else 0)
-    return {"M": sol.modulus, "x0": sol.residue}, 0
+# -- handlers that are more than one expression; each gets its operation and the arguments
 
 
-def _cmd_crt_stream(args):
-    stream = crt.FeasibilityStream()
-    states = []
-    for c in _parse_congruences(args.system):
-        state = stream.push(c)
-        states.append({"infeasible": True} if state is None else {"M": state.modulus, "x0": state.residue})
-    final = states[-1] if states else {"M": 1, "x0": 0}
-    return {"states": states, "final": final}, 0
+def _crt_stream(stream_type, args):
+    stream = stream_type()
+    states = [_class_json(stream.push(c)) for c in _parse_congruences(args.system)]
+    return {"states": states, "final": _class_json(stream.state)}
 
 
-def _cmd_crt_classify(args):
-    data = _load_json(args.table, "residue chain table")
-    if not isinstance(data, dict):
+def _crt_classify(classify, args):
+    table = _load_json(args.table, "residue chain table")
+    if not isinstance(table, dict):
         raise UsageError("residue chain table: expected a JSON object keyed by primes")
-    table = {}
-    for key, chain in data.items():
-        p = _as_int(key, f'table key "{key}"')
-        if not isinstance(chain, list):
-            raise UsageError(f'table entry "{key}": expected an array of residues')
-        table[p] = [_as_int(r, f'table entry "{key}"') for r in chain]
-    result = {}
-    for p, cls in crt.classify_prime_support(table).items():
-        if isinstance(cls, crt.ZeroToDepth):
-            result[str(p)] = {"kind": "zero_to_depth", "depth": cls.depth}
-        else:
-            result[str(p)] = {"kind": "nonzero", "first_nonzero": cls.first_nonzero}
-    return result, 0
-
-
-def _cmd_geom_expand(args):
-    d = geometry.GeometricDescriptor(args.p, args.s, args.r)
-    return {"p": args.p, "s": args.s, "r": args.r, "set": sorted(geometry.expand(d))}, 0
-
-
-def _cmd_geom_check(args):
-    residues = _int_list(args.set, "--set")
-    d = geometry.is_geometric(args.p, residues)
-    if d is None:
-        return {"geometric": False}, 0
-    return {"geometric": True, "descriptor": _descriptor_json(d)}, 0
-
-
-def _cmd_geom_enum(args):
-    family = geometry.enumerate_geometric(args.p)
-    return {"p": args.p, "sets": sorted([sorted(s) for s in family])}, 0
-
-
-def _cmd_geom_root(args):
-    return {"p": args.p, "primitive_root": geometry.primitive_root(args.p)}, 0
-
-
-def _cmd_geom_order(args):
-    return {"order": geometry.multiplicative_order(args.p, args.a)}, 0
-
-
-def _cmd_geom_dlog(args):
-    k = geometry.discrete_log(args.p, args.base, args.x)
-    if k is None:
-        return {"no_solution": True}, 0
-    return {"k": k}, 0
-
-
-def _cmd_geom_offsets(args):
-    off = geometry.exponent_offsets(args.p, _int_list(args.set, "--set"))
-    return {"base_exponent": off.base_exponent, "offsets": list(off.offsets)}, 0
-
-
-def _cmd_geom_structure(args):
-    rep = geometry.structure_check(args.p, _int_list(args.set, "--set"))
     return {
-        "gcd_closed": rep.gcd_closed,
-        "multiples_closed": rep.multiples_closed,
-        "arithmetic_progression": rep.arithmetic_progression,
-        "all_hold": rep.all_hold,
-    }, 0
+        p: {"kind": "zero_to_depth" if isinstance(cls, crt.ZeroToDepth) else "nonzero", **cls._asdict()}
+        for p, cls in classify(table).items()
+    }
 
 
-def _cmd_geom_prime_in_class(args):
-    return {"prime": geometry.prime_in_progression(args.m, args.r)}, 0
+def _geom_check(is_geometric, args):
+    d = is_geometric(args.p, args.set)
+    if d is None:
+        return {"geometric": False}
+    return {"geometric": True, "descriptor": {"p": d.p, "s": d.seed, "r": d.ratio}}
 
 
-def _cmd_geom_witnesses(args):
-    return {"values": geometry.witness_class_set(args.p, args.s, args.r, args.n)}, 0
+def _geom_dlog(discrete_log, args):
+    k = discrete_log(args.p, args.base, args.x)
+    return {"no_solution": True} if k is None else {"k": k}
 
 
-def _cmd_lattice_up(args):
-    return lattice.up_closure(_int_list(args.elements, "elements")).to_json(), 0
+def _geom_structure(structure_check, args):
+    report = structure_check(args.p, args.set)
+    return {**asdict(report), "all_hold": report.all_hold}
 
 
-def _cmd_lattice_down(args):
-    return {"divisors": lattice.down_closure(_int_list(args.elements, "elements"))}, 0
-
-
-def _cmd_lattice_is_antichain(args):
-    return {"antichain": lattice.is_antichain(_int_list(args.elements, "elements"))}, 0
-
-
-def _cmd_lattice_is_convex(args):
-    return {"convex": lattice.is_convex(_int_list(args.elements, "elements"))}, 0
-
-
-def _cmd_lattice_hull(args):
-    return {"hull": lattice.convex_hull(_int_list(args.elements, "elements"))}, 0
-
-
-def _cmd_lattice_omega(args):
-    return {"omega": lattice.omega(args.n, trial_budget=args.budget)}, 0
-
-
-def _cmd_lattice_omega_bound(args):
-    primes = _int_list(args.primes, "--primes")
-    return {"lower_bound": lattice.omega_lower_bound(args.n, primes)}, 0
-
-
-def _cmd_lattice_levels(args):
-    return {"members": lattice.level_members(args.level, args.bound)}, 0
-
-
-def _cmd_lattice_is_upward(args):
-    s = _parse_periodic_set(_load_json(args.set, "--set"), "--set")
-    return {"upward_closed": lattice.is_upward_closed(s)}, 0
-
-
-def _cmd_antichain_depths(args):
+def _antichain_depths(depths, args):
     spec = _parse_spec(args.spec)
-    depths = antichain.first_nonzero_depths(spec)
-    return {str(p): d for p, d in zip(spec.chain_primes, depths)}, 0
+    return dict(zip(spec.chain_primes, depths(spec)))
 
 
-def _cmd_antichain_build(args):
-    spec = _parse_spec(args.spec)
-    values = antichain.build(spec, args.n, substitution=args.substitution)
-    return [str(v) for v in values], 0
-
-
-def _cmd_antichain_verify(args):
+def _antichain_verify(verify, args):
     spec = _parse_spec(args.spec)
     data = _load_json(args.prefix, "--prefix")
     if not isinstance(data, list):
         raise UsageError("--prefix: expected a JSON array of integers")
-    values = [_as_int(v, f"--prefix[{i}]") for i, v in enumerate(data)]
-    report = antichain.verify(values, spec, substitution=args.substitution)
-    return report.to_json(), 0
+    values = [json_int(v, f"--prefix[{i}]") for i, v in enumerate(data)]
+    return verify(values, spec, substitution=args.substitution).to_json()
 
 
-def _cmd_filter_fip(args):
-    members = _parse_base(args.base, "--base")
-    return {"fip": filter_lab.has_fip(members)}, 0
-
-
-def _cmd_filter_extend(args):
-    base = _parse_filter_base(args.base, "--base")
-    s = _parse_periodic_set(_load_json(args.set, "--set"), "--set")
-    extended = filter_lab.extend(base, s)
+def _filter_extend(extend, args):
+    extended = extend(_filter_base(args.base, "--base"), _set(args))
     if extended is None:
-        return {"inconsistent": True}, 0
-    return {"members": [m.to_json() for m in extended.members]}, 0
+        return {"inconsistent": True}
+    return {"members": [m.to_json() for m in extended.members]}
 
 
-def _cmd_filter_residues(args):
-    base = _parse_filter_base(args.base, "--base")
-    return {"residues": sorted(filter_lab.feasible_residues(base, args.m))}, 0
-
-
-def _cmd_filter_congruent(args):
-    left = _parse_filter_base(args.left, "--left")
-    right = _parse_filter_base(args.right, "--right")
-    verdict = filter_lab.congruent_mod(left, right, args.m)
-    return {"verdict": verdict.value}, 0
-
-
-def _cmd_filter_divides(args):
-    left = _parse_filter_base(args.left, "--left")
-    right = _parse_filter_base(args.right, "--right")
-    report = filter_lab.divides_check(left, right)
+def _filter_divides(divides_check, args):
+    report = divides_check(_filter_base(args.left, "--left"), _filter_base(args.right, "--right"))
     payload = {"status": report.status.value}
     if report.witness is not None:
         payload["witness"] = report.witness.to_json()
-    return payload, 0
+    return payload
 
 
-def _cmd_filter_nmax(args):
-    forbidden = _int_list(args.forbid, "--forbid") if args.forbid else []
-    pool = _int_list(args.pool, "--pool")
-    witness = filter_lab.nmax_witness(args.m, args.r, forbidden, pool)
-    return {"witness": witness}, 0
-
-
-def _cmd_oracle_run(args):
+def _oracle_run(run_suite, args):
     seed = args.seed
     if seed is None:
         env = os.environ.get("CONGRUENCE_LATTICE_SEED")
-        if env is not None:
-            seed = _as_int(env, "CONGRUENCE_LATTICE_SEED")
-        else:
-            seed = oracles.DEFAULT_SEED
-    report = oracles.run_suite(args.suite, seed=seed, budget_s=args.budget, cases=args.cases)
-    return report, (1 if report["mismatches"] else 0)
+        seed = oracles.DEFAULT_SEED if env is None else json_int(env, "CONGRUENCE_LATTICE_SEED")
+    return run_suite(args.suite, seed=seed, budget_s=args.budget, cases=args.cases)
 
 
-# -- parser --------------------------------------------------------------------
+# -- the command table ------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    group: str
+    name: str
+    op: Callable  # the one library operation the subcommand exposes
+    args: tuple  # (flags, add_argument options) pairs
+    run: Callable  # (op, parsed arguments) -> JSON payload
+    help: Optional[str] = None
+    exit_code: Optional[Callable] = None  # (parsed arguments, payload) -> exit code; default 0
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_P = _arg("-p", type=int, required=True)
+_M = _arg("-m", type=int, required=True)
+_R = _arg("-r", type=int, required=True)
+_S = _arg("-s", type=int, required=True)
+_SYSTEM = _arg("system", help='JSON array like [{"m":3,"a":2},{"m":5,"a":3}]')
+_RESIDUES = _arg("--set", type=_int_list, required=True, help="comma-separated residues")
+_ELEMENTS = _arg("elements", type=_int_list, help="comma-separated positive integers")
+_N = _arg("n", type=int)
+_SET = _arg("--set", required=True, help="periodic set JSON")
+_SPEC = _arg("--spec", required=True, help="spec JSON (inline or file path)")
+_SUBSTITUTION = _arg("--substitution", choices=antichain.SUBSTITUTION_MODES, default="safe")
+_BASE = _arg("--base", required=True, help="JSON array of periodic sets (inline or file)")
+_LEFT = _arg("--left", required=True)
+_RIGHT = _arg("--right", required=True)
+
+GROUPS = {
+    "crt": "congruence systems",
+    "geom": "geometric residue sets",
+    "lattice": "divisibility order",
+    "antichain": "antichain construction",
+    "filter": "filter bases",
+    "oracle": "brute-force comparison suites",
+}
+
+COMMANDS = (
+    Command(
+        "crt", "solve", crt.solve_system,
+        (_SYSTEM, _arg("--fail-on-infeasible", action="store_true")),
+        lambda f, a: _class_json(f(_parse_congruences(a.system))),
+        help="solve a congruence system",
+        exit_code=lambda a, out: int(a.fail_on_infeasible and "infeasible" in out),
+    ),
+    Command(
+        "crt", "stream", crt.FeasibilityStream, (_SYSTEM,), _crt_stream, help="push congruences one at a time"
+    ),
+    Command(
+        "crt", "classify", crt.classify_prime_support,
+        (_arg("table", help='JSON object like {"2":[0,0,0],"3":[1,4,13]}'),), _crt_classify,
+        help="classify primes of a residue chain table",
+    ),
+    Command(
+        "geom", "expand", geometry.expand, (_P, _S, _R),
+        lambda f, a: {
+            "p": a.p, "s": a.s, "r": a.r, "set": sorted(f(geometry.GeometricDescriptor(a.p, a.s, a.r)))
+        },
+    ),
+    Command("geom", "check", geometry.is_geometric, (_P, _RESIDUES), _geom_check),
+    Command(
+        "geom", "enum", geometry.enumerate_geometric, (_P,),
+        lambda f, a: {"p": a.p, "sets": sorted(sorted(s) for s in f(a.p))},
+    ),
+    Command(
+        "geom", "root", geometry.primitive_root, (_P,), lambda f, a: {"p": a.p, "primitive_root": f(a.p)}
+    ),
+    Command(
+        "geom", "order", geometry.multiplicative_order, (_P, _arg("-a", type=int, required=True)),
+        lambda f, a: {"order": f(a.p, a.a)},
+    ),
+    Command(
+        "geom", "dlog", geometry.discrete_log,
+        (_P, _arg("--base", type=int, required=True), _arg("-x", type=int, required=True)),
+        _geom_dlog,
+    ),
+    Command("geom", "offsets", geometry.exponent_offsets, (_P, _RESIDUES), lambda f, a: asdict(f(a.p, a.set))),
+    Command("geom", "structure", geometry.structure_check, (_P, _RESIDUES), _geom_structure),
+    Command(
+        "geom", "prime-in-class", geometry.prime_in_progression, (_M, _R), lambda f, a: {"prime": f(a.m, a.r)}
+    ),
+    Command(
+        "geom", "witnesses", geometry.witness_class_set,
+        (_P, _S, _R, _arg("-n", type=int, required=True)),
+        lambda f, a: {"values": f(a.p, a.s, a.r, a.n)},
+    ),
+    Command("lattice", "up", lattice.up_closure, (_ELEMENTS,), lambda f, a: f(a.elements).to_json()),
+    Command("lattice", "down", lattice.down_closure, (_ELEMENTS,), lambda f, a: {"divisors": f(a.elements)}),
+    Command(
+        "lattice", "is-antichain", lattice.is_antichain, (_ELEMENTS,),
+        lambda f, a: {"antichain": f(a.elements)},
+    ),
+    Command("lattice", "is-convex", lattice.is_convex, (_ELEMENTS,), lambda f, a: {"convex": f(a.elements)}),
+    Command("lattice", "hull", lattice.convex_hull, (_ELEMENTS,), lambda f, a: {"hull": f(a.elements)}),
+    Command(
+        "lattice", "omega", lattice.omega,
+        (_N, _arg("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)),
+        lambda f, a: {"omega": f(a.n, trial_budget=a.budget)},
+    ),
+    Command(
+        "lattice", "omega-bound", lattice.omega_lower_bound,
+        (_N, _arg("--primes", type=_int_list, required=True)),
+        lambda f, a: {"lower_bound": f(a.n, a.primes)},
+    ),
+    Command(
+        "lattice", "levels", lattice.level_members,
+        (_arg("-l", "--level", type=int, required=True), _arg("--bound", type=int, required=True)),
+        lambda f, a: {"members": f(a.level, a.bound)},
+    ),
+    Command(
+        "lattice", "is-upward", lattice.is_upward_closed, (_SET,), lambda f, a: {"upward_closed": f(_set(a))}
+    ),
+    Command("antichain", "depths", antichain.first_nonzero_depths, (_SPEC,), _antichain_depths),
+    Command(
+        "antichain", "build", antichain.build,
+        (_SPEC, _arg("-n", type=int, required=True, help="index of the last element"), _SUBSTITUTION),
+        lambda f, a: [str(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
+    ),
+    Command(
+        "antichain", "verify", antichain.verify,
+        (_SPEC, _arg("--prefix", required=True, help="JSON array of elements"), _SUBSTITUTION),
+        _antichain_verify,
+    ),
+    Command(
+        "filter", "fip", filter_lab.has_fip, (_BASE,), lambda f, a: {"fip": f(_parse_base(a.base, "--base"))}
+    ),
+    Command("filter", "extend", filter_lab.extend, (_BASE, _SET), _filter_extend),
+    Command(
+        "filter", "residues", filter_lab.feasible_residues, (_BASE, _M),
+        lambda f, a: {"residues": sorted(f(_filter_base(a.base, "--base"), a.m))},
+    ),
+    Command(
+        "filter", "congruent", filter_lab.congruent_mod, (_LEFT, _RIGHT, _M),
+        lambda f, a: {
+            "verdict": f(_filter_base(a.left, "--left"), _filter_base(a.right, "--right"), a.m).value
+        },
+    ),
+    Command("filter", "divides", filter_lab.divides_check, (_LEFT, _RIGHT), _filter_divides),
+    Command(
+        "filter", "nmax", filter_lab.nmax_witness,
+        (_M, _R, _arg("--forbid", type=_int_list, default=""), _arg("--pool", type=_int_list, required=True)),
+        lambda f, a: {"witness": f(a.m, a.r, a.forbid, a.pool)},
+    ),
+    Command(
+        "oracle", "run", oracles.run_suite,
+        (
+            _arg("suite", choices=sorted(oracles.SUITES)),
+            _arg("--seed", type=int, help="defaults to $CONGRUENCE_LATTICE_SEED or 42"),
+            _arg("--cases", type=int),
+            _arg("--budget", type=float, help="wall-clock budget in seconds"),
+        ),
+        _oracle_run,
+        exit_code=lambda a, report: int(report["mismatches"] > 0),
+    ),
+)
+
+DISPATCH = {(c.group, c.name): f"{c.op.__module__.rsplit('.', 1)[1]}.{c.op.__name__}" for c in COMMANDS}
 
 
 def _build_parser():
@@ -388,161 +362,34 @@ def _build_parser():
     )
     parser.add_argument("--output", choices=("json", "pretty"), default="json")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    crt_p = groups.add_parser("crt", help="congruence systems").add_subparsers(dest="command")
-    p = crt_p.add_parser("solve", help="solve a congruence system")
-    p.add_argument("system", help='JSON array like [{"m":3,"a":2},{"m":5,"a":3}]')
-    p.add_argument("--fail-on-infeasible", action="store_true")
-    p.set_defaults(handler=_cmd_crt_solve)
-    p = crt_p.add_parser("stream", help="push congruences one at a time")
-    p.add_argument("system")
-    p.set_defaults(handler=_cmd_crt_stream)
-    p = crt_p.add_parser("classify", help="classify primes of a residue chain table")
-    p.add_argument("table", help='JSON object like {"2":[0,0,0],"3":[1,4,13]}')
-    p.set_defaults(handler=_cmd_crt_classify)
-
-    geom_p = groups.add_parser("geom", help="geometric residue sets").add_subparsers(dest="command")
-    p = geom_p.add_parser("expand")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_expand)
-    p = geom_p.add_parser("check")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--set", required=True, help="comma-separated residues")
-    p.set_defaults(handler=_cmd_geom_check)
-    p = geom_p.add_parser("enum")
-    p.add_argument("-p", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_enum)
-    p = geom_p.add_parser("root")
-    p.add_argument("-p", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_root)
-    p = geom_p.add_parser("order")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-a", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_order)
-    p = geom_p.add_parser("dlog")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("-x", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_dlog)
-    p = geom_p.add_parser("offsets")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(handler=_cmd_geom_offsets)
-    p = geom_p.add_parser("structure")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(handler=_cmd_geom_structure)
-    p = geom_p.add_parser("prime-in-class")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_prime_in_class)
-    p = geom_p.add_parser("witnesses")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_geom_witnesses)
-
-    lat_p = groups.add_parser("lattice", help="divisibility order").add_subparsers(dest="command")
-    for name, handler in (
-        ("up", _cmd_lattice_up),
-        ("down", _cmd_lattice_down),
-        ("is-antichain", _cmd_lattice_is_antichain),
-        ("is-convex", _cmd_lattice_is_convex),
-        ("hull", _cmd_lattice_hull),
-    ):
-        p = lat_p.add_parser(name)
-        p.add_argument("elements", help="comma-separated positive integers")
-        p.set_defaults(handler=handler)
-    p = lat_p.add_parser("omega")
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=lattice.DEFAULT_TRIAL_BUDGET)
-    p.set_defaults(handler=_cmd_lattice_omega)
-    p = lat_p.add_parser("omega-bound")
-    p.add_argument("n", type=int)
-    p.add_argument("--primes", required=True)
-    p.set_defaults(handler=_cmd_lattice_omega_bound)
-    p = lat_p.add_parser("levels")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_lattice_levels)
-    p = lat_p.add_parser("is-upward")
-    p.add_argument("--set", required=True, help="periodic set JSON")
-    p.set_defaults(handler=_cmd_lattice_is_upward)
-
-    anti_p = groups.add_parser("antichain", help="antichain construction").add_subparsers(dest="command")
-    p = anti_p.add_parser("depths")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=_cmd_antichain_depths)
-    p = anti_p.add_parser("build")
-    p.add_argument("--spec", required=True, help="spec JSON (inline or file path)")
-    p.add_argument("-n", type=int, required=True, help="index of the last element")
-    p.add_argument("--substitution", choices=antichain.SUBSTITUTION_MODES, default="safe")
-    p.set_defaults(handler=_cmd_antichain_build)
-    p = anti_p.add_parser("verify")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--prefix", required=True, help="JSON array of elements")
-    p.add_argument("--substitution", choices=antichain.SUBSTITUTION_MODES, default="safe")
-    p.set_defaults(handler=_cmd_antichain_verify)
-
-    fil_p = groups.add_parser("filter", help="filter bases").add_subparsers(dest="command")
-    p = fil_p.add_parser("fip")
-    p.add_argument("--base", required=True, help="JSON array of periodic sets (inline or file)")
-    p.set_defaults(handler=_cmd_filter_fip)
-    p = fil_p.add_parser("extend")
-    p.add_argument("--base", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(handler=_cmd_filter_extend)
-    p = fil_p.add_parser("residues")
-    p.add_argument("--base", required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.set_defaults(handler=_cmd_filter_residues)
-    p = fil_p.add_parser("congruent")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.set_defaults(handler=_cmd_filter_congruent)
-    p = fil_p.add_parser("divides")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(handler=_cmd_filter_divides)
-    p = fil_p.add_parser("nmax")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--forbid", default="")
-    p.add_argument("--pool", required=True)
-    p.set_defaults(handler=_cmd_filter_nmax)
-
-    orc_p = groups.add_parser("oracle", help="brute-force comparison suites").add_subparsers(dest="command")
-    p = orc_p.add_parser("run")
-    p.add_argument("suite", choices=sorted(oracles.SUITES))
-    p.add_argument("--seed", type=int, default=None, help="defaults to $CONGRUENCE_LATTICE_SEED or 42")
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
-    p.set_defaults(handler=_cmd_oracle_run)
-
+    subcommands = {
+        name: groups.add_parser(name, help=text).add_subparsers(dest="command")
+        for name, text in GROUPS.items()
+    }
+    for command in COMMANDS:
+        # a help entry, even an empty one, would list the subcommand in its group's help
+        options = {"help": command.help} if command.help else {}
+        sub = subcommands[command.group].add_parser(command.name, **options)
+        for flags, options in command.args:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(entry=command)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    command = getattr(args, "entry", None)
+    if command is None:
         parser.print_help(sys.stderr)
         return 2
     try:
-        payload, code = handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload = command.run(command.op, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.output == "pretty")
-    return code
+    return command.exit_code(args, payload) if command.exit_code else 0
 
 
 if __name__ == "__main__":

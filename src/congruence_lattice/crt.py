@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .primes import is_prime
+from .primes import is_prime, json_int
 
 
 @dataclass(frozen=True)
 class Congruence:
-    """A single constraint x = residue (mod modulus); residue normalized."""
+    """The residue class x = residue (mod modulus), residue normalized: a single
+    constraint, or the solved form of a system (one class modulo the lcm)."""
 
     modulus: int
     residue: int
@@ -33,17 +34,7 @@ class Congruence:
         return x % self.modulus == self.residue
 
 
-@dataclass(frozen=True)
-class SolutionClass:
-    """The solved form of a system: one residue class modulo the lcm."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 1:
-            raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+SolutionClass = Congruence
 
 
 def _merge(m1: int, r1: int, m2: int, r2: int):
@@ -56,22 +47,20 @@ def _merge(m1: int, r1: int, m2: int, r2: int):
     return m, (r1 + m1 * t) % m
 
 
-def solve_pair(c1, c2) -> Optional[SolutionClass]:
+def solve_pair(c1, c2) -> Optional[Congruence]:
     """Merge two congruences into the class modulo lcm, or None if disjoint."""
     merged = _merge(c1.modulus, c1.residue, c2.modulus, c2.residue)
-    if merged is None:
-        return None
-    return SolutionClass(*merged)
+    return None if merged is None else Congruence(*merged)
 
 
-def solve_system(congruences: Iterable) -> Optional[SolutionClass]:
+def solve_system(congruences: Iterable) -> Optional[Congruence]:
     """Left-fold of solve_pair; the empty system solves to everything (1, 0)."""
     state = (1, 0)
     for c in congruences:
         state = _merge(state[0], state[1], c.modulus, c.residue)
         if state is None:
             return None
-    return SolutionClass(*state)
+    return Congruence(*state)
 
 
 class FeasibilityStream:
@@ -82,18 +71,15 @@ class FeasibilityStream:
     """
 
     def __init__(self):
-        self._state: Optional[SolutionClass] = SolutionClass(1, 0)
+        self._state: Optional[Congruence] = Congruence(1, 0)
 
-    def push(self, congruence: Congruence) -> Optional[SolutionClass]:
+    def push(self, congruence: Congruence) -> Optional[Congruence]:
         if self._state is not None:
-            merged = _merge(
-                self._state.modulus, self._state.residue, congruence.modulus, congruence.residue
-            )
-            self._state = None if merged is None else SolutionClass(*merged)
+            self._state = solve_pair(self._state, congruence)
         return self._state
 
     @property
-    def state(self) -> Optional[SolutionClass]:
+    def state(self) -> Optional[Congruence]:
         return self._state
 
     @property
@@ -122,10 +108,14 @@ def validate_chain_table(table: Mapping) -> dict:
     """
     out = {}
     for p, chain in table.items():
-        p = int(p)
+        p = json_int(p, "chain prime")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        chain = tuple(int(r) for r in chain)
+        if p in out:
+            raise ValueError(f"prime {p} listed twice")
+        if not isinstance(chain, (list, tuple)):
+            raise ValueError(f"residue chain for {p} must be a list, got {chain!r}")
+        chain = tuple(json_int(r, "chain residue") for r in chain)
         if not chain:
             raise ValueError(f"empty residue chain for prime {p}")
         power = 1

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .crt import Congruence, solve_system
 from .lattice import is_upward_closed
 from .periodic_sets import PeriodicSet, progression
+from .primes import json_int
 
 
 class NoWitnessSourceError(ValueError):
@@ -224,8 +225,8 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
         raise ValueError(f"residue must lie strictly between 0 and {modulus}")
     if gcd(modulus, residue) != 1:
         raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
-    forbidden = sorted({int(n) for n in forbidden})
-    pool = sorted({int(a) for a in pool})
+    forbidden = sorted({json_int(n, "forbidden divisor") for n in forbidden})
+    pool = sorted({json_int(a, "pool element") for a in pool})
     if any(n < 2 for n in forbidden):
         raise ValueError("forbidden divisors must be >= 2")
     if not pool:

@@ -8,11 +8,11 @@ divisibility universe here).
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
 from .periodic_sets import PeriodicSet, divisibility_union, make
-from .primes import FactorizationBudgetError, is_prime
+from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, factorize, is_prime, json_int
 
 __all__ = [
     "FactorizationBudgetError",
@@ -27,11 +27,9 @@ __all__ = [
     "is_upward_closed",
 ]
 
-DEFAULT_TRIAL_BUDGET = 10**6
-
 
 def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
-    out = sorted({int(x) for x in xs})
+    out = sorted({json_int(x, "element") for x in xs})
     if out and out[0] < 1:
         raise ValueError(f"elements must be positive integers, got {out[0]}")
     if not out and not allow_empty:
@@ -40,15 +38,11 @@ def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
 
 
 def _divisors(n: int) -> list:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    # trial division up to isqrt(n) is complete, so factorize never refuses
+    divisors = [1]
+    for p, e in factorize(n, isqrt(n)).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(divisors)
 
 
 def up_closure(elements: Iterable) -> PeriodicSet:
@@ -108,21 +102,7 @@ def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"omega expects a positive integer, got {n!r}")
-    count = 0
-    d = 2
-    while d * d <= n and d <= trial_budget:
-        while n % d == 0:
-            count += 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n <= trial_budget * trial_budget or is_prime(n):
-            count += 1
-        else:
-            raise FactorizationBudgetError(
-                f"budget exceeded: cannot count prime factors of residual {n}"
-            )
-    return count
+    return sum(factorize(n, trial_budget).values())
 
 
 def omega_lower_bound(n: int, primes: Iterable) -> int:
@@ -130,7 +110,7 @@ def omega_lower_bound(n: int, primes: Iterable) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"omega_lower_bound expects a positive integer, got {n!r}")
     total = 0
-    for p in sorted({int(p) for p in primes}):
+    for p in sorted({json_int(p, "prime") for p in primes}):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         while n % p == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
 
-from .primes import prime_factors
+from .primes import factorize, json_int
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ class PeriodicSet:
             value = data.get(key, ())
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f'periodic set JSON: field "{key}" must be an array')
-            fields[key] = [_json_int(v, key) for v in value]
-        return make(_json_int(data["modulus"], "modulus"), fields["residues"], fields["add"], fields["remove"])
+            fields[key] = [json_int(v, f'periodic set JSON field "{key}"') for v in value]
+        modulus = json_int(data["modulus"], 'periodic set JSON field "modulus"')
+        return make(modulus, fields["residues"], fields["add"], fields["remove"])
 
 
 def _rebuild(modulus, residues, operands, truth):
@@ -166,7 +167,7 @@ def _minimal_period(modulus, residues):
     if not residues:
         return 1, frozenset()
     while modulus > 1:
-        for p in prime_factors(gcd(modulus, len(residues))):
+        for p in factorize(gcd(modulus, len(residues))):
             d = modulus // p
             # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
             if all((r + d) % modulus in residues for r in residues):
@@ -210,22 +211,8 @@ def _as_int(v, what):
     return v
 
 
-def _json_int(v, field):
-    # integers beyond 2^53-1 round-trip through JSON as decimal strings
-    if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise ValueError(f'periodic set JSON: field "{field}" has non-integer {v!r}') from None
-    return _as_int(v, f'periodic set JSON field "{field}"')
-
-
 def progression(modulus: int, residue: int) -> PeriodicSet:
     """The arithmetic progression {n >= 0 : n = residue (mod modulus)}."""
-    if not isinstance(modulus, int) or modulus < 1:
-        raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-    if not 0 <= residue < modulus:
-        raise ValueError(f"residue {residue} out of range for modulus {modulus}")
     return make(modulus, (residue,))
 
 

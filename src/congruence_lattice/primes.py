@@ -1,4 +1,4 @@
-"""Primality testing and small factorization shared across the library."""
+"""Primality testing, small factorization and JSON integer coercion for the library."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ from __future__ import annotations
 # probable-prime verdict, not a proof.  The first 12 primes alone would
 # stop at psi12 = 318665857834031151167461 = 399165290221 * 798330580441.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+DEFAULT_TRIAL_BUDGET = 10**6
 
 
 class FactorizationBudgetError(ValueError):
@@ -48,29 +51,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int, trial_bound: int = 10**6) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending.
-
-    Trial division up to `trial_bound`; a leftover cofactor is accepted if it
-    is provably prime, otherwise a FactorizationBudgetError is raised.
-    """
+def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n >= 1, primes ascending, by trial division up to
+    `trial_bound` >= 1; a leftover cofactor is accepted if it is provably prime, otherwise a
+    FactorizationBudgetError is raised."""
     if n < 1:
-        raise ValueError("prime_factors expects n >= 1")
-    out = []
+        raise ValueError(f"factorize expects n >= 1, got {n}")
+    if trial_bound < 1:
+        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
+    out = {}
     d = 2
     while d * d <= n and d <= trial_bound:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
         # cofactor <= trial_bound**2 has no divisor <= trial_bound, hence prime
         if n <= trial_bound * trial_bound or is_prime(n):
-            out.append(n)
+            out[n] = 1
         else:
             raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {n}")
     return out
+
+
+def prime_factors(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending; see factorize."""
+    return list(factorize(n, trial_bound))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -83,3 +90,16 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
     return [n for n in range(2, bound + 1) if sieve[n]]
+
+
+def json_int(value, what: str) -> int:
+    """An integer given as a non-bool int or as a decimal string (the form JSON
+    integers beyond 2^53-1 travel in); floats and booleans are rejected, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise ValueError(f"{what}: expected an integer, got {value!r}")

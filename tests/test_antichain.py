@@ -48,6 +48,24 @@ def test_duplicate_primes_rejected():
         ac.AntichainSpec(chains=((3, (1,)),), divisor_primes=(3,))
 
 
+def test_spec_rejects_non_integer_primes_and_residues():
+    # int() used to truncate a prime of 3.5 to 3
+    with pytest.raises(ValueError, match="expected an integer"):
+        ac.AntichainSpec.from_json({"chains": [{"prime": 3.5, "residues": [1, 4]}]})
+    with pytest.raises(ValueError, match="expected an integer"):
+        ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": [1, 4.0]}]})
+    with pytest.raises(ValueError, match="expected an integer"):
+        ac.AntichainSpec(chains=((3, (1,)),), divisor_primes=(True,))
+    with pytest.raises(ValueError, match="must be a list"):
+        ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": "14"}]})
+    with pytest.raises(ValueError, match='needs a "chains" array'):
+        ac.AntichainSpec.from_json({"chains": 5})
+    with pytest.raises(ValueError, match="must be an array"):
+        ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": [1]}], "divisors": "23"})
+    spec = ac.AntichainSpec.from_json({"chains": [{"prime": "3", "residues": ["1", "4"]}]})
+    assert spec == ac.AntichainSpec(chains=((3, (1, 4)),))
+
+
 def test_spec_json_round_trip():
     data = WORKED_SPEC.to_json()
     assert ac.AntichainSpec.from_json(data) == WORKED_SPEC

@@ -128,6 +128,12 @@ def test_lattice_subcommands(capsys):
     assert json.loads(out) == {"modulus": 2, "residues": [0], "add": [], "remove": [0]}
 
 
+def test_lattice_omega_rejects_negative_budget(capsys):
+    # the budget squared is positive, so 12 used to be taken as prime: {"omega":1}
+    code, out, err = run(capsys, "lattice", "omega", "12", "--budget", "-5")
+    assert code == 2 and out == "" and "trial bound" in err
+
+
 def test_lattice_is_upward(capsys):
     code, out, _ = run(capsys, "lattice", "is-upward", "--set", '{"modulus":6,"residues":[0]}')
     assert code == 0 and json.loads(out) == {"upward_closed": True}
@@ -175,6 +181,13 @@ def test_antichain_verify(capsys):
     code, out, _ = run(capsys, "antichain", "verify", "--spec", SPEC_JSON, "--prefix", "[3,39]")
     report = json.loads(out)
     assert report["ok"] is False and report["antichain"] is False
+
+
+def test_antichain_build_rejects_fractional_prime(capsys):
+    # a prime of 3.5 used to be truncated to 3
+    spec = '{"chains":[{"prime":3.5,"residues":[1,4,13]}]}'
+    code, out, err = run(capsys, "antichain", "build", "--spec", spec, "-n", "1")
+    assert code == 2 and out == "" and "3.5" in err
 
 
 def test_antichain_depths(capsys):

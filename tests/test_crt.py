@@ -178,6 +178,27 @@ def test_classify_rejects_inconsistent_chain():
         crt.classify_prime_support({3: []})  # empty chain
 
 
+def test_classify_rejects_non_integer_residues():
+    # chains are JSON integers: no truncation of 4.5, no iterating over a string
+    with pytest.raises(ValueError, match="expected an integer"):
+        crt.classify_prime_support({3: [1, 4.5]})
+    with pytest.raises(ValueError, match="must be a list"):
+        crt.classify_prime_support({3: "14"})
+    with pytest.raises(ValueError, match="expected an integer"):
+        crt.classify_prime_support({3.0: [1]})
+
+
+def test_solution_class_is_the_congruence_type():
+    assert crt.SolutionClass is Congruence
+    assert crt.solve_system([Congruence(3, 2), Congruence(5, 3)]) == crt.SolutionClass(15, 8)
+    # the separate solution type accepted a fractional residue
+    with pytest.raises(ValueError, match="residue must be an integer"):
+        crt.SolutionClass(15, 8.5)
+
+
 def test_chain_consistency_accepts_string_keys():
     got = crt.classify_prime_support({"5": [0, 5, 5]})
     assert got == {5: NonZero(2)}
+    # "3" and "03" are the same prime: one chain must not silently replace the other
+    with pytest.raises(ValueError, match="listed twice"):
+        crt.classify_prime_support({"3": [1], "03": [0]})

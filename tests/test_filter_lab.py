@@ -201,6 +201,13 @@ def test_nmax_witness_rejects_shared_factor():
         fl.nmax_witness(4, 2, [], [5])
 
 
+def test_nmax_witness_rejects_non_integers():
+    with pytest.raises(ValueError, match="expected an integer"):
+        fl.nmax_witness(4, 1, [3.5], [5])
+    with pytest.raises(ValueError, match="expected an integer"):
+        fl.nmax_witness(4, 1, [], [True, 5])
+
+
 def test_nmax_witness_requires_usable_pool():
     with pytest.raises(NoWitnessSourceError):
         fl.nmax_witness(4, 1, [3], [6, 9, 8])

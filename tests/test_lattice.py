@@ -7,6 +7,7 @@ import pytest
 from congruence_lattice import lattice, periodic_sets as ps
 from congruence_lattice.lattice import FactorizationBudgetError
 from congruence_lattice.oracles import upward_scan
+from congruence_lattice.primes import factorize
 
 
 def divisors_naive(n):
@@ -99,6 +100,12 @@ def test_convex_hull_idempotent_and_convex():
 # -- prime-factor counts -----------------------------------------------------------
 
 
+def test_down_closure_of_semiprime_beyond_the_trial_budget():
+    # divisor enumeration trial-divides up to isqrt(n), not to the default budget
+    p, q = 10**6 + 3, 10**6 + 33
+    assert lattice.down_closure([p * q]) == [1, p, q, p * q]
+
+
 def test_omega_examples():
     assert lattice.omega(12) == 3
     assert lattice.omega(1) == 0
@@ -111,6 +118,29 @@ def test_omega_budget_exceeded():
         lattice.omega(1009 * 1013, trial_budget=100)
     # a prime residual is fine even above the budget square
     assert lattice.omega(2 * (10**9 + 7), trial_budget=100) == 2
+
+
+def test_omega_rejects_trial_budget_below_one():
+    with pytest.raises(ValueError, match="trial bound"):
+        lattice.omega(12, trial_budget=-5)
+
+
+def test_omega_is_the_exponent_sum_of_factorize():
+    for n in [*range(1, 3000), 2**61 - 1, 3**40 * 7, 10**12 + 39, (10**6 + 3) * 999983]:
+        assert lattice.omega(n) == sum(factorize(n).values()), n
+
+
+def test_elements_must_be_integers():
+    # int() used to truncate 2.7 to 2 and read True as 1
+    for bad in ([2.7], [True, 3], [4, "x"]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            lattice.up_closure(bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            lattice.is_antichain(bad)
+    with pytest.raises(ValueError, match="expected an integer"):
+        lattice.omega_lower_bound(72, [2.5])
+    # decimal strings are how JSON carries integers beyond 2^53-1
+    assert lattice.down_closure(["12"]) == [1, 2, 3, 4, 6, 12]
 
 
 def test_omega_lower_bound():

@@ -56,10 +56,13 @@ def test_make_rejects_bad_input():
 
 
 def test_progression_validation():
-    with pytest.raises(ValueError):
+    # progression leaves validation to make, with make's messages
+    with pytest.raises(ValueError, match=r"^residue 3 out of range for modulus 3$"):
         ps.progression(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^modulus must be a positive integer, got 0$"):
         ps.progression(0, 0)
+    with pytest.raises(ValueError, match=r"^residue must be an integer, got 2\.5$"):
+        ps.progression(5, 2.5)
 
 
 # -- membership ----------------------------------------------------------------

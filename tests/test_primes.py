@@ -1,6 +1,16 @@
 """Primality: the exact range of the Miller-Rabin witness set, and regressions."""
 
-from congruence_lattice.primes import is_prime, prime_factors, primes_up_to
+from math import isqrt
+
+import pytest
+
+from congruence_lattice.primes import (
+    FactorizationBudgetError,
+    factorize,
+    is_prime,
+    prime_factors,
+    primes_up_to,
+)
 
 # psi_t: the least composite that is a strong pseudoprime to each of the
 # first t prime bases (t = 1..12), with a factorization to show it composite
@@ -58,3 +68,41 @@ def test_witness_primes_are_prime():
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         assert is_prime(p)
         assert prime_factors(p) == [p]
+
+
+def test_factorize_matches_smallest_prime_factor_sieve():
+    bound = 10**5
+    spf = list(range(bound + 1))
+    for p in range(2, isqrt(bound) + 1):
+        if spf[p] == p:
+            for m in range(p * p, bound + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(1, bound + 1):
+        want = {}
+        m = n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        got = factorize(n)
+        assert list(got.items()) == sorted(want.items()), n
+        assert prime_factors(n) == sorted(want), n
+
+
+def test_factorize_accepts_a_prime_cofactor_beyond_the_budget():
+    assert factorize(2**3 * (10**9 + 7), trial_bound=100) == {2: 3, 10**9 + 7: 1}
+    with pytest.raises(FactorizationBudgetError):
+        factorize(1009 * 1013, trial_bound=100)
+
+
+def test_factorize_rejects_trial_bound_below_one():
+    # a negative bound squared is positive, which once passed 12 off as prime
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="trial bound"):
+            factorize(12, trial_bound=bound)
+        with pytest.raises(ValueError, match="trial bound"):
+            prime_factors(12, trial_bound=bound)
+    # a bound of 1 tries no divisor: only a cofactor proved prime is accepted
+    assert factorize(13, trial_bound=1) == {13: 1}
+    with pytest.raises(FactorizationBudgetError):
+        factorize(12, trial_bound=1)
