@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .crt import Congruence, solve_system, validate_chain_table
+from .crt import Congruence, ZeroToDepth, chain_support, solve_system, validate_chain_table
 from .lattice import is_antichain, omega_lower_bound
 from .primes import is_prime, json_int
 
@@ -51,18 +51,24 @@ class AntichainSpec:
             raise ValueError("at least one chain prime is required")
         seen = set()
         for p in [p for p, _ in chains] + list(divisors):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
             if p in seen:
                 raise ValueError(f"prime {p} listed twice")
             seen.add(p)
+        for q in divisors:
+            if not is_prime(q):
+                raise ValueError(f"{q} is not prime")
         # the primes are distinct, so the table keeps every chain
         chains = tuple(validate_chain_table(dict(chains)).items())
+        depths = []
         for p, chain in chains:
-            if all(r == 0 for r in chain):
+            support = chain_support(chain)
+            if isinstance(support, ZeroToDepth):
                 raise ValueError(f"chain for {p} is all zero: first nonzero depth undefined")
+            depths.append(support.first_nonzero)
         object.__setattr__(self, "chains", chains)
         object.__setattr__(self, "divisor_primes", divisors)
+        # not a field: equality, hashing, repr and to_json see chains and divisors only
+        object.__setattr__(self, "_depths", tuple(depths))
 
     @property
     def chain_primes(self) -> tuple:
@@ -91,10 +97,7 @@ class AntichainSpec:
 
 def first_nonzero_depths(spec: AntichainSpec) -> list:
     """Least depth with a nonzero residue, per chain prime."""
-    out = []
-    for _, chain in spec.chains:
-        out.append(next(i for i, r in enumerate(chain, start=1) if r != 0))
-    return out
+    return list(spec._depths)
 
 
 def _check_mode(substitution: str):
@@ -102,37 +105,48 @@ def _check_mode(substitution: str):
         raise ValueError(f"substitution must be one of {SUBSTITUTION_MODES}, got {substitution!r}")
 
 
+def _schedule(spec: AntichainSpec, n: int, substitution: str):
+    """Element n's requirements, in check order, as (kind, prime, exponent, residue).
+
+    Each formable kind asks for the element to be residue mod prime**exponent:
+    "track" an earlier chain prime at depth first-nonzero + n, "own" the n-th
+    chain prime's first nonzero power, "divisor" the j-th divisor prime to
+    the n-th power for j < n, and "substitute" (safe mode) chain prime n + j
+    at exponent 1 in place of a missing divisor prime.  "short" marks a chain
+    too short for its tracking depth (residue None); "missing" (strict mode)
+    a prime the supply lacks, with the list it is missing from in the prime
+    slot and its number in that list in the exponent slot.
+    """
+    chains, divisors, depths = spec.chains, spec.divisor_primes, spec._depths
+    for i in range(min(n, len(chains))):
+        p, chain = chains[i]
+        e = depths[i] + n
+        yield ("track", p, e, chain[e - 1]) if e <= len(chain) else ("short", p, e, None)
+    if n < len(chains):
+        yield "own", chains[n][0], depths[n], 0
+    elif substitution == "strict":
+        yield "missing", "chain", n, None
+    for j in range(n):
+        if j < len(divisors):
+            yield "divisor", divisors[j], n, 0
+        elif substitution == "strict":
+            yield "missing", "divisor", j, None
+        elif n + j < len(chains):
+            yield "substitute", chains[n + j][0], 1, 0
+
+
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
     _check_mode(substitution)
     if index < 1:
         raise ValueError("index must be >= 1")
-    depths = first_nonzero_depths(spec)
-    chains = spec.chains
-    divisors = spec.divisor_primes
     out = []
-    for i in range(min(index, len(chains))):
-        p, chain = chains[i]
-        depth = depths[i] + index
-        if depth > len(chain):
-            raise ValueError(
-                f"chain for prime {p} too short: element {index} needs depth {depth}"
-            )
-        out.append(Congruence(p**depth, chain[depth - 1]))
-    if index < len(chains):
-        p, _ = chains[index]
-        out.append(Congruence(p ** depths[index], 0))
-    elif substitution == "strict":
-        raise ValueError(f"chain prime number {index} unavailable and substitution disabled")
-    for j in range(index):
-        if j < len(divisors):
-            out.append(Congruence(divisors[j] ** index, 0))
-        elif substitution == "strict":
-            raise ValueError(f"divisor prime number {j} unavailable and substitution disabled")
-        else:
-            k = index + j
-            if k < len(chains):
-                out.append(Congruence(chains[k][0], 0))
+    for kind, p, e, r in _schedule(spec, index, substitution):
+        if kind == "short":
+            raise ValueError(f"chain for prime {p} too short: element {index} needs depth {e}")
+        if kind == "missing":
+            raise ValueError(f"{p} prime number {e} unavailable and substitution disabled")
+        out.append(Congruence(p**e, r))
     return out
 
 
@@ -146,8 +160,7 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     _check_mode(substitution)
     if last < 0:
         raise ValueError("last must be non-negative")
-    depths = first_nonzero_depths(spec)
-    values = [spec.chain_primes[0] ** depths[0]]
+    values = [spec.chains[0][0] ** spec._depths[0]]
     for index in range(1, last + 1):
         system = step_congruences(spec, index, substitution)
         sol = solve_system(system)
@@ -186,6 +199,16 @@ class VerificationReport:
         }
 
 
+# report flag and failure text of each schedule kind that verify can find unmet
+_FAILURES = {
+    "track": ("chain_tracking", "element {n} misses residue {r} mod {p}^{e}"),
+    "short": ("chain_tracking", "chain for {p} too short to check element {n}"),
+    "own": ("own_prime_divides", "element {n} not divisible by {p}^{e}"),
+    "divisor": ("divisor_powers", "element {n} not divisible by {p}^{e}"),
+    "substitute": ("divisor_powers", "element {n} not divisible by substitute prime {p}"),
+}
+
+
 def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") -> VerificationReport:
     """Check a prefix against the spec; never raises, failures are reported.
 
@@ -212,46 +235,17 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     if not vals:
         antichain_ok = True
 
-    chains = spec.chains
-    divisors = spec.divisor_primes
-    depths = first_nonzero_depths(spec)
-
-    chain_tracking = True
-    own_prime = True
-    divisor_ok = True
+    flags = {flag: True for flag, _ in _FAILURES.values()}
     growth_ok = True
+    divisors = spec.divisor_primes
     if positive:
         for n, a in enumerate(vals):
-            for i in range(min(n, len(chains))):
-                p, chain = chains[i]
-                depth = depths[i] + n
-                if depth > len(chain):
-                    chain_tracking = False
-                    failures.append(f"chain for {p} too short to check element {n}")
+            for kind, p, e, r in _schedule(spec, n, substitution):
+                if kind == "missing" or (kind != "short" and a % p**e == r):
                     continue
-                mod = p**depth
-                if a % mod != chain[depth - 1]:
-                    chain_tracking = False
-                    failures.append(
-                        f"element {n} misses residue {chain[depth - 1]} mod {p}^{depth}"
-                    )
-            if n < len(chains):
-                p, _ = chains[n]
-                if a % p ** depths[n] != 0:
-                    own_prime = False
-                    failures.append(f"element {n} not divisible by {p}^{depths[n]}")
-            for j in range(n):
-                if j < len(divisors):
-                    if a % divisors[j] ** n != 0:
-                        divisor_ok = False
-                        failures.append(f"element {n} not divisible by {divisors[j]}^{n}")
-                elif substitution == "safe":
-                    k = n + j
-                    if k < len(chains) and a % chains[k][0] != 0:
-                        divisor_ok = False
-                        failures.append(
-                            f"element {n} not divisible by substitute prime {chains[k][0]}"
-                        )
+                flag, text = _FAILURES[kind]
+                flags[flag] = False
+                failures.append(text.format(n=n, p=p, e=e, r=r))
             need = n * min(n, len(divisors))
             if divisors and omega_lower_bound(a, divisors) < need:
                 growth_ok = False
@@ -260,9 +254,7 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     return VerificationReport(
         monotone=monotone,
         antichain=antichain_ok,
-        chain_tracking=chain_tracking,
-        own_prime_divides=own_prime,
-        divisor_powers=divisor_ok,
+        **flags,
         factor_count_growth=growth_ok,
         failures=tuple(failures),
     )

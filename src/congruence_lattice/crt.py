@@ -134,6 +134,15 @@ def validate_chain_table(table: Mapping) -> dict:
     return out
 
 
+def chain_support(chain) -> NonZero | ZeroToDepth:
+    """NonZero at the least depth whose residue is nonzero, else ZeroToDepth of
+    the chain's length (a chain as validate_chain_table returns it)."""
+    for depth, r in enumerate(chain, start=1):
+        if r != 0:
+            return NonZero(depth)
+    return ZeroToDepth(len(chain))
+
+
 def classify_prime_support(table: Mapping) -> dict:
     """Classify each prime of a residue-chain table.
 
@@ -142,12 +151,4 @@ def classify_prime_support(table: Mapping) -> dict:
     from a finite table).  NonZero(s): s is the least depth whose residue
     is nonzero.
     """
-    out = {}
-    for p, chain in validate_chain_table(table).items():
-        for depth, r in enumerate(chain, start=1):
-            if r != 0:
-                out[p] = NonZero(depth)
-                break
-        else:
-            out[p] = ZeroToDepth(len(chain))
-    return out
+    return {p: chain_support(chain) for p, chain in validate_chain_table(table).items()}

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from .primes import is_prime, prime_factors
 
 _TABLE_LIMIT = 1 << 16  # precompute full dlog tables only for small p
-_SCAN_LIMIT = 10**4  # plain dlog scan below this, baby-step giant-step above
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,12 @@ class StructureReport:
 def _check_residue_set(p: int, residues: Iterable) -> frozenset:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    s = frozenset(int(r) for r in residues)
+    s = frozenset(residues)
     if not s:
         raise ValueError("residue set must be nonempty")
     for r in s:
+        if type(r) is not int:
+            raise ValueError(f"residue {r!r} is not an int")
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p={p}")
     return s
@@ -128,13 +129,6 @@ def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     n = multiplicative_order(p, base)
     if x == 1:
         return n
-    if p < _SCAN_LIMIT:
-        acc = 1
-        for k in range(1, n):
-            acc = acc * base % p
-            if acc == x:
-                return k
-        return None
     # baby-step giant-step over the order of the base; ascending giant
     # steps with least-j baby entries yield the least exponent
     m = isqrt(n) + 1

@@ -13,6 +13,7 @@ import time
 from math import lcm
 
 from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets
+from .primes import json_int
 
 DEFAULT_SEED = 42
 
@@ -133,110 +134,81 @@ def random_antichain_spec(rng, last):
 # -- suites -------------------------------------------------------------------
 
 
-def _crt_suite(rng, cases, over_budget):
-    mismatches = []
-    run = 0
+def _crt_suite(rng, cases):
     for _ in range(cases):
-        if over_budget():
-            return run, mismatches, True
-        run += 1
         cs = _random_congruences(rng)
         got = crt.solve_system(cs)
         want = scan_system(cs)
-        if (got is None) != (want is None):
-            mismatches.append(f"{cs}: solver {got} vs scan {want}")
-        elif got is not None and (got.modulus, got.residue) != want:
-            mismatches.append(f"{cs}: solver {got} vs scan {want}")
+        found = []
+        if (got is None) != (want is None) or (got is not None and (got.modulus, got.residue) != want):
+            found.append(f"{cs}: solver {got} vs scan {want}")
         shuffled = list(cs)
         rng.shuffle(shuffled)
         stream = crt.FeasibilityStream()
         for c in shuffled:
             stream.push(c)
-        if (stream.state is None) != (got is None) or (
-            got is not None and stream.state != got
-        ):
-            mismatches.append(f"{cs}: stream {stream.state} vs batch {got}")
-    return run, mismatches, False
+        if (stream.state is None) != (got is None) or (got is not None and stream.state != got):
+            found.append(f"{cs}: stream {stream.state} vs batch {got}")
+        yield found
 
 
-def _geom_suite(rng, cases, over_budget):
-    mismatches = []
-    run = 0
+def _geom_suite(rng, cases):
     for p in _GEOM_PRIMES:
         family = geometry.enumerate_geometric(p)
         for s in sorted(family, key=sorted):
-            run += 1
             d = geometry.is_geometric(p, s)
             b = geometry.exhaustive_descriptor(p, s)
             if d is None or b is None:
-                mismatches.append(f"p={p} {sorted(s)}: family member not recognized")
+                yield [f"p={p} {sorted(s)}: family member not recognized"]
             elif geometry.expand(d) != s or geometry.expand(b) != s or d != b:
-                mismatches.append(f"p={p} {sorted(s)}: descriptor mismatch {d} vs {b}")
+                yield [f"p={p} {sorted(s)}: descriptor mismatch {d} vs {b}"]
+            else:
+                yield []
         for _ in range(cases):
-            if over_budget():
-                return run, mismatches, True
-            run += 1
             s = frozenset(rng.sample(range(p), rng.randint(1, p)))
             d = geometry.is_geometric(p, s)
             if (d is not None) != (s in family):
-                mismatches.append(f"p={p} {sorted(s)}: recognizer vs enumeration")
+                yield [f"p={p} {sorted(s)}: recognizer vs enumeration"]
             elif d is not None and geometry.expand(d) != s:
-                mismatches.append(f"p={p} {sorted(s)}: expansion mismatch")
-    return run, mismatches, False
+                yield [f"p={p} {sorted(s)}: expansion mismatch"]
+            else:
+                yield []
 
 
-def _upward_suite(rng, cases, over_budget):
-    mismatches = []
-    run = 0
+def _upward_suite(rng, cases):
     for _ in range(cases):
-        if over_budget():
-            return run, mismatches, True
-        run += 1
         s = _random_pure_set(rng)
         got = lattice.is_upward_closed(s)
         want = upward_scan(s)
-        if got != want:
-            mismatches.append(f"{s}: criterion {got} vs scan {want}")
-    return run, mismatches, False
+        yield [] if got == want else [f"{s}: criterion {got} vs scan {want}"]
 
 
-def _fip_suite(rng, cases, over_budget):
-    mismatches = []
-    run = 0
+def _fip_suite(rng, cases):
     for _ in range(cases):
-        if over_budget():
-            return run, mismatches, True
-        run += 1
         members = [_random_member(rng) for _ in range(rng.randint(1, 5))]
         got = filter_lab.has_fip(members)
         want = fip_scan(members)
         if got != want:
-            mismatches.append(f"{members}: has_fip {got} vs scan {want}")
-            continue
-        if got:
+            yield [f"{members}: has_fip {got} vs scan {want}"]
+        elif got:
             base = filter_lab.FilterBase(tuple(members))
-            for m in range(2, 31):
-                if not filter_lab.feasible_residues(base, m):
-                    mismatches.append(f"{members}: no feasible residue mod {m}")
-                    break
-    return run, mismatches, False
+            empty = next((m for m in range(2, 31) if not filter_lab.feasible_residues(base, m)), None)
+            yield [] if empty is None else [f"{members}: no feasible residue mod {empty}"]
+        else:
+            yield []
 
 
-def _antichain_suite(rng, cases, over_budget):
-    mismatches = []
-    run = 0
+def _antichain_suite(rng, cases):
     for _ in range(cases):
-        if over_budget():
-            return run, mismatches, True
-        run += 1
         last = rng.randint(1, 4)
         spec = random_antichain_spec(rng, last)
         values = antichain.build(spec, last)
+        found = []
         if values != antichain.build(spec, last):
-            mismatches.append(f"{spec}: build is not deterministic")
+            found.append(f"{spec}: build is not deterministic")
         report = antichain.verify(values, spec)
         if not report.ok:
-            mismatches.append(f"{spec}: verify failed {report.failures}")
+            yield found + [f"{spec}: verify failed {report.failures}"]
             continue
         for index in range(1, last + 1):
             system = antichain.step_congruences(spec, index)
@@ -245,9 +217,9 @@ def _antichain_suite(rng, cases, over_budget):
                 continue
             for x in range(values[index - 1] + 1, values[index]):
                 if all(c.satisfied_by(x) for c in system):
-                    mismatches.append(f"{spec}: element {index} not least ({x} works)")
+                    found.append(f"{spec}: element {index} not least ({x} works)")
                     break
-    return run, mismatches, False
+        yield found
 
 
 SUITES = {
@@ -263,23 +235,26 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, budget_s=None, cases=None) -
     """Run one suite; the report lists cases run, mismatches and wall time.
 
     `cases` scales the random portion (per prime for geom).  Deterministic
-    given the seed; if the budget is hit the run stops early and the
-    report says so.
+    given the seed; the budget is checked before every case, and if it is
+    hit the run stops early and the report says so.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     fn, default_cases = SUITES[suite]
-    n = default_cases if cases is None else int(cases)
+    n = default_cases if cases is None else json_int(cases, "cases")
     if n < 0:
         raise ValueError("cases must be non-negative")
-    rng = random.Random(seed)
     start = time.perf_counter()
-    if budget_s is None:
-        over_budget = lambda: False
-    else:
-        deadline = start + float(budget_s)
-        over_budget = lambda: time.perf_counter() > deadline
-    cases_run, mismatches, exceeded = fn(rng, n, over_budget)
+    deadline = None if budget_s is None else start + float(budget_s)
+    checks = fn(random.Random(seed), n)
+    mismatches = []
+    cases_run = 0
+    while not (exceeded := deadline is not None and time.perf_counter() >= deadline):
+        found = next(checks, None)
+        if found is None:
+            break
+        cases_run += 1
+        mismatches.extend(found)
     wall = time.perf_counter() - start
     return {
         "suite": suite,

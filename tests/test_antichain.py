@@ -195,3 +195,23 @@ def test_least_solution_property_by_scan():
                 continue
             for x in range(values[index - 1] + 1, values[index]):
                 assert not all(c.satisfied_by(x) for c in system)
+
+
+def test_verify_and_step_congruences_share_the_schedule():
+    # element n >= 1 of a perturbed prefix fails a tracking, own-prime or
+    # divisor check in verify exactly when it misses a congruence of
+    # step_congruences(spec, n); chains are long enough for every element
+    rng = random.Random(20240517)
+    checks = ("misses residue", "not divisible by")
+    for _ in range(300):
+        last = rng.randint(1, 5)
+        spec = random_antichain_spec(rng, last)
+        values = ac.build(spec, last)
+        for i in range(len(values)):
+            if rng.random() < 0.4:
+                values[i] = max(1, values[i] + rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 7, 10**3]))
+        failures = ac.verify(values, spec).failures
+        for n in range(1, last + 1):
+            flagged = any(f.startswith(f"element {n} ") and any(c in f for c in checks) for f in failures)
+            missed = any(not c.satisfied_by(values[n]) for c in ac.step_congruences(spec, n))
+            assert flagged == missed, (spec, values, n, failures)

@@ -38,6 +38,14 @@ def test_expand_contains_seed_for_nonzero_seed():
                 assert orbit == orbit | {s}
 
 
+def test_residue_sets_must_hold_ints():
+    # int() used to truncate 1.9 to 1 and read True as 1, giving the descriptor of {1, 4}
+    for bad in ([1.9, 4], [True, 4], ["1", 4]):
+        with pytest.raises(ValueError, match="not an int"):
+            geo.is_geometric(5, bad)
+    assert geo.is_geometric(5, [1, 4]) == GeometricDescriptor(5, 1, 4)
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         GeometricDescriptor(6, 1, 2)
@@ -135,9 +143,20 @@ def test_discrete_log_is_least_positive():
                 assert all(pow(base, e, p) != x for e in range(1, k))
 
 
+def test_discrete_log_matches_brute_force_small_primes():
+    # baby-step giant-step is the only route, small primes included
+    for p in primes_up_to(60):
+        for base in range(1, p):
+            least = {}
+            for k in range(p - 1, 0, -1):
+                least[pow(base, k, p)] = k
+            for x in range(1, p):
+                assert geo.discrete_log(p, base, x) == least.get(x), (p, base, x)
+
+
 def test_bsgs_path_recovers_exponents():
-    # 10007 goes through baby-step giant-step; a primitive root has distinct
-    # powers for k = 1..p-1, so the least exponent is the one we raised to
+    # a primitive root has distinct powers for k = 1..p-1, so the least
+    # exponent is the one we raised to
     p = 10007
     q = geo.primitive_root(p)
     rng = random.Random(13)

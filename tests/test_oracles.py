@@ -1,0 +1,39 @@
+"""Oracle suite runner: budget, case count and per-suite verdicts."""
+
+import pytest
+
+from congruence_lattice import oracles
+
+
+@pytest.mark.parametrize("suite", sorted(oracles.SUITES))
+def test_zero_budget_runs_no_case(suite):
+    report = oracles.run_suite(suite, budget_s=0, cases=5)
+    assert report["budget_exceeded"] is True
+    assert report["cases_run"] == 0
+    assert report["mismatches"] == 0
+
+
+@pytest.mark.parametrize("cases", [2.7, True, "two", -1])
+def test_case_count_must_be_a_non_negative_integer(cases):
+    # int() used to truncate 2.7 to 2 and read True as 1
+    with pytest.raises(ValueError):
+        oracles.run_suite("crt", cases=cases)
+
+
+def test_case_count_accepts_a_decimal_string():
+    assert oracles.run_suite("crt", cases="3")["cases_run"] == 3
+
+
+@pytest.mark.parametrize("suite", sorted(oracles.SUITES))
+def test_small_runs_report_no_mismatch(suite):
+    report = oracles.run_suite(suite, seed=7, cases=4)
+    assert report["mismatches"] == 0, report["mismatch_examples"]
+    assert report["budget_exceeded"] is False
+    assert report["cases"] == 4
+    if suite != "geom":  # geom adds its family checks to the random cases
+        assert report["cases_run"] == 4
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite"):
+        oracles.run_suite("bogus")
