@@ -292,7 +292,11 @@ COMMANDS = (
     Command("lattice", "hull", lattice.convex_hull, (_ELEMENTS,), lambda f, a: {"hull": f(a.elements)}),
     Command(
         "lattice", "omega", lattice.omega,
-        (_N, _arg("--budget", type=int, default=DEFAULT_TRIAL_BUDGET)),
+        (_N, _arg(
+            "--budget", type=int, default=DEFAULT_TRIAL_BUDGET,
+            help="factoring work cap: trial division up to d costs d, a rho step "
+            "on a b-bit cofactor 8 + b/24; exceeding it exits 2 (default %(default)s)",
+        )),
         lambda f, a: {"omega": f(a.n, trial_budget=a.budget)},
     ),
     Command(

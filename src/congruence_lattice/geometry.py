@@ -63,14 +63,17 @@ class StructureReport:
 def _check_residue_set(p: int, residues: Iterable) -> frozenset:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    s = frozenset(residues)
-    if not s:
-        raise ValueError("residue set must be nonempty")
-    for r in s:
+    # check the residues as given, in one pass before the set is built:
+    # building it first would merge True into an equal 1 unseen
+    items = tuple(residues)
+    for r in items:
         if type(r) is not int:
             raise ValueError(f"residue {r!r} is not an int")
         if not 0 <= r < p:
             raise ValueError(f"residue {r} out of range for p={p}")
+    s = frozenset(items)
+    if not s:
+        raise ValueError("residue set must be nonempty")
     return s
 
 
@@ -127,6 +130,8 @@ def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     if not 0 < base < p or not 0 < x < p:
         raise ValueError(f"base/x out of range for p={p}")
     n = multiplicative_order(p, base)
+    if pow(x, n, p) != 1:
+        return None  # <base> is exactly {z : z^n = 1}
     if x == 1:
         return n
     # baby-step giant-step over the order of the base; ascending giant

@@ -38,7 +38,8 @@ def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
 
 
 def _divisors(n: int) -> list:
-    # trial division up to isqrt(n) is complete, so factorize never refuses
+    # a budget of isqrt(n) pays for trial division up to the square root, which
+    # factorize holds in reserve behind rho, so it never refuses
     divisors = [1]
     for p, e in factorize(n, isqrt(n)).items():
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
@@ -96,9 +97,10 @@ def convex_hull(elements: Iterable) -> list:
 def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
     """Number of prime factors of n counted with multiplicity.
 
-    Factoring is trial division up to `trial_budget`; if the leftover
-    cofactor cannot be certified prime the call raises
-    FactorizationBudgetError instead of stalling.
+    Factoring is `primes.factorize` within a work budget of `trial_budget`
+    units (trial division to 2^10, then Brent's rho); if a composite cofactor
+    cannot be split within it the call raises FactorizationBudgetError
+    instead of stalling.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"omega expects a positive integer, got {n!r}")

@@ -10,14 +10,47 @@ from __future__ import annotations
 
 import random
 import time
-from math import lcm
+from collections import Counter
+from math import isqrt, lcm, prod
 
-from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets
+from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets, primes
 from .primes import json_int
 
 DEFAULT_SEED = 42
 
 _GEOM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+_SIEVE_BOUND = 10**6
+
+# (n, its prime factors, whether factorize must split n at the default
+# budget): psi1..psi13, the least strong pseudoprimes to the first t prime
+# bases (psi7 = psi8, psi9 = psi10 = psi11), whose factors beyond psi11 are
+# out of rho's reach; Chernick Carmichael numbers (6k+1)(12k+1)(18k+1);
+# two Mersenne primes above psi13, which is_prime passes through Lucas.
+_PRIMES_REGRESSIONS = (
+    (2047, (23, 89), True),
+    (1373653, (829, 1657), True),
+    (25326001, (2251, 11251), True),
+    (3215031751, (151, 751, 28351), True),
+    (2152302898747, (6763, 10627, 29947), True),
+    (3474749660383, (1303, 16927, 157543), True),
+    (341550071728321, (10670053, 32010157), True),
+    (3825123056546413051, (149491, 747451, 34233211), True),
+    (318665857834031151167461, (399165290221, 798330580441), False),
+    (3317044064679887385961981, (1287836182261, 2575672364521), False),
+    (1729, (7, 13, 19), True),
+    (56052361, (211, 421, 631), True),
+    (1296198694153288947529, (6000307, 12000613, 18000919), True),
+    (2**89 - 1, (2**89 - 1,), True),
+    (2**127 - 1, (2**127 - 1,), True),
+)
+# (n, budget) that factorize must refuse: two primes beyond budget 100, two
+# primes near 10^15 beyond the default budget, and a bound that tries no divisor
+_PRIMES_REFUSALS = (
+    ((10**9 + 7) * (10**9 + 9), 100),
+    (1000000000000037 * 1000000000000091, primes.DEFAULT_TRIAL_BUDGET),
+    (12, 1),
+)
 
 
 # -- independent brute-force checks ------------------------------------------
@@ -53,6 +86,28 @@ def upward_scan(s, factor: int = 10):
             if x not in have:
                 return False
     return True
+
+
+def least_prime_factors(bound: int):
+    """spf[n] = least prime factor of n for 2 <= n <= bound (n itself when n is
+    prime), by a sieve that shares no code with `primes`."""
+    from array import array  # loading it costs every CLI start about 0.5 ms
+
+    spf = array("l", range(bound + 1))
+    small = [p for p in range(2, isqrt(bound) + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
+    # descending: the least prime factor q of m, with q*q <= m, writes last
+    for p in reversed(small):
+        spf[p * p :: p] = array("l", [p]) * len(range(p * p, bound + 1, p))
+    return spf
+
+
+def sieve_factors(n: int, spf) -> list:
+    """Prime factors of 1 <= n <= len(spf) - 1 with multiplicity, read off the sieve."""
+    out = []
+    while n > 1:
+        out.append(spf[n])
+        n //= spf[n]
+    return out
 
 
 def fip_scan(members):
@@ -222,21 +277,67 @@ def _antichain_suite(rng, cases):
         yield found
 
 
+def _exponents(factors) -> dict:
+    return dict(sorted(Counter(factors).items()))
+
+
+def _factorization(n, trial_bound=primes.DEFAULT_TRIAL_BUDGET):
+    """factorize(n, trial_bound), or None for a budget refusal."""
+    try:
+        return primes.factorize(n, trial_bound)
+    except primes.FactorizationBudgetError:
+        return None
+
+
+def _primes_suite(rng, cases):
+    spf = least_prime_factors(_SIEVE_BOUND)
+    for n, factors, must_split in _PRIMES_REGRESSIONS:
+        got, want = _factorization(n), _exponents(factors)
+        found = []
+        if got != want and (got is not None or must_split):
+            found.append(f"factorize({n}): {got} vs {want}")
+        if primes.is_prime(n) != (len(factors) == 1):
+            found.append(f"is_prime({n}) is wrong")
+        yield found
+    for n, trial_bound in _PRIMES_REFUSALS:
+        got = _factorization(n, trial_bound)
+        yield [] if got is None else [f"factorize({n}, {trial_bound}) = {got} within the budget"]
+    for _ in range(cases):
+        n = rng.randint(1, _SIEVE_BOUND)
+        # primes above 2^10 leave their product to rho
+        ps = []
+        for _ in range(rng.randint(2, 3)):
+            p = rng.randint(1 << 10, _SIEVE_BOUND)
+            while spf[p] != p:
+                p -= 1
+            ps.append(p)
+        found = []
+        for m, want in ((n, _exponents(sieve_factors(n, spf))), (prod(ps), _exponents(ps))):
+            got = _factorization(m)
+            if got != want:
+                found.append(f"factorize({m}): {got} vs {want}")
+        if primes.is_prime(n) != (n > 1 and spf[n] == n):
+            found.append(f"is_prime({n}) disagrees with the sieve")
+        yield found
+
+
 SUITES = {
     "crt": (_crt_suite, 10_000),
     "geom": (_geom_suite, 10_000),
     "upward": (_upward_suite, 1_000),
     "fip": (_fip_suite, 1_000),
     "antichain": (_antichain_suite, 100),
+    "primes": (_primes_suite, 1_000),
 }
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED, budget_s=None, cases=None) -> dict:
     """Run one suite; the report lists cases run, mismatches and wall time.
 
-    `cases` scales the random portion (per prime for geom).  Deterministic
-    given the seed; the budget is checked before every case, and if it is
-    hit the run stops early and the report says so.
+    `cases` scales the random portion (per prime for geom; primes adds its
+    fixed regression cases).  Deterministic given the seed; the budget is
+    checked before every case, and if it is hit the run stops early and the
+    report says so.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")

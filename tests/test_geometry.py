@@ -39,8 +39,9 @@ def test_expand_contains_seed_for_nonzero_seed():
 
 
 def test_residue_sets_must_hold_ints():
-    # int() used to truncate 1.9 to 1 and read True as 1, giving the descriptor of {1, 4}
-    for bad in ([1.9, 4], [True, 4], ["1", 4]):
+    # int() used to truncate 1.9 to 1 and read True as 1, giving the descriptor of {1, 4};
+    # a set built before the check merged True into an equal 1 unseen
+    for bad in ([1.9, 4], [True, 4], ["1", 4], [1, True, 4], (4, 1, True), iter([1, True])):
         with pytest.raises(ValueError, match="not an int"):
             geo.is_geometric(5, bad)
     assert geo.is_geometric(5, [1, 4]) == GeometricDescriptor(5, 1, 4)
@@ -152,6 +153,27 @@ def test_discrete_log_matches_brute_force_small_primes():
                 least[pow(base, k, p)] = k
             for x in range(1, p):
                 assert geo.discrete_log(p, base, x) == least.get(x), (p, base, x)
+
+
+def test_discrete_log_of_a_non_member_is_none():
+    # <4> is the squares mod p; p = 3 (mod 8) makes 2 a non-square
+    p = 1000003
+    assert geo.multiplicative_order(p, 4) == (p - 1) // 2
+    assert geo.discrete_log(p, 4, 2) is None
+    assert geo.discrete_log(p, 4, p - 1) is None  # -1 is a non-square for p = 3 (mod 4)
+    assert geo.discrete_log(p, 4, pow(4, 123457, p)) == 123457
+
+
+def test_order_and_root_when_p_minus_1_has_two_factors_above_a_million():
+    # p - 1 = 2 * 1000003 * 1000121: trial division to 10^6 used to refuse
+    p = 2000248000727
+    factors = (2, 1000003, 1000121)
+    assert 2 * 1000003 * 1000121 == p - 1
+    g = geo.primitive_root(p)
+    assert all(pow(g, (p - 1) // f, p) != 1 for f in factors)
+    assert all(any(pow(h, (p - 1) // f, p) == 1 for f in factors) for h in range(2, g))
+    assert geo.multiplicative_order(p, 4) == (p - 1) // 2
+    assert geo.multiplicative_order(p, pow(5, 2 * 1000003, p)) == 1000121
 
 
 def test_bsgs_path_recovers_exponents():

@@ -101,7 +101,7 @@ def test_convex_hull_idempotent_and_convex():
 
 
 def test_down_closure_of_semiprime_beyond_the_trial_budget():
-    # divisor enumeration trial-divides up to isqrt(n), not to the default budget
+    # divisor enumeration gives factorize a budget of isqrt(n), which never refuses
     p, q = 10**6 + 3, 10**6 + 33
     assert lattice.down_closure([p * q]) == [1, p, q, p * q]
 
@@ -110,6 +110,12 @@ def test_omega_examples():
     assert lattice.omega(12) == 3
     assert lattice.omega(1) == 0
     assert lattice.omega(2**10) == 10
+
+
+def test_omega_of_two_primes_above_a_million():
+    # trial division to 10^6 used to refuse; rho splits it
+    assert lattice.omega(1000036000099) == 2
+    assert lattice.omega(1000003**2 * 1000033 * 8) == 6
 
 
 def test_omega_budget_exceeded():
