@@ -2,10 +2,12 @@
 
 A subset S of Z_p is geometric when S = {seed * ratio^k mod p : k >= 1}
 for some seed and ratio.  For a nonzero seed this orbit is the full coset
-seed * <ratio> of the cyclic subgroup generated by the ratio, which gives
-the recognizer below its structure: take discrete logarithms with respect
-to a primitive root and check that the exponent offsets form an initial
-segment of multiples of their minimum that wraps around the exponent group.
+seed * <ratio> of the cyclic subgroup generated by the ratio.  As Z_p* is
+cyclic, its only subgroup of order l | p - 1 is H_l = {z : z^l = 1}, so a
+zero-free S is geometric iff l = |S| divides p - 1 and (s / s0)^l = 1 for
+every s in S, where s0 = min(S): then s0^-1 * S is all of H_l and
+S = s0 * H_l.  Recognition and enumeration work from this criterion and
+take no discrete logarithms; only the exponent-offset views do.
 
 Residue sets are passed as (p, S) with S any iterable of residues.
 """
@@ -13,13 +15,10 @@ Residue sets are passed as (p, S) with S any iterable of residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
 from .primes import is_prime, prime_factors
-
-_TABLE_LIMIT = 1 << 16  # precompute full dlog tables only for small p
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,9 @@ class GeometricDescriptor:
     ratio: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not 0 <= self.seed < self.p:
-            raise ValueError(f"seed {self.seed} out of range for p={self.p}")
-        if not 0 < self.ratio < self.p:
-            raise ValueError(f"ratio {self.ratio} out of range for p={self.p}")
+        _check_prime(self.p)
+        _check_residue(self.p, self.seed, "seed", 0)
+        _check_residue(self.p, self.ratio, "ratio", 1)
 
 
 @dataclass(frozen=True)
@@ -60,17 +56,27 @@ class StructureReport:
         return self.gcd_closed and self.multiples_closed and self.arithmetic_progression
 
 
+def _check_prime(p) -> None:
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"p must be a prime int, got {p!r}")
+
+
+def _check_residue(m: int, r, what: str, low: int) -> None:
+    """Refuse r unless it is an int (not a bool) in [low, m)."""
+    if type(r) is not int:
+        raise ValueError(f"{what} {r!r} is not an int")
+    if not low <= r < m:
+        raise ValueError(f"{what} {r} out of range [{low}, {m})")
+
+
 def _check_residue_set(p: int, residues: Iterable) -> frozenset:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     # check the residues as given, in one pass before the set is built:
     # building it first would merge True into an equal 1 unseen
     items = tuple(residues)
     for r in items:
-        if type(r) is not int:
-            raise ValueError(f"residue {r!r} is not an int")
-        if not 0 <= r < p:
-            raise ValueError(f"residue {r} out of range for p={p}")
+        if type(r) is not int or not 0 <= r < p:  # no call per valid residue
+            _check_residue(p, r, "residue", 0)
     s = frozenset(items)
     if not s:
         raise ValueError("residue set must be nonempty")
@@ -78,8 +84,6 @@ def _check_residue_set(p: int, residues: Iterable) -> frozenset:
 
 
 def _orbit(p: int, seed: int, ratio: int) -> frozenset:
-    if seed == 0:
-        return frozenset((0,))
     out = set()
     x = seed * ratio % p
     while x not in out:
@@ -99,8 +103,7 @@ def expand(descriptor: GeometricDescriptor) -> frozenset:
 
 def primitive_root(p: int) -> int:
     """Least generator of the multiplicative group modulo p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if p == 2:
         return 1
     factors = prime_factors(p - 1)
@@ -112,10 +115,8 @@ def primitive_root(p: int) -> int:
 
 def multiplicative_order(p: int, a: int) -> int:
     """Least t >= 1 with a^t = 1 (mod p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 0 < a < p:
-        raise ValueError(f"{a} out of range for p={p}")
+    _check_prime(p)
+    _check_residue(p, a, "a", 1)
     t = p - 1
     for f in prime_factors(p - 1):
         while t % f == 0 and pow(a, t // f, p) == 1:
@@ -125,54 +126,38 @@ def multiplicative_order(p: int, a: int) -> int:
 
 def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     """Least k >= 1 with base^k = x (mod p), or None if x is not a power of base."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 0 < base < p or not 0 < x < p:
-        raise ValueError(f"base/x out of range for p={p}")
+    _check_prime(p)
+    _check_residue(p, base, "base", 1)
+    _check_residue(p, x, "x", 1)
     n = multiplicative_order(p, base)
     if pow(x, n, p) != 1:
         return None  # <base> is exactly {z : z^n = 1}
-    if x == 1:
-        return n
-    # baby-step giant-step over the order of the base; ascending giant
-    # steps with least-j baby entries yield the least exponent
-    m = isqrt(n) + 1
+    return _logs(p, base, n, (x,))[x]
+
+
+def _logs(p: int, base: int, n: int, targets) -> dict:
+    """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, n = ord(base).
+
+    Baby-step giant-step with the table sized to the targets: m = min(n,
+    isqrt(n * |targets|) + 1) distinct baby steps base^0..base^(m-1), then
+    at most ceil(n / m) giant steps per target.  Ascending giant steps find
+    the exponent in [0, n) first; 0 means t = 1, whose least k >= 1 is n.
+    """
+    m = min(n, isqrt(n * len(targets)) + 1)
     baby = {}
     val = 1
     for j in range(m):
-        baby.setdefault(val, j)
+        baby[val] = j
         val = val * base % p
     giant = pow(base, -m, p)
-    gamma = x
-    for i in range(m + 1):
-        if gamma in baby:
-            k = i * m + baby[gamma]
-            if 1 <= k <= n:
-                return k
-        gamma = gamma * giant % p
-    return None
-
-
-@lru_cache(maxsize=64)
-def _index_table(p: int):
-    """(primitive root q, {value: least k >= 1 with q^k = value})."""
-    q = primitive_root(p)
-    table = {}
-    x = 1
-    for k in range(1, p):
-        x = x * q % p
-        table.setdefault(x, k)
-    return q, table
-
-
-def _indices(p: int, residues) -> list:
-    """Sorted least exponents of the given nonzero residues w.r.t. the
-    cached primitive root."""
-    if p <= _TABLE_LIMIT:
-        _, table = _index_table(p)
-        return sorted(table[r] for r in residues)
-    q = primitive_root(p)
-    return sorted(discrete_log(p, q, r) for r in residues)
+    out = {}
+    for t in targets:
+        gamma, k = t, 0
+        while gamma not in baby:
+            gamma = gamma * giant % p
+            k += m
+        out[t] = k + baby[gamma] or n
+    return out
 
 
 def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:
@@ -180,7 +165,7 @@ def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:
     s = _check_residue_set(p, residues)
     if 0 in s:
         raise ValueError("exponent offsets are undefined when 0 is in the set")
-    ks = _indices(p, s)
+    ks = sorted(_logs(p, primitive_root(p), p - 1, s).values())
     return ExponentOffsets(ks[0], tuple(k - ks[0] for k in ks[1:]))
 
 
@@ -210,35 +195,26 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     """Recognize a geometric set; returns the lexicographically least
     (seed, ratio) descriptor, or None.
 
-    Structure route: a zero-free S is geometric iff its sorted discrete
-    logarithms form an arithmetic progression whose common difference d
-    satisfies |S| * d = 0 (mod p-1); then S is the coset min(S) * <q^d>.
+    Coset route, with no discrete logarithms: a zero-free S of size l is
+    geometric iff l | p - 1 and h^l = 1 for every h = s * s0^-1, s0 = min(S);
+    then S = s0 * H_l.  Any element of S seeds the orbit, so the least seed
+    is s0, and the least ratio is the least generator of H_l: the least h
+    with h^(l/q) != 1 for each prime q dividing l.
     """
     s = _check_residue_set(p, residues)
     if s == {0}:
         return GeometricDescriptor(p, 0, 1)
-    if 0 in s:
-        return None  # a nonzero seed never reaches 0, a zero seed stays there
-    if len(s) == 1:
-        return GeometricDescriptor(p, next(iter(s)), 1)
-    ks = _indices(p, s)
-    k0 = ks[0]
-    offsets = [k - k0 for k in ks[1:]]
-    r1 = offsets[0]
     l = len(s)
-    if offsets != [i * r1 for i in range(1, l)]:
+    if 0 in s or (p - 1) % l:
+        return None  # no orbit holds 0 and more; a coset of H_l needs l | p - 1
+    s0 = min(s)
+    inv = pow(s0, -1, p)
+    hs = sorted(x * inv % p for x in s)
+    if any(pow(h, l, p) != 1 for h in hs):
         return None
-    if (l * r1) % (p - 1) != 0:
-        return None
-    q, _ = _index_table(p) if p <= _TABLE_LIMIT else (primitive_root(p), None)
-    gen = pow(q, r1, p)
-    subgroup = set()
-    x = 1
-    for _ in range(l):
-        x = x * gen % p
-        subgroup.add(x)
-    ratio = min(h for h in subgroup if multiplicative_order(p, h) == l)
-    return GeometricDescriptor(p, min(s), ratio)
+    qs = prime_factors(l)
+    ratio = next(h for h in hs if all(pow(h, l // q, p) != 1 for q in qs))
+    return GeometricDescriptor(p, s0, ratio)
 
 
 def exhaustive_descriptor(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
@@ -254,23 +230,28 @@ def exhaustive_descriptor(p: int, residues: Iterable) -> Optional[GeometricDescr
 
 
 def enumerate_geometric(p: int) -> set:
-    """The family of all geometric sets modulo p, as frozensets."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out = set()
-    for seed in range(p):
-        for ratio in range(1, p):
-            out.add(_orbit(p, seed, ratio))
+    """The family of all geometric sets modulo p, as frozensets.
+
+    These are {0} and, for each d | p - 1, the cosets of H_d: the fibres of
+    x -> x^d on 1..p-1, whose kernel is H_d.  1 + sigma(p - 1) sets in all.
+    """
+    _check_prime(p)
+    out = {frozenset((0,))}
+    for d in range(1, p):
+        if (p - 1) % d == 0:
+            fibres = {}
+            for x in range(1, p):
+                fibres.setdefault(pow(x, d, p), []).append(x)
+            out.update(map(frozenset, fibres.values()))
     return out
 
 
 def prime_in_progression(modulus: int, residue: int) -> int:
     """Least prime congruent to `residue` modulo `modulus` (requires
     gcd(modulus, residue) = 1, which guarantees one exists)."""
-    if not isinstance(modulus, int) or modulus < 1:
+    if type(modulus) is not int or modulus < 1:
         raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-    if not 0 <= residue < modulus:
-        raise ValueError(f"residue {residue} out of range for modulus {modulus}")
+    _check_residue(modulus, residue, "residue", 0)
     if gcd(modulus, residue) != 1:
         raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
     x = residue
@@ -288,12 +269,11 @@ def witness_class_set(p: int, seed_residue: int, ratio_residue: int, count: int)
     so the residues run through the geometric orbit of (seed_residue,
     ratio_residue) taken from k = 0.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 0 < seed_residue < p or not 0 < ratio_residue < p:
-        raise ValueError("seed and ratio residues must be in [1, p)")
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_prime(p)
+    _check_residue(p, seed_residue, "seed residue", 1)
+    _check_residue(p, ratio_residue, "ratio residue", 1)
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     s = prime_in_progression(p, seed_residue)
     b = prime_in_progression(p, ratio_residue)
     out = []

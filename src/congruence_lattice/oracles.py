@@ -70,6 +70,21 @@ def scan_system(congruences):
     return None
 
 
+def orbit_family(p: int) -> set:
+    """Every orbit {s * r^k mod p : k >= 1} over 0 <= s < p and 1 <= r < p,
+    walked pair by pair (O(p^2) orbits); shares no code with `geometry`."""
+    out = set()
+    for seed in range(p):
+        for ratio in range(1, p):
+            orbit = set()
+            x = seed * ratio % p
+            while x not in orbit:
+                orbit.add(x)
+                x = x * ratio % p
+            out.add(frozenset(orbit))
+    return out
+
+
 def upward_scan(s, factor: int = 10):
     """Bounded multiple-closure check over [1, factor * modulus^2].
 
@@ -209,11 +224,15 @@ def _crt_suite(rng, cases):
 
 def _geom_suite(rng, cases):
     for p in _GEOM_PRIMES:
-        family = geometry.enumerate_geometric(p)
-        for s in sorted(family, key=sorted):
+        family = orbit_family(p)
+        listed = geometry.enumerate_geometric(p)
+        # one case per set of either family, so equal families add no case
+        for s in sorted(family | listed, key=sorted):
             d = geometry.is_geometric(p, s)
             b = geometry.exhaustive_descriptor(p, s)
-            if d is None or b is None:
+            if s not in family or s not in listed:
+                yield [f"p={p} {sorted(s)}: enumerate_geometric vs orbit_family"]
+            elif d is None or b is None:
                 yield [f"p={p} {sorted(s)}: family member not recognized"]
             elif geometry.expand(d) != s or geometry.expand(b) != s or d != b:
                 yield [f"p={p} {sorted(s)}: descriptor mismatch {d} vs {b}"]

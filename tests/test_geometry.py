@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from congruence_lattice import geometry as geo
+from congruence_lattice import oracles
 from congruence_lattice.geometry import GeometricDescriptor
 from congruence_lattice.primes import primes_up_to
 
@@ -45,6 +46,25 @@ def test_residue_sets_must_hold_ints():
         with pytest.raises(ValueError, match="not an int"):
             geo.is_geometric(5, bad)
     assert geo.is_geometric(5, [1, 4]) == GeometricDescriptor(5, 1, 4)
+    # so must p, seed, ratio and the order and log arguments: p = 7.0 used to
+    # give a descriptor with p=7.0, ratio 2.0 an orbit of floats, a = True order 1
+    for call in (
+        lambda: geo.is_geometric(7.0, [1]),
+        lambda: geo.is_geometric(True, [0]),
+        lambda: geo.expand(GeometricDescriptor(7, 2.0, 3)),
+        lambda: GeometricDescriptor(7, 2, 3.0),
+        lambda: geo.multiplicative_order(7, True),
+        lambda: geo.multiplicative_order(7.0, 2),
+        lambda: geo.discrete_log(7, 3.0, 6),
+        lambda: geo.discrete_log(7, 3, True),
+        lambda: geo.primitive_root(7.0),
+        lambda: geo.enumerate_geometric(7.0),
+        lambda: geo.prime_in_progression(True, 0),
+        lambda: geo.prime_in_progression(10, 3.0),
+        lambda: geo.witness_class_set(7, 1, 2, 2.5),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_descriptor_validation():
@@ -83,7 +103,7 @@ def test_recognizer_round_trip_all_descriptors():
 def test_recognizer_agrees_with_exhaustive_oracle():
     rng = random.Random(64)
     for p in SMALL_PRIMES:
-        family = geo.enumerate_geometric(p)
+        family = oracles.orbit_family(p)
         for s in sorted(family, key=sorted):
             assert geo.is_geometric(p, s) == geo.exhaustive_descriptor(p, s)
         for _ in range(300):
@@ -92,6 +112,27 @@ def test_recognizer_agrees_with_exhaustive_oracle():
             assert (d is not None) == (s in family)
             if d is not None:
                 assert d == geo.exhaustive_descriptor(p, s)
+
+
+def test_recognizes_a_large_coset_without_logs():
+    # p = 119 * 2^23 + 1; a discrete log per residue took seconds on this coset
+    p = 998244353
+    h = pow(geo.primitive_root(p), (p - 1) // 512, p)
+    coset = [7 * pow(h, k, p) % p for k in range(512)]
+    d = geo.is_geometric(p, coset)
+    assert (d.seed, geo.multiplicative_order(p, d.ratio)) == (7, 512)
+    assert geo.expand(d) == frozenset(coset)
+    subgroup = [pow(h, k, p) for k in range(512)]
+    assert d.ratio == min(r for r in subgroup if geo.multiplicative_order(p, r) == 512)
+    perturbed = coset[:-1] + [(coset[-1] + 1) % p]
+    assert geo.is_geometric(p, perturbed) is None
+
+
+def test_enumeration_matches_the_orbit_walk():
+    for p in primes_up_to(103):
+        family = geo.enumerate_geometric(p)
+        assert family == oracles.orbit_family(p), p
+        assert len(family) == 1 + sum(d for d in range(1, p) if (p - 1) % d == 0), p
 
 
 def test_enumerate_small_primes():
@@ -145,7 +186,9 @@ def test_discrete_log_is_least_positive():
 
 
 def test_discrete_log_matches_brute_force_small_primes():
-    # baby-step giant-step is the only route, small primes included
+    # baby-step giant-step is the only route, small primes included, for one
+    # target (discrete_log) and for many at once (exponent_offsets)
+    rng = random.Random(17)
     for p in primes_up_to(60):
         for base in range(1, p):
             least = {}
@@ -153,6 +196,12 @@ def test_discrete_log_matches_brute_force_small_primes():
                 least[pow(base, k, p)] = k
             for x in range(1, p):
                 assert geo.discrete_log(p, base, x) == least.get(x), (p, base, x)
+            if base == geo.primitive_root(p):  # the base of exponent_offsets
+                for _ in range(10):
+                    s = rng.sample(range(1, p), rng.randint(1, p - 1))
+                    ks = sorted(least[x] for x in s)
+                    off = geo.exponent_offsets(p, s)
+                    assert (off.base_exponent, off.offsets) == (ks[0], tuple(k - ks[0] for k in ks[1:])), (p, s)
 
 
 def test_discrete_log_of_a_non_member_is_none():
