@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .crt import Congruence, ZeroToDepth, chain_support, solve_system, validate_chain_table
 from .lattice import is_antichain, omega_lower_bound
-from .primes import is_prime, json_int
+from .primes import is_prime, json_int, strict_int
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
@@ -138,7 +138,7 @@ def _schedule(spec: AntichainSpec, n: int, substitution: str):
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
     _check_mode(substitution)
-    if index < 1:
+    if strict_int(index, "index") < 1:
         raise ValueError("index must be >= 1")
     out = []
     for kind, p, e, r in _schedule(spec, index, substitution):
@@ -158,7 +158,7 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     exceeds element n-1.
     """
     _check_mode(substitution)
-    if last < 0:
+    if strict_int(last, "last") < 0:
         raise ValueError("last must be non-negative")
     values = [spec.chains[0][0] ** spec._depths[0]]
     for index in range(1, last + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .primes import is_prime, json_int
+from .primes import is_prime, json_int, strict_int
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,9 @@ class Congruence:
     residue: int
 
     def __post_init__(self):
-        if not isinstance(self.modulus, int) or isinstance(self.modulus, bool) or self.modulus < 1:
+        if strict_int(self.modulus, "modulus") < 1:
             raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
-        if not isinstance(self.residue, int) or isinstance(self.residue, bool):
-            raise ValueError(f"residue must be an integer, got {self.residue!r}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        object.__setattr__(self, "residue", strict_int(self.residue, "residue") % self.modulus)
 
     def satisfied_by(self, x: int) -> bool:
         return x % self.modulus == self.residue

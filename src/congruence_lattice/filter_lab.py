@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .crt import Congruence, solve_system
 from .lattice import is_upward_closed
 from .periodic_sets import PeriodicSet, progression
-from .primes import json_int
+from .primes import json_int, strict_int
 
 
 class NoWitnessSourceError(ValueError):
@@ -138,7 +138,7 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
     degenerate base whose meet is finite (a principal carrier) falls back
     to the residues actually hit by the finite meet.
     """
-    if not isinstance(modulus, int) or modulus < 2:
+    if strict_int(modulus, "modulus") < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
     if not isinstance(base, FilterBase):
         base = tuple(base)
@@ -219,9 +219,9 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
     always simultaneously satisfiable, and the least solution appears
     within one period lcm(modulus, a, product of forbidden).
     """
-    if not isinstance(modulus, int) or modulus < 2:
+    if strict_int(modulus, "modulus") < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    if not 0 < residue < modulus:
+    if not 0 < strict_int(residue, "residue") < modulus:
         raise ValueError(f"residue must lie strictly between 0 and {modulus}")
     if gcd(modulus, residue) != 1:
         raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")

@@ -83,22 +83,19 @@ def _check_residue_set(p: int, residues: Iterable) -> frozenset:
     return s
 
 
-def _orbit(p: int, seed: int, ratio: int) -> frozenset:
-    out = set()
-    x = seed * ratio % p
-    while x not in out:
-        out.add(x)
-        x = x * ratio % p
-    return frozenset(out)
-
-
 def expand(descriptor: GeometricDescriptor) -> frozenset:
     """The orbit {seed * ratio^k mod p : k >= 1}.
 
     For seed != 0 this equals the coset seed * <ratio> and contains the
     seed itself; for seed 0 it is {0}.
     """
-    return _orbit(descriptor.p, descriptor.seed, descriptor.ratio)
+    p, ratio = descriptor.p, descriptor.ratio
+    out = set()
+    x = descriptor.seed * ratio % p
+    while x not in out:
+        out.add(x)
+        x = x * ratio % p
+    return frozenset(out)
 
 
 def primitive_root(p: int) -> int:
@@ -215,18 +212,6 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     qs = prime_factors(l)
     ratio = next(h for h in hs if all(pow(h, l // q, p) != 1 for q in qs))
     return GeometricDescriptor(p, s0, ratio)
-
-
-def exhaustive_descriptor(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
-    """Brute-force recognizer: try every (seed, ratio) pair in lexicographic
-    order.  Kept deliberately independent of the structure route; used as
-    the test oracle."""
-    s = _check_residue_set(p, residues)
-    for seed in range(p):
-        for ratio in range(1, p):
-            if _orbit(p, seed, ratio) == s:
-                return GeometricDescriptor(p, seed, ratio)
-    return None
 
 
 def enumerate_geometric(p: int) -> set:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterable
 
-from .periodic_sets import PeriodicSet, divisibility_union, make
-from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, factorize, is_prime, json_int
+from .periodic_sets import PeriodicSet, _multiples
+from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, factorize
+from .primes import is_prime, json_int, strict_int
 
 __all__ = [
     "FactorizationBudgetError",
@@ -41,16 +42,14 @@ def _divisors(n: int) -> list:
     # a budget of isqrt(n) pays for trial division up to the square root, which
     # factorize holds in reserve behind rho, so it never refuses
     divisors = [1]
-    for p, e in factorize(n, isqrt(n)).items():
+    for p, e in _factorize(n, isqrt(n)).items():
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
     return sorted(divisors)
 
 
 def up_closure(elements: Iterable) -> PeriodicSet:
     """All positive integers divisible by some element of the given set."""
-    els = _elements(elements, allow_empty=False)
-    base = divisibility_union(els)
-    return make(base.modulus, base.residues, base.added, set(base.removed) | {0})
+    return _multiples(_elements(elements, allow_empty=False), {0})
 
 
 def down_closure(elements: Iterable) -> list:
@@ -102,14 +101,14 @@ def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
     cannot be split within it the call raises FactorizationBudgetError
     instead of stalling.
     """
-    if not isinstance(n, int) or n < 1:
+    if strict_int(n, "n") < 1:
         raise ValueError(f"omega expects a positive integer, got {n!r}")
     return sum(factorize(n, trial_budget).values())
 
 
 def omega_lower_bound(n: int, primes: Iterable) -> int:
     """Sum of valuations of n at the supplied primes; cheap for huge n."""
-    if not isinstance(n, int) or n < 1:
+    if strict_int(n, "n") < 1:
         raise ValueError(f"omega_lower_bound expects a positive integer, got {n!r}")
     total = 0
     for p in sorted({json_int(p, "prime") for p in primes}):
@@ -123,11 +122,11 @@ def omega_lower_bound(n: int, primes: Iterable) -> int:
 
 def level_members(level: int, bound: int) -> list:
     """Integers in [1, bound] with exactly `level` prime factors (with multiplicity)."""
-    if level < 0:
+    if strict_int(level, "level") < 0:
         raise ValueError("level must be non-negative")
-    if bound < 1:
+    if strict_int(bound, "bound") < 1:
         raise ValueError("bound must be positive")
-    return [n for n in range(1, bound + 1) if omega(n) == level]
+    return [n for n in range(1, bound + 1) if sum(_factorize(n).values()) == level]
 
 
 def is_upward_closed(s: PeriodicSet) -> bool:

@@ -1,9 +1,10 @@
 """Exact algebra of eventually periodic subsets of the non-negative integers.
 
 A set is stored as a periodic part (residues modulo a period) together with
-finitely many explicit additions and removals.  The constructor `make`
-canonicalizes: the period is minimal and the edit sets are minimal, so two
-values are structurally equal exactly when they contain the same integers.
+finitely many explicit additions and removals, with minimal period and edit
+sets, so two values are structurally equal exactly when they contain the same
+integers.  `make` checks outside input, then canonicalizes it; the algebra's
+results are canonical by construction and skip the checks.
 
 Membership semantics for a value with period m, residue set R and edit sets
 (added, removed):
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
 
-from .primes import factorize, json_int
+from .primes import _factorize, json_int, strict_int
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class PeriodicSet:
 
     def enumerate_up_to(self, bound: int) -> list:
         """Sorted members n with 0 <= n <= bound."""
-        if bound < 0:
+        if strict_int(bound, "bound") < 0:
             raise ValueError("bound must be non-negative")
         return [n for n in range(bound + 1) if self.member(n)]
 
@@ -104,7 +105,7 @@ class PeriodicSet:
 
     def complement(self) -> "PeriodicSet":
         residues = frozenset(range(self.modulus)) - self.residues
-        return make(self.modulus, residues, added=self.removed, removed=self.added)
+        return _canonical(self.modulus, residues, self.removed, self.added)
 
     __and__ = intersect
     __or__ = union
@@ -153,7 +154,7 @@ def _rebuild(modulus, residues, operands, truth):
             added.add(n)
         elif not want and periodic:
             removed.add(n)
-    return make(modulus, residues, added, removed)
+    return _canonical(modulus, residues, added, removed)
 
 
 def _minimal_period(modulus, residues):
@@ -167,7 +168,7 @@ def _minimal_period(modulus, residues):
     if not residues:
         return 1, frozenset()
     while modulus > 1:
-        for p in factorize(gcd(modulus, len(residues))):
+        for p in _factorize(gcd(modulus, len(residues))):
             d = modulus // p
             # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
             if all((r + d) % modulus in residues for r in residues):
@@ -180,35 +181,35 @@ def _minimal_period(modulus, residues):
 
 
 def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: Iterable = ()) -> PeriodicSet:
-    """Canonical constructor.
+    """Canonical constructor for outside input.
 
     Accepts any semantically valid description: redundant edits are dropped
-    and the period is minimized.  Rejects a modulus < 1, residues outside
-    [0, modulus) and overlapping edit sets.
+    and the period is minimized.  Rejects non-integers, a modulus < 1,
+    residues outside [0, modulus), negative and overlapping edits.
     """
-    if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
+    if strict_int(modulus, "modulus") < 1:
         raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-    residues = frozenset(_as_int(r, "residue") for r in residues)
+    residues = frozenset(strict_int(r, "residue") for r in residues)
     for r in residues:
         if not 0 <= r < modulus:
             raise ValueError(f"residue {r} out of range for modulus {modulus}")
-    added = frozenset(_as_int(a, "added element") for a in added)
-    removed = frozenset(_as_int(x, "removed element") for x in removed)
+    added = frozenset(strict_int(a, "added element") for a in added)
+    removed = frozenset(strict_int(x, "removed element") for x in removed)
     for e in added | removed:
         if e < 0:
             raise ValueError(f"edited element {e} must be non-negative")
     if added & removed:
         raise ValueError(f"ambiguous edits: {sorted(added & removed)} both added and removed")
+    return _canonical(modulus, residues, added, removed)
+
+
+def _canonical(modulus, residues, added, removed) -> PeriodicSet:
+    """A valid description (int residues in [0, modulus), disjoint non-negative int
+    edits; not checked) with redundant edits dropped and the period minimized."""
     added = frozenset(a for a in added if a % modulus not in residues)
     removed = frozenset(x for x in removed if x % modulus in residues)
     modulus, residues = _minimal_period(modulus, residues)
     return PeriodicSet(modulus, residues, added, removed)
-
-
-def _as_int(v, what):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
 
 
 def progression(modulus: int, residue: int) -> PeriodicSet:
@@ -218,20 +219,25 @@ def progression(modulus: int, residue: int) -> PeriodicSet:
 
 def divisibility_union(divisors: Iterable) -> PeriodicSet:
     """Union of the multiple sets n*{0,1,2,...} over the given divisors."""
-    ds = sorted({_as_int(n, "divisor") for n in divisors})
+    ds = sorted({strict_int(n, "divisor") for n in divisors})
     if not ds:
         raise ValueError("divisibility_union needs at least one divisor")
     if ds[0] < 1:
         raise ValueError(f"divisors must be >= 1, got {ds[0]}")
-    period = lcm(*ds)
+    return _multiples(ds)
+
+
+def _multiples(divisors, removed=()) -> PeriodicSet:
+    """divisibility_union of checked ints >= 1, less the points of `removed`."""
+    period = lcm(*divisors)
     residues = set()
-    for n in ds:
+    for n in divisors:
         residues.update(range(0, period, n))
-    return make(period, residues)
+    return _canonical(period, residues, (), removed)
 
 
 def non_divisibility(n: int) -> PeriodicSet:
     """The non-negative integers not divisible by n (n >= 2)."""
-    if not isinstance(n, int) or n < 2:
+    if strict_int(n, "n") < 2:
         raise ValueError(f"non_divisibility expects an integer >= 2, got {n!r}")
-    return make(n, range(1, n))
+    return _canonical(n, range(1, n), (), ())

@@ -1,4 +1,4 @@
-"""Primality testing, factorization and JSON integer coercion for the library."""
+"""Primality testing, factorization, and the integer checks on outside input."""
 
 from __future__ import annotations
 
@@ -208,10 +208,15 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
     Every key is a prime as is_prime decides it: proved below psi13 (about
     3.3e24), a Baillie-PSW probable prime above.
     """
-    if n < 1:
+    if strict_int(n, "n") < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    if trial_bound < 1:
+    if strict_int(trial_bound, "trial bound") < 1:
         raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
+    return _factorize(n, trial_bound)
+
+
+def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:
+    """factorize of arguments the library built itself, which it does not check."""
     out = {}
     n, d = _trial_divide(n, 2, min(trial_bound, _TRIAL_LIMIT), out)
     if n < d * d:  # no divisor below d: 1 or a prime
@@ -258,6 +263,13 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
     return [n for n in range(2, bound + 1) if sieve[n]]
+
+
+def strict_int(value, what: str) -> int:
+    """The one check on scalar integer arguments: value if it is an int and not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def json_int(value, what: str) -> int:

@@ -1,11 +1,12 @@
-"""Property tests: canonical periods, and the componentwise meet of
-filter_lab against the meet materialised in the periodic-set algebra."""
+"""Property tests: canonical periods and canonical algebra results, and the
+componentwise meet of filter_lab against the meet materialised in the
+periodic-set algebra."""
 
 from math import gcd
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from congruence_lattice import filter_lab as fl, periodic_sets as ps
+from congruence_lattice import filter_lab as fl, lattice, periodic_sets as ps
 from congruence_lattice.filter_lab import FilterBase, _meet
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -65,6 +66,18 @@ def test_make_finds_the_least_period(case):
     d = least_period(m, residues)
     assert s.modulus == d
     assert s.residues == {r % d for r in residues}
+
+
+@SETTINGS
+@given(
+    periodic_members(allow_empty=True),
+    periodic_members(allow_empty=True),
+    st.sets(st.integers(1, 24), min_size=1, max_size=3),
+)
+def test_the_algebra_builds_canonical_sets(a, b, divisors):
+    # the algebra skips make's checks, so make must leave each result as it is
+    for r in (a & b, a | b, ~a, ps.divisibility_union(divisors), lattice.up_closure(divisors)):
+        assert ps.make(r.modulus, r.residues, r.added, r.removed) == r
 
 
 @SETTINGS
