@@ -22,7 +22,7 @@ primes at later steps).  "strict" mode errors out instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .crt import Congruence, ZeroToDepth, chain_support, solve_system, validate_chain_table
@@ -187,16 +187,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "monotone": self.monotone,
-            "antichain": self.antichain,
-            "chain_tracking": self.chain_tracking,
-            "own_prime_divides": self.own_prime_divides,
-            "divisor_powers": self.divisor_powers,
-            "factor_count_growth": self.factor_count_growth,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "ok": self.ok, "failures": list(self.failures)}
 
 
 # report flag and failure text of each schedule kind that verify can find unmet
@@ -222,7 +213,7 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     _check_mode(substitution)
     failures = []
     vals = list(values)
-    positive = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in vals)
+    positive = all(type(v) is int and v >= 1 for v in vals)
     monotone = positive and all(a < b for a, b in zip(vals, vals[1:]))
     if not monotone:
         failures.append("values are not strictly increasing positive integers")

@@ -7,24 +7,24 @@ to nonprincipal ultrafilters; for a finite family that is equivalent to
 the single condition that the meet of all members is infinite.
 
 Everything here is exact.  Edits are finite, so the meet is infinite iff
-the meet of the members' periodic parts is nonempty, and that meet is kept
-factored by CRT: members whose moduli share a prime factor are intersected
-into one component, and components have pairwise coprime moduli, so the
-meet is nonempty iff every component is.  No lcm of the whole family is
-ever materialised to decide a question.
+the meet of the members' periodic parts is nonempty.  That meet is kept as
+the parts of its product form (see `periodic_sets`): parts whose moduli
+share a prime factor are intersected into one part, parts have pairwise
+coprime moduli, and the product is nonempty iff every part is.  No lcm of
+the whole family is ever materialised to decide a question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .crt import Congruence, solve_system
 from .lattice import is_upward_closed
-from .periodic_sets import PeriodicSet, progression
+from .periodic_sets import PeriodicSet, _classes_met, _factors, _meet_parts, progression
 from .primes import json_int, strict_int
 
 
@@ -33,41 +33,14 @@ class NoWitnessSourceError(ValueError):
 
 
 def _meet(members: Sequence) -> PeriodicSet:
-    out = None
+    return reduce(PeriodicSet.intersect, members) if members else progression(1, 0)
+
+
+def _core(members: Iterable, parts=()) -> Optional[list]:
+    """Parts of the product form of the meet of the members' periodic parts
+    and of the product `parts` (default everything); None once it is empty."""
     for s in members:
-        out = s if out is None else out.intersect(s)
-    return progression(1, 0) if out is None else out
-
-
-def _join(parts: tuple, s: PeriodicSet) -> Optional[tuple]:
-    """Component meets after adding the periodic part of s, or None when
-    the meet of periodic parts becomes empty.
-
-    `parts` are edit-free PeriodicSets with pairwise coprime moduli greater
-    than 1.  Only the components whose modulus shares a factor with s are
-    intersected with it; the result divides the lcm of their moduli and so
-    stays coprime to the untouched components.
-    """
-    if not s.residues:
-        return None
-    joined = PeriodicSet(s.modulus, s.residues, frozenset(), frozenset())
-    rest = []
-    for c in parts:
-        if gcd(c.modulus, s.modulus) > 1:
-            joined = joined.intersect(c)
-            if not joined.residues:
-                return None
-        else:
-            rest.append(c)
-    if joined.modulus > 1:
-        rest.append(joined)
-    return tuple(rest)
-
-
-def _components(members: Sequence) -> Optional[tuple]:
-    parts = ()
-    for s in members:
-        parts = _join(parts, s)
+        parts = _meet_parts(parts, _factors(s))
         if parts is None:
             return None
     return parts
@@ -85,10 +58,10 @@ class FilterBase:
                 raise TypeError(f"filter base members must be PeriodicSet, got {type(s).__name__}")
             if s.is_empty():
                 raise ValueError("filter base members must be nonempty")
-        parts = _components(members)
-        if parts is None:
+        core = _core(members)
+        if core is None:
             raise ValueError("every finite intersection of a filter base must be infinite")
-        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_core", core)
 
     @cached_property
     def intersection(self) -> PeriodicSet:
@@ -99,12 +72,6 @@ class FilterBase:
 BaseLike = Union[FilterBase, Sequence]
 
 
-def _parts_of(base: BaseLike) -> Optional[tuple]:
-    if isinstance(base, FilterBase):
-        return base._parts
-    return _components(tuple(base))
-
-
 def has_fip(members: BaseLike) -> bool:
     """True iff the intersection of all members is infinite.
 
@@ -112,19 +79,19 @@ def has_fip(members: BaseLike) -> bool:
     is infinite.  Accepts a FilterBase or any sequence of PeriodicSets, so
     candidate families can be tested before constructing a base.
     """
-    return _parts_of(members) is not None
+    return isinstance(members, FilterBase) or _core(members) is not None
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> Optional[FilterBase]:
     """Base with s appended when that preserves the intersection property,
     else None."""
-    parts = _join(base._parts, s)
-    if parts is None:
+    core = _core((s,), base._core)
+    if core is None:
         return None
-    # valid by construction: keep the joined components instead of re-deriving them
+    # valid by construction: keep the narrowed meet instead of re-deriving it
     out = object.__new__(FilterBase)
     object.__setattr__(out, "members", base.members + (s,))
-    object.__setattr__(out, "_parts", parts)
+    object.__setattr__(out, "_core", core)
     return out
 
 
@@ -133,25 +100,23 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
 
     These are exactly the r for which extend(base, progression(modulus, r))
     would succeed; every ultrafilter extending the base has its residue in
-    this set.  By CRT, r is feasible iff r mod g_i is hit by component i for
-    every component, where g_i = gcd(component modulus, modulus).  A
+    this set.  By CRT, r is feasible iff r mod g_i is hit by part i of the
+    meet for every part, where g_i = gcd(part modulus, modulus).  A
     degenerate base whose meet is finite (a principal carrier) falls back
     to the residues actually hit by the finite meet.
     """
     if strict_int(modulus, "modulus") < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    if not isinstance(base, FilterBase):
+    if isinstance(base, FilterBase):
+        core = base._core
+    else:
         base = tuple(base)
-    parts = _parts_of(base)
-    if parts is None:
+        core = _core(base)
+    if core is None:
         # the periodic parts miss each other, so the meet is made of added points
         carrier = set().union(*(s.added for s in base))
         return {x % modulus for x in carrier if all(x in s for s in base)}
-    checks = []
-    for c in parts:
-        g = gcd(c.modulus, modulus)
-        if g > 1:
-            checks.append((g, {r % g for r in c.residues}))
+    checks = _classes_met(core, modulus)
     return {r for r in range(modulus) if all(r % g in hit for g, hit in checks)}
 
 
@@ -205,7 +170,7 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
         if not member.residues or not is_upward_closed(member):
             continue
         found = True
-        if _join(base_g._parts, member) is None:
+        if _core((member,), base_g._core) is None:
             return DividesReport(DividesStatus.FAILS, member)
     return DividesReport(DividesStatus.PASSES if found else DividesStatus.VACUOUS)
 

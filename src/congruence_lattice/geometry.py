@@ -15,6 +15,7 @@ Residue sets are passed as (p, S) with S any iterable of residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
@@ -56,8 +57,12 @@ class StructureReport:
         return self.gcd_closed and self.multiples_closed and self.arithmetic_progression
 
 
+# is_geometric checks p, then the descriptor it returns checks p again: from the cache
+_is_prime = lru_cache(maxsize=256)(is_prime)
+
+
 def _check_prime(p) -> None:
-    if type(p) is not int or not is_prime(p):
+    if type(p) is not int or not _is_prime(p):
         raise ValueError(f"p must be a prime int, got {p!r}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterable
 
-from .periodic_sets import PeriodicSet, _multiples
+from .periodic_sets import PeriodicSet, _multiples, _part_sets
 from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, factorize
 from .primes import is_prime, json_int, strict_int
 
@@ -137,9 +137,10 @@ def is_upward_closed(s: PeriodicSet) -> bool:
     rejected.  The empty set does not count as upward closed.
 
     Criterion: with period m and residue set R, the set is upward closed
-    iff for every r in R every multiple of gcd(r, m) modulo m is in R
-    (the residues of the multiples of any n = r mod m are exactly
-    gcd(r, m) * Z_m).
+    iff for every r in R every multiple of gcd(r, m) modulo m is in R (the
+    residues of the multiples of any n = r mod m are exactly gcd(r, m) * Z_m).
+    By CRT a product of sets T_i modulo coprime m_i, and the union of the
+    classes they select, are closed iff every T_i is, so parts are decided alone.
     """
     edits = (s.added | s.removed) - {0}
     if edits:
@@ -149,10 +150,11 @@ def is_upward_closed(s: PeriodicSet) -> bool:
         )
     if not s.residues:
         return False
-    m = s.modulus
-    # distinct gcds only: all residues with the same gcd demand the same classes
-    for d in {gcd(r, m) for r in s.residues}:
-        for x in range(0, m, d):
-            if x not in s.residues:
+    for m, t in _part_sets(s):
+        if 1 in t:  # the multiples of 1 are everything, which a part never is
+            return False
+        # distinct gcds only: all residues with the same gcd demand the same classes
+        for d in {gcd(x, m) for x in t}:
+            if any(x not in t for x in range(0, m, d)):
                 return False
     return True

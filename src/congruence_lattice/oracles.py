@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets, primes
 from .primes import json_int
@@ -126,6 +126,49 @@ def sieve_factors(n: int, spf) -> list:
     return out
 
 
+def periodic_mismatches(got, period: int, top: int, want) -> list:
+    """How `got` differs from S = {n >= 0 : want(n)}, given that S is periodic
+    with `period` beyond `top`: membership over [0, 2 * period + top], `len`
+    of the residues against a count over one period, and equality, hash and
+    JSON against `make` of S listed explicitly (a frozenset-backed value)."""
+    hi = 2 * period + top
+    truth = [want(n) for n in range(hi + 1)]
+    bad = next((n for n in range(hi + 1) if (n in got) != truth[n]), None)
+    found = [] if bad is None else [f"membership of {bad} is {bad in got}"]
+    if period % got.modulus:
+        return found + [f"modulus {got.modulus} does not divide {period}"]
+    base = (top // period + 1) * period  # beyond every edit
+    if len(got.residues) != sum(truth[base : base + got.modulus]):
+        found.append(f"{len(got.residues)} residues, one period holds {sum(truth[base : base + got.modulus])}")
+    residues = [x for x in range(period) if truth[base + x]]
+    added = [n for n in range(top + 1) if truth[n] and not truth[base + n % period]]
+    removed = [n for n in range(top + 1) if not truth[n] and truth[base + n % period]]
+    listed = periodic_sets.make(period, residues, added, removed)
+    if not (got == listed == got and hash(got) == hash(listed) and got.to_json() == listed.to_json()):
+        found.append(f"differs from the listing {listed}")
+    return found
+
+
+def periodic_case(a, b, divisors) -> list:
+    """Mismatches of ~, &, |, a composite that meets a complemented product,
+    divisibility_union and up_closure, each against `periodic_mismatches`."""
+    top, ab, d = max(a.max_edit(), b.max_edit()), lcm(a.modulus, b.modulus), lcm(*divisors)
+    multiple = lambda n: any(n % x == 0 for x in divisors)
+    checks = (
+        ("~a", ~a, a.modulus, lambda n: n not in a),
+        ("a & b", a & b, ab, lambda n: n in a and n in b),
+        ("a | b", a | b, ab, lambda n: n in a or n in b),
+        ("(a | b) & ~a", (a | b) & ~a, ab, lambda n: n in b and n not in a),
+        ("divisibility_union", periodic_sets.divisibility_union(divisors), d, multiple),
+        ("up_closure", lattice.up_closure(divisors), d, lambda n: n > 0 and multiple(n)),
+    )
+    return [
+        f"a={a} b={b} divisors={sorted(divisors)}: {name}: {bad}"
+        for name, got, period, want in checks
+        for bad in periodic_mismatches(got, period, top, want)
+    ]
+
+
 def fip_scan(members):
     """Decide infinitude of the common intersection by scanning for a
     common element beyond all edits within 3 periods."""
@@ -164,9 +207,11 @@ def _random_pure_set(rng):
     return periodic_sets.make(m, residues)
 
 
-def _random_member(rng):
-    m = rng.randint(2, 24)
-    residues = set(rng.sample(range(m), rng.randint(1, m)))
+def _random_member(rng, m=None, least=1):
+    """make() of a random set mod m (default 2..24), with at least `least`
+    residues and, a quarter of the time each, additions and removals below 61."""
+    m = rng.randint(2, 24) if m is None else m
+    residues = set(rng.sample(range(m), rng.randint(least, m)))
     added, removed = set(), set()
     if rng.random() < 0.25:
         added = {rng.randint(0, 60) for _ in range(rng.randint(1, 2))}
@@ -272,6 +317,15 @@ def _fip_suite(rng, cases):
             yield []
 
 
+def _periodic_suite(rng, cases):
+    for _ in range(cases):
+        a = _random_member(rng, rng.randint(1, 36), 0)
+        # about a third of the pairs have coprime moduli
+        coprime_to = a.modulus if rng.random() < 1 / 3 else 1
+        b = _random_member(rng, rng.choice([k for k in range(1, 37) if gcd(k, coprime_to) == 1]), 0)
+        yield periodic_case(a, b, rng.sample(range(1, 13), rng.randint(1, 3)))
+
+
 def _antichain_suite(rng, cases):
     for _ in range(cases):
         last = rng.randint(1, 4)
@@ -347,6 +401,7 @@ SUITES = {
     "fip": (_fip_suite, 1_000),
     "antichain": (_antichain_suite, 100),
     "primes": (_primes_suite, 1_000),
+    "periodic": (_periodic_suite, 1_000),
 }
 
 

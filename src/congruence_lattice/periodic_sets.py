@@ -2,14 +2,26 @@
 
 A set is stored as a periodic part (residues modulo a period) together with
 finitely many explicit additions and removals, with minimal period and edit
-sets, so two values are structurally equal exactly when they contain the same
-integers.  `make` checks outside input, then canonicalizes it; the algebra's
-results are canonical by construction and skip the checks.
-
-Membership semantics for a value with period m, residue set R and edit sets
-(added, removed):
+sets, so two values are equal exactly when they contain the same integers.
+`make` checks outside input, then canonicalizes it; the algebra's results
+are canonical by construction and skip the checks.  Membership for period
+m, residues R and edits (added, removed):
 
     n in A  <=>  n in added, or (n mod m in R and n not in removed)
+
+R is a frozenset or a `ProductView`: by CRT, residue classes, their
+complements and finite unions of them are products over coprime moduli, or
+complements of one.  A view has parts (m_i, R_i, co_i), nonempty, not
+everything and each at its own minimal period, whose moduli multiply to m,
+and a flag co: x is in it iff co != all((x mod m_i in R_i) != co_i).  `in`
+and `len` cost O(parts); iteration enumerates by CRT; hash and equality
+agree with the frozenset of the same members (the hash walks the members
+once and is kept).  `~` flips a flag, `&` joins the parts of two products,
+intersecting explicitly only parts whose moduli share a factor (at their
+lcm), and `|` is ~(~A & ~B).  A view materialises on iteration (so in
+`to_json`), on its first hash, in those joins, and when a complemented
+product of several parts meets another set: then it lists its smaller
+side, its own members or those of the product it complements.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -17,17 +29,75 @@ positive integers (divisibility, filter bases) simply never consult 0.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from .primes import _factorize, json_int, strict_int
 
 
+class ProductView(Set):
+    """Read-only residues in CRT-product form; see the module docstring."""
+
+    __slots__ = ("parts", "co", "modulus", "_hashed")
+
+    def __init__(self, parts: tuple, co: bool):
+        self.parts, self.co, self.modulus = parts, co, prod(m for m, _, _ in parts)
+        self._hashed = None
+
+    def __contains__(self, x):
+        for m, r, c in self.parts:
+            if (x % m in r) == c:  # x misses part (m, r, c)
+                return self.co
+        return not self.co
+
+    def __len__(self):
+        n = prod(m - len(r) if c else len(r) for m, r, c in self.parts)
+        return self.modulus - n if self.co else n
+
+    def __iter__(self):
+        big, parts = self.modulus, self.parts
+        coef = [big // m * pow(big // m, -1, m) for m, _, _ in parts]
+        members = lambda m, r, c: [x for x in range(m) if x not in r] if c else r
+        inside = [members(*part) for part in parts]
+        blocks = [inside]
+        if self.co:  # x misses the product at a first part i: a disjoint union of products
+            blocks = [
+                inside[:i] + [members(m, r, not c)] + [range(n) for n, _, _ in parts[i + 1 :]]
+                for i, (m, r, c) in enumerate(parts)
+            ]
+        for block in blocks:
+            for terms in product(*([x * e for x in xs] for xs, e in zip(block, coef))):
+                yield sum(terms) % big
+
+    def __eq__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        if type(other) is ProductView and (self.parts, self.co) == (other.parts, other.co):
+            return True
+        return len(self) == len(other) and all(x in self for x in other)
+
+    def __hash__(self):
+        # frozenset's algorithm, so equal sets hash alike; like frozenset, walk once
+        if self._hashed is None:
+            self._hashed = Set._hash(self)
+        return self._hashed
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
+_ZERO = frozenset((0,))
+
+
 @dataclass(frozen=True)
 class PeriodicSet:
     modulus: int
-    residues: frozenset
+    residues: frozenset | ProductView
     added: frozenset
     removed: frozenset
 
@@ -71,41 +141,24 @@ class PeriodicSet:
     # -- boolean algebra -----------------------------------------------------
 
     def meets_infinitely(self, other: "PeriodicSet") -> bool:
-        """Whether the intersection is infinite, decided without building it.
-
-        Two residue classes intersect (and then infinitely often) exactly
-        when their residues agree modulo the gcd of the periods; edits are
-        finite and cannot change the answer.
-        """
-        g = gcd(self.modulus, other.modulus)
-        hits = {r % g for r in self.residues}
-        return any(r % g in hits for r in other.residues)
+        """Whether the intersection is infinite: edits are finite, so whether
+        the periodic parts meet."""
+        return _meet_parts(_factors(self), _factors(other)) is not None
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
-        m = lcm(self.modulus, other.modulus)
-        # enumerate lifts of the sparser operand, filter by the other
-        a, b = self, other
-        if len(a.residues) * (m // a.modulus) > len(b.residues) * (m // b.modulus):
-            a, b = b, a
-        residues = set()
-        for r in a.residues:
-            for x in range(r, m, a.modulus):
-                if x % b.modulus in b.residues:
-                    residues.add(x)
-        return _rebuild(m, residues, (self, other), lambda n: n in self and n in other)
+        parts = _meet_parts(_factors(self), _factors(other))
+        # only the operands' edited points can differ from the periodic meet
+        edits = self.added | self.removed | other.added | other.removed
+        inside = {n for n in edits if n in self and n in other}
+        return _finish(*_assemble(parts or (), parts is None), inside, edits - inside)
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
-        m = lcm(self.modulus, other.modulus)
-        residues = set()
-        for r in self.residues:
-            residues.update(range(r, m, self.modulus))
-        for r in other.residues:
-            residues.update(range(r, m, other.modulus))
-        return _rebuild(m, residues, (self, other), lambda n: n in self or n in other)
+        return ~(~self & ~other)
 
     def complement(self) -> "PeriodicSet":
-        residues = frozenset(range(self.modulus)) - self.residues
-        return _canonical(self.modulus, residues, self.removed, self.added)
+        parts, co = _structure(self)
+        # edits stay needed: an added point was outside R, so it is inside ~R
+        return PeriodicSet(*_assemble(parts, not co), self.removed, self.added)
 
     __and__ = intersect
     __or__ = union
@@ -137,24 +190,101 @@ class PeriodicSet:
         return make(modulus, fields["residues"], fields["add"], fields["remove"])
 
 
-def _rebuild(modulus, residues, operands, truth):
-    """Build the canonical result of a pointwise operation.
+# -- product form ----------------------------------------------------------------
 
-    `residues` is the periodic part already combined; membership of the
-    finitely many edited points of the operands is fixed up explicitly.
-    """
-    added, removed = set(), set()
-    edits = set()
-    for s in operands:
-        edits |= s.added | s.removed
-    for n in edits:
-        want = truth(n)
-        periodic = n % modulus in residues
-        if want and not periodic:
-            added.add(n)
-        elif not want and periodic:
-            removed.add(n)
-    return _canonical(modulus, residues, added, removed)
+
+def _structure(s: PeriodicSet) -> tuple:
+    """(parts, co) of s's periodic part: no parts is everything, or nothing if co."""
+    r = s.residues
+    if type(r) is ProductView:
+        return r.parts, r.co
+    if s.modulus == 1:
+        return (), not r
+    return ((s.modulus, r, False),), False
+
+
+def _assemble(parts, co) -> tuple:
+    """(modulus, residues) of the product of canonical parts, complemented if co."""
+    if len(parts) == 1:  # one part takes co; a plain one is a frozenset
+        ((m, r, c),) = parts
+        if c == co:
+            return m, r
+        parts, co = ((m, r, True),), False
+    if not parts:
+        return 1, frozenset() if co else _ZERO
+    view = ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
+    return view.modulus, view
+
+
+def _factors(s: PeriodicSet):
+    """s's periodic part as the parts of a product, or None when it is empty.
+
+    A complemented product of several parts becomes one part at its modulus
+    that stores the smaller side: the product's members, or its own."""
+    parts, co = _structure(s)
+    if not co or not parts:
+        return None if co else parts
+    inside = ProductView(parts, False)
+    if 2 * len(inside) < s.modulus:
+        return ((s.modulus, frozenset(inside), True),)
+    return ((s.modulus, frozenset(s.residues), False),)
+
+
+def _part_sets(s: PeriodicSet) -> list:
+    """(m_i, T_i) with pairwise coprime m_i for a nonempty periodic part of s:
+    it is the product of the sets T_i mod m_i, or the union of the classes
+    they select, each T_i neither empty nor everything."""
+    parts, co = _structure(s)
+    return [(m, r if c == co else ProductView(((m, r, True),), False)) for m, r, c in parts]
+
+
+def _classes_met(parts, modulus: int) -> list:
+    """(g, the classes mod g that the part meets) for each part of a product
+    whose modulus shares a factor g = gcd(part modulus, modulus) > 1."""
+    out = []
+    for m, r, c in parts:
+        g = gcd(m, modulus)
+        if g > 1:
+            counts = Counter(x % g for x in r)
+            # a plain part meets the classes of its residues, a complemented
+            # one every class whose m // g lifts are not all stored
+            out.append((g, {t for t in range(g) if (counts[t] < m // g if c else counts[t])}))
+    return out
+
+
+def _join(p, q):
+    """The canonical part p ∩ q at lcm of their moduli, or None when empty."""
+    (m1, r1, c1), (m2, r2, c2) = p, q
+    m, c = lcm(m1, m2), c1 and c2
+    if c:  # the complement of the union of both stored sets
+        stored = set()
+        for n, r in ((m1, r1), (m2, r2)):
+            for x in r:
+                stored.update(range(x, m, n))
+    else:
+        # lift a plain part (the sparser if both are) and test the lifts in the other
+        if c1 or (not c2 and len(r1) * m2 > len(r2) * m1):
+            (m1, r1), (m2, r2, c2) = (m2, r2), (m1, r1, c1)
+        stored = {x for s in r1 for x in range(s, m, m1) if (x % m2 in r2) != c2}
+    m, stored = _minimal_period(m, stored)
+    return None if m == 1 and (0 in stored) == c else (m, stored, c)
+
+
+def _meet_parts(pa, pb):
+    """Parts of the meet of two products given by their parts (None: empty)."""
+    if pa is None or pb is None:
+        return None
+    parts = pa
+    for q in pb:
+        rest = []
+        for p in parts:
+            if gcd(p[0], q[0]) == 1:
+                rest.append(p)
+            elif (q := _join(q, p)) is None:
+                return None
+        # parts of one product are coprime, so q stays coprime to the rest
+        parts = rest + [q] if q[0] > 1 else rest
+    return parts
 
 
 def _minimal_period(modulus, residues):
@@ -200,15 +330,14 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
             raise ValueError(f"edited element {e} must be non-negative")
     if added & removed:
         raise ValueError(f"ambiguous edits: {sorted(added & removed)} both added and removed")
-    return _canonical(modulus, residues, added, removed)
+    return _finish(*_minimal_period(modulus, residues), added, removed)
 
 
-def _canonical(modulus, residues, added, removed) -> PeriodicSet:
-    """A valid description (int residues in [0, modulus), disjoint non-negative int
-    edits; not checked) with redundant edits dropped and the period minimized."""
+def _finish(modulus, residues, added, removed) -> PeriodicSet:
+    """A valid description with a canonical periodic part (not checked), with
+    redundant edits dropped."""
     added = frozenset(a for a in added if a % modulus not in residues)
     removed = frozenset(x for x in removed if x % modulus in residues)
-    modulus, residues = _minimal_period(modulus, residues)
     return PeriodicSet(modulus, residues, added, removed)
 
 
@@ -228,16 +357,16 @@ def divisibility_union(divisors: Iterable) -> PeriodicSet:
 
 
 def _multiples(divisors, removed=()) -> PeriodicSet:
-    """divisibility_union of checked ints >= 1, less the points of `removed`."""
-    period = lcm(*divisors)
-    residues = set()
+    """divisibility_union of checked ints >= 1, less the points of `removed`:
+    the complement of the meet of the non-multiples of each divisor."""
+    parts = () if divisors[0] > 1 else None
     for n in divisors:
-        residues.update(range(0, period, n))
-    return _canonical(period, residues, (), removed)
+        parts = _meet_parts(parts, ((n, _ZERO, True),))
+    return _finish(*_assemble(parts or (), parts is not None), (), removed)
 
 
 def non_divisibility(n: int) -> PeriodicSet:
     """The non-negative integers not divisible by n (n >= 2)."""
     if strict_int(n, "n") < 2:
         raise ValueError(f"non_divisibility expects an integer >= 2, got {n!r}")
-    return _canonical(n, range(1, n), (), ())
+    return ~progression(n, 0)

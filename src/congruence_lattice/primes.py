@@ -266,16 +266,16 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def strict_int(value, what: str) -> int:
-    """The one check on scalar integer arguments: value if it is an int and not a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """The one check on scalar integer arguments: value if its type is exactly int."""
+    if type(value) is int:
         return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def json_int(value, what: str) -> int:
-    """An integer given as a non-bool int or as a decimal string (the form JSON
-    integers beyond 2^53-1 travel in); floats and booleans are rejected, never truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """An int (by `strict_int`'s rule) or a decimal string (the form JSON integers
+    beyond 2^53-1 travel in); floats and booleans are rejected, never truncated."""
+    if type(value) is int:
         return value
     if isinstance(value, str):
         try:

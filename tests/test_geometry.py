@@ -68,12 +68,21 @@ def test_residue_sets_must_hold_ints():
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
+    # the public constructor keeps every check, though the recognizer skips them
+    with pytest.raises(ValueError, match="^p must be a prime int, got 6$"):
         GeometricDescriptor(6, 1, 2)
     with pytest.raises(ValueError):
         GeometricDescriptor(5, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ratio 0 out of range \[1, 5\)$"):
         GeometricDescriptor(5, 1, 0)
+
+
+def test_recognized_descriptors_equal_checked_ones():
+    for p in SMALL_PRIMES:
+        for s in geo.enumerate_geometric(p):
+            d = geo.is_geometric(p, s)
+            checked = GeometricDescriptor(d.p, d.seed, d.ratio)
+            assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
 
 
 # -- recognition -------------------------------------------------------------------

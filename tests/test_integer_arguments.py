@@ -3,11 +3,12 @@
 never a TypeError from deeper down."""
 
 import re
+from enum import IntEnum
 
 import pytest
 
 from congruence_lattice import antichain as ac
-from congruence_lattice import crt, lattice, primes
+from congruence_lattice import crt, geometry, lattice, primes
 from congruence_lattice import filter_lab as fl
 from congruence_lattice import periodic_sets as ps
 
@@ -70,3 +71,24 @@ def test_strict_int_keeps_ints_and_refuses_the_rest():
     for bad in (True, False, 2.5, 3.0, "3", None):
         with pytest.raises(ValueError, match=f"^x must be an integer, got {re.escape(repr(bad))}$"):
             primes.strict_int(bad, "x")
+
+
+class E(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ps.make(5, [E.ONE]),
+        lambda: ps.progression(5, E.ONE),
+        lambda: geometry.is_geometric(5, [E.ONE, 4]),
+        lambda: primes.strict_int(E.ONE, "x"),
+        lambda: primes.json_int(E.ONE, "x"),
+    ],
+    ids=["make", "progression", "is_geometric", "strict_int", "json_int"],
+)
+def test_int_subclasses_are_refused_by_one_rule(call):
+    # the rule is type(v) is int everywhere: an IntEnum member is no residue
+    with pytest.raises(ValueError):
+        call()

@@ -1,9 +1,12 @@
 """Periodic set algebra: canonicalization, membership, boolean operations."""
 
 import random
+import tracemalloc
+from math import prod
 
 import pytest
 
+from congruence_lattice import filter_lab as fl, lattice, oracles
 from congruence_lattice import periodic_sets as ps
 
 
@@ -160,6 +163,115 @@ def test_operators_are_aliases():
     assert (a & b) == a.intersect(b)
     assert (a | b) == a.union(b)
     assert ~a == a.complement()
+
+
+# -- product form: counts without the lcm period -----------------------------------
+
+
+def peak_bytes(build):
+    """(result, tracemalloc peak) of build()."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_complement_of_a_large_progression_is_counted_not_listed():
+    count, peak = peak_bytes(lambda: len((~ps.progression(10**7, 3)).residues))
+    assert count == 10**7 - 1 and peak < 2**20
+
+
+def test_up_closure_of_six_primes_near_100():
+    primes = [83, 89, 97, 101, 103, 107]
+    m = prod(primes)
+    (s, count, closed), peak = peak_bytes(
+        lambda: (s := lattice.up_closure(primes), len(s.residues), lattice.is_upward_closed(s))
+    )
+    assert s.modulus == m and count == m - prod(p - 1 for p in primes) and closed
+    assert s.removed == {0} and not s.added and peak < 2**20
+    assert 0 not in s and 101 * 7 in s and 2 * 3 * 5 * 7 * 11 not in s
+
+
+def test_union_of_coprime_progressions_by_inclusion_exclusion():
+    classes = ((97, 3), (101, 5), (103, 7))
+    (u, count), peak = peak_bytes(
+        lambda: (u := ps.progression(97, 3) | ps.progression(101, 5) | ps.progression(103, 7), len(u.residues))
+    )
+    a, b, c = (m for m, _ in classes)
+    assert u.modulus == a * b * c and count == b * c + a * c + a * b - a - b - c + 1
+    assert peak < 2**20
+    rng = random.Random(8)
+    for n in (rng.randrange(10**9) for _ in range(200)):
+        assert (n in u) == any(n % m == r for m, r in classes)
+
+
+def test_a_complemented_product_meets_other_sets_through_its_smaller_side():
+    # up_closure and a union of classes are complements of products with about
+    # 7 * 10^5 and 10^6 members; meeting them must list their own 2-3 * 10^4
+    up = lattice.up_closure([83, 89, 97])
+    union = ps.progression(97, 3) | ps.progression(101, 5) | ps.progression(103, 7)
+    even = ps.progression(2, 0)
+    (fip, status, meets, count, odd_count), peak = peak_bytes(
+        lambda: (
+            fl.has_fip(fl.FilterBase([up])),
+            fl.divides_check(fl.FilterBase([up]), fl.FilterBase([even])).status,
+            up.meets_infinitely(even),
+            len((up & even).residues),
+            len((union & ps.progression(2, 1)).residues),
+        )
+    )
+    assert fip and status is fl.DividesStatus.PASSES and meets
+    assert count == 83 * 89 * 97 - 82 * 88 * 96
+    assert odd_count == 101 * 103 + 97 * 103 + 97 * 101 - 97 - 101 - 103 + 1
+    assert peak < 16 * 2**20
+
+
+def test_a_view_walks_its_members_once_for_its_hash(monkeypatch):
+    s = lattice.up_closure([83, 89, 97])
+    listed = ps.make(s.modulus, list(s.residues), s.added, s.removed)
+    walks = []
+    iterate = ps.ProductView.__iter__
+    monkeypatch.setattr(ps.ProductView, "__iter__", lambda view: walks.append(view) or iterate(view))
+    assert hash(s) == hash(s) == hash(listed) and {s: "up"}[listed] == "up"
+    assert len(walks) == 1
+
+
+def test_views_iterate_by_crt_and_agree_with_frozensets():
+    # one class modulo about 10^13: iteration must not scan the period
+    a, b = 10**6 + 3, 10**7 + 19
+    s = ps.progression(a, 5) & ps.progression(b, 7)
+    assert s.modulus == a * b and len(s.residues) == 1
+    (x,) = s.residues
+    assert x % a == 5 and x % b == 7
+    cases = (
+        (ps.progression(4, 1) | ps.progression(9, 2), lambda n: n % 4 == 1 or n % 9 == 2),
+        (ps.progression(4, 1) & ~ps.progression(9, 2), lambda n: n % 4 == 1 and n % 9 != 2),
+        (~ps.progression(35, 3), lambda n: n % 35 != 3),
+    )
+    for s, want in cases:
+        view = s.residues
+        listed = frozenset(n for n in range(s.modulus) if want(n))
+        assert type(view) is ps.ProductView
+        assert sorted(view) == sorted(listed) and len(view) == len(listed)
+        assert view == listed and listed == view and hash(view) == hash(listed)
+        shifted = frozenset((n + 1) % s.modulus for n in listed)  # as many members, not the same
+        assert view != shifted and shifted != view
+        assert type(view | {0}) is frozenset and view - listed == frozenset()
+
+
+def test_is_upward_closed_decides_each_part():
+    rng = random.Random(4242)
+    for _ in range(150):
+        m1, m2 = rng.choice((2, 4, 8, 3, 9)), rng.choice((5, 7))
+        a = ps.make(m1, rng.sample(range(m1), rng.randint(1, m1)))
+        b = ps.make(m2, rng.sample(range(m2), rng.randint(1, m2)))
+        for s in (a & b, a | b, ~(a & b), ~(a | b), ~a & ~b):
+            assert lattice.is_upward_closed(s) == oracles.upward_scan(s, 1), s
+    # a set holding 1 but not everything is refused without listing a complement
+    refused, peak = peak_bytes(lambda: lattice.is_upward_closed(ps.non_divisibility(10**6)))
+    assert refused is False and peak < 2**20
 
 
 # -- canonical form is semantic identity ---------------------------------------

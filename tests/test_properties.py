@@ -6,7 +6,7 @@ from math import gcd
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from congruence_lattice import filter_lab as fl, lattice, periodic_sets as ps
+from congruence_lattice import filter_lab as fl, lattice, oracles, periodic_sets as ps
 from congruence_lattice.filter_lab import FilterBase, _meet
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -33,6 +33,8 @@ def periodic_members(draw, allow_empty=False):
     added = draw(st.sets(st.integers(0, 80), max_size=3))
     removed = draw(st.sets(st.integers(0, 80), max_size=3)) - added
     s = ps.make(m, residues, added, removed)
+    if draw(st.booleans()):  # complemented sets give product-form values
+        s = ~s
     assume(allow_empty or not s.is_empty())
     return s
 
@@ -78,6 +80,18 @@ def test_the_algebra_builds_canonical_sets(a, b, divisors):
     # the algebra skips make's checks, so make must leave each result as it is
     for r in (a & b, a | b, ~a, ps.divisibility_union(divisors), lattice.up_closure(divisors)):
         assert ps.make(r.modulus, r.residues, r.added, r.removed) == r
+
+
+@SETTINGS
+@given(
+    periodic_members(allow_empty=True),
+    periodic_members(allow_empty=True),
+    st.sets(st.integers(1, 12), min_size=1, max_size=3),
+)
+def test_product_form_matches_the_explicit_listing(a, b, divisors):
+    # membership, len, and equality and hash against make of the listing; the
+    # hash of a product-form view must match frozenset's on every Python run
+    assert oracles.periodic_case(a, b, sorted(divisors)) == []
 
 
 @SETTINGS
