@@ -1,6 +1,8 @@
 """Command-line front end: thin JSON adapters over the library operations.
 
-Each subcommand is one COMMANDS entry; the argparse tree and DISPATCH are built from it.
+Each subcommand is one COMMANDS entry; the argparse tree and DISPATCH are built from it.  An
+entry names its operation by module ("crt.solve_system"), which is imported on dispatch, and
+only the group the command line names gets its subcommands built.
 
 Output is deterministic: keys sorted, set-valued results sorted, integers
 beyond 2^53-1 rendered as decimal strings.  Exit codes: 0 success, 1 for
@@ -17,8 +19,6 @@ import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional
 
-from . import antichain, crt, filter_lab, geometry, lattice, oracles
-from .periodic_sets import PeriodicSet
 from .primes import DEFAULT_TRIAL_BUDGET, json_int
 
 JSON_INT_MAX = 2**53 - 1
@@ -26,6 +26,13 @@ JSON_INT_MAX = 2**53 - 1
 
 class UsageError(ValueError):
     pass
+
+
+def _lib(dotted):
+    """The library attribute that `dotted` names ("crt.Congruence"), importing its module on first use."""
+    module, attr = dotted.split(".")
+    __import__(f"{__package__}.{module}")  # unlike importlib.import_module, shows in -X importtime
+    return getattr(sys.modules[f"{__package__}.{module}"], attr)
 
 
 def _jsonable(value):
@@ -43,11 +50,8 @@ def _jsonable(value):
 
 
 def _emit(payload, pretty: bool):
-    if pretty:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
-    print(text)
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(_jsonable(payload), sort_keys=True, **layout))
 
 
 def _int_list(text):
@@ -73,7 +77,7 @@ def _parse_congruences(text):
     data = _load_json(text, "congruence list")
     if not isinstance(data, list):
         raise UsageError("congruence list: expected a JSON array")
-    out = []
+    congruence, out = _lib("crt.Congruence"), []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
             raise UsageError(f"congruence {i}: expected an object")
@@ -84,7 +88,7 @@ def _parse_congruences(text):
         a = json_int(item["a"], f'congruence {i}: field "a"')
         if m < 1:
             raise UsageError(f'congruence {i}: field "m" must be >= 1, got {m}')
-        out.append(crt.Congruence(m, a))
+        out.append(congruence(m, a))
     return out
 
 
@@ -100,15 +104,17 @@ def _parse_base(source, what):
     data = _load_json(source, what)
     if not isinstance(data, list):
         raise UsageError(f"{what}: expected a JSON array of periodic sets")
-    return [_named(f"{what}[{i}]", PeriodicSet.from_json, item) for i, item in enumerate(data)]
+    from_json = _lib("periodic_sets.PeriodicSet").from_json
+    return [_named(f"{what}[{i}]", from_json, item) for i, item in enumerate(data)]
 
 
 def _filter_base(source, what):
-    return _named(what, filter_lab.FilterBase, tuple(_parse_base(source, what)))
+    return _named(what, _lib("filter_lab.FilterBase"), tuple(_parse_base(source, what)))
 
 
 def _parse_spec(source):
-    return _named("antichain spec", antichain.AntichainSpec.from_json, _load_json(source, "antichain spec"))
+    from_json = _lib("antichain.AntichainSpec").from_json
+    return _named("antichain spec", from_json, _load_json(source, "antichain spec"))
 
 
 def _class_json(c):
@@ -116,7 +122,7 @@ def _class_json(c):
 
 
 def _set(args):
-    return _named("--set", PeriodicSet.from_json, _load_json(args.set, "--set"))
+    return _named("--set", _lib("periodic_sets.PeriodicSet").from_json, _load_json(args.set, "--set"))
 
 
 # -- handlers that are more than one expression; each gets its operation and the arguments
@@ -132,8 +138,9 @@ def _crt_classify(classify, args):
     table = _load_json(args.table, "residue chain table")
     if not isinstance(table, dict):
         raise UsageError("residue chain table: expected a JSON object keyed by primes")
+    zero_to_depth = _lib("crt.ZeroToDepth")
     return {
-        p: {"kind": "zero_to_depth" if isinstance(cls, crt.ZeroToDepth) else "nonzero", **cls._asdict()}
+        p: {"kind": "zero_to_depth" if isinstance(cls, zero_to_depth) else "nonzero", **cls._asdict()}
         for p, cls in classify(table).items()
     }
 
@@ -171,24 +178,20 @@ def _antichain_verify(verify, args):
 
 def _filter_extend(extend, args):
     extended = extend(_filter_base(args.base, "--base"), _set(args))
-    if extended is None:
-        return {"inconsistent": True}
-    return {"members": [m.to_json() for m in extended.members]}
+    return {"inconsistent": True} if extended is None else {"members": [m.to_json() for m in extended.members]}
 
 
 def _filter_divides(divides_check, args):
     report = divides_check(_filter_base(args.left, "--left"), _filter_base(args.right, "--right"))
-    payload = {"status": report.status.value}
-    if report.witness is not None:
-        payload["witness"] = report.witness.to_json()
-    return payload
+    witness = {} if report.witness is None else {"witness": report.witness.to_json()}
+    return {"status": report.status.value, **witness}
 
 
 def _oracle_run(run_suite, args):
     seed = args.seed
     if seed is None:
         env = os.environ.get("CONGRUENCE_LATTICE_SEED")
-        seed = oracles.DEFAULT_SEED if env is None else json_int(env, "CONGRUENCE_LATTICE_SEED")
+        seed = _lib("oracles.DEFAULT_SEED") if env is None else json_int(env, "CONGRUENCE_LATTICE_SEED")
     return run_suite(args.suite, seed=seed, budget_s=args.budget, cases=args.cases)
 
 
@@ -198,8 +201,8 @@ def _oracle_run(run_suite, args):
 class Command(NamedTuple):
     group: str
     name: str
-    op: Callable  # the one library operation the subcommand exposes
-    args: tuple  # (flags, add_argument options) pairs
+    op: str  # "module.attr": the one library operation the subcommand exposes
+    args: tuple  # (flags, add_argument options) pairs; choices given as a function are read at build
     run: Callable  # (op, parsed arguments) -> JSON payload
     help: Optional[str] = None
     exit_code: Optional[Callable] = None  # (parsed arguments, payload) -> exit code; default 0
@@ -219,7 +222,7 @@ _ELEMENTS = _arg("elements", type=_int_list, help="comma-separated positive inte
 _N = _arg("n", type=int)
 _SET = _arg("--set", required=True, help="periodic set JSON")
 _SPEC = _arg("--spec", required=True, help="spec JSON (inline or file path)")
-_SUBSTITUTION = _arg("--substitution", choices=antichain.SUBSTITUTION_MODES, default="safe")
+_SUBSTITUTION = _arg("--substitution", choices=lambda: _lib("antichain.SUBSTITUTION_MODES"), default="safe")
 _BASE = _arg("--base", required=True, help="JSON array of periodic sets (inline or file)")
 _LEFT = _arg("--left", required=True)
 _RIGHT = _arg("--right", required=True)
@@ -235,63 +238,67 @@ GROUPS = {
 
 COMMANDS = (
     Command(
-        "crt", "solve", crt.solve_system,
+        "crt", "solve", "crt.solve_system",
         (_SYSTEM, _arg("--fail-on-infeasible", action="store_true")),
         lambda f, a: _class_json(f(_parse_congruences(a.system))),
         help="solve a congruence system",
         exit_code=lambda a, out: int(a.fail_on_infeasible and "infeasible" in out),
     ),
     Command(
-        "crt", "stream", crt.FeasibilityStream, (_SYSTEM,), _crt_stream, help="push congruences one at a time"
+        "crt", "stream", "crt.FeasibilityStream", (_SYSTEM,), _crt_stream,
+        help="push congruences one at a time",
     ),
     Command(
-        "crt", "classify", crt.classify_prime_support,
+        "crt", "classify", "crt.classify_prime_support",
         (_arg("table", help='JSON object like {"2":[0,0,0],"3":[1,4,13]}'),), _crt_classify,
         help="classify primes of a residue chain table",
     ),
     Command(
-        "geom", "expand", geometry.expand, (_P, _S, _R),
+        "geom", "expand", "geometry.expand", (_P, _S, _R),
         lambda f, a: {
-            "p": a.p, "s": a.s, "r": a.r, "set": sorted(f(geometry.GeometricDescriptor(a.p, a.s, a.r)))
+            "p": a.p, "s": a.s, "r": a.r, "set": sorted(f(_lib("geometry.GeometricDescriptor")(a.p, a.s, a.r)))
         },
     ),
-    Command("geom", "check", geometry.is_geometric, (_P, _RESIDUES), _geom_check),
+    Command("geom", "check", "geometry.is_geometric", (_P, _RESIDUES), _geom_check),
     Command(
-        "geom", "enum", geometry.enumerate_geometric, (_P,),
+        "geom", "enum", "geometry.enumerate_geometric", (_P,),
         lambda f, a: {"p": a.p, "sets": sorted(sorted(s) for s in f(a.p))},
     ),
     Command(
-        "geom", "root", geometry.primitive_root, (_P,), lambda f, a: {"p": a.p, "primitive_root": f(a.p)}
+        "geom", "root", "geometry.primitive_root", (_P,), lambda f, a: {"p": a.p, "primitive_root": f(a.p)}
     ),
     Command(
-        "geom", "order", geometry.multiplicative_order, (_P, _arg("-a", type=int, required=True)),
+        "geom", "order", "geometry.multiplicative_order", (_P, _arg("-a", type=int, required=True)),
         lambda f, a: {"order": f(a.p, a.a)},
     ),
     Command(
-        "geom", "dlog", geometry.discrete_log,
+        "geom", "dlog", "geometry.discrete_log",
         (_P, _arg("--base", type=int, required=True), _arg("-x", type=int, required=True)),
         _geom_dlog,
     ),
-    Command("geom", "offsets", geometry.exponent_offsets, (_P, _RESIDUES), lambda f, a: asdict(f(a.p, a.set))),
-    Command("geom", "structure", geometry.structure_check, (_P, _RESIDUES), _geom_structure),
     Command(
-        "geom", "prime-in-class", geometry.prime_in_progression, (_M, _R), lambda f, a: {"prime": f(a.m, a.r)}
+        "geom", "offsets", "geometry.exponent_offsets", (_P, _RESIDUES), lambda f, a: asdict(f(a.p, a.set))
+    ),
+    Command("geom", "structure", "geometry.structure_check", (_P, _RESIDUES), _geom_structure),
+    Command(
+        "geom", "prime-in-class", "geometry.prime_in_progression", (_M, _R),
+        lambda f, a: {"prime": f(a.m, a.r)},
     ),
     Command(
-        "geom", "witnesses", geometry.witness_class_set,
+        "geom", "witnesses", "geometry.witness_class_set",
         (_P, _S, _R, _arg("-n", type=int, required=True)),
         lambda f, a: {"values": f(a.p, a.s, a.r, a.n)},
     ),
-    Command("lattice", "up", lattice.up_closure, (_ELEMENTS,), lambda f, a: f(a.elements).to_json()),
-    Command("lattice", "down", lattice.down_closure, (_ELEMENTS,), lambda f, a: {"divisors": f(a.elements)}),
+    Command("lattice", "up", "lattice.up_closure", (_ELEMENTS,), lambda f, a: f(a.elements).to_json()),
+    Command("lattice", "down", "lattice.down_closure", (_ELEMENTS,), lambda f, a: {"divisors": f(a.elements)}),
     Command(
-        "lattice", "is-antichain", lattice.is_antichain, (_ELEMENTS,),
+        "lattice", "is-antichain", "lattice.is_antichain", (_ELEMENTS,),
         lambda f, a: {"antichain": f(a.elements)},
     ),
-    Command("lattice", "is-convex", lattice.is_convex, (_ELEMENTS,), lambda f, a: {"convex": f(a.elements)}),
-    Command("lattice", "hull", lattice.convex_hull, (_ELEMENTS,), lambda f, a: {"hull": f(a.elements)}),
+    Command("lattice", "is-convex", "lattice.is_convex", (_ELEMENTS,), lambda f, a: {"convex": f(a.elements)}),
+    Command("lattice", "hull", "lattice.convex_hull", (_ELEMENTS,), lambda f, a: {"hull": f(a.elements)}),
     Command(
-        "lattice", "omega", lattice.omega,
+        "lattice", "omega", "lattice.omega",
         (_N, _arg(
             "--budget", type=int, default=DEFAULT_TRIAL_BUDGET,
             help="factoring work cap: trial division up to d costs d, a rho step "
@@ -300,53 +307,53 @@ COMMANDS = (
         lambda f, a: {"omega": f(a.n, trial_budget=a.budget)},
     ),
     Command(
-        "lattice", "omega-bound", lattice.omega_lower_bound,
+        "lattice", "omega-bound", "lattice.omega_lower_bound",
         (_N, _arg("--primes", type=_int_list, required=True)),
         lambda f, a: {"lower_bound": f(a.n, a.primes)},
     ),
     Command(
-        "lattice", "levels", lattice.level_members,
+        "lattice", "levels", "lattice.level_members",
         (_arg("-l", "--level", type=int, required=True), _arg("--bound", type=int, required=True)),
         lambda f, a: {"members": f(a.level, a.bound)},
     ),
     Command(
-        "lattice", "is-upward", lattice.is_upward_closed, (_SET,), lambda f, a: {"upward_closed": f(_set(a))}
+        "lattice", "is-upward", "lattice.is_upward_closed", (_SET,), lambda f, a: {"upward_closed": f(_set(a))}
     ),
-    Command("antichain", "depths", antichain.first_nonzero_depths, (_SPEC,), _antichain_depths),
+    Command("antichain", "depths", "antichain.first_nonzero_depths", (_SPEC,), _antichain_depths),
     Command(
-        "antichain", "build", antichain.build,
+        "antichain", "build", "antichain.build",
         (_SPEC, _arg("-n", type=int, required=True, help="index of the last element"), _SUBSTITUTION),
         lambda f, a: [str(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
     ),
     Command(
-        "antichain", "verify", antichain.verify,
+        "antichain", "verify", "antichain.verify",
         (_SPEC, _arg("--prefix", required=True, help="JSON array of elements"), _SUBSTITUTION),
         _antichain_verify,
     ),
     Command(
-        "filter", "fip", filter_lab.has_fip, (_BASE,), lambda f, a: {"fip": f(_parse_base(a.base, "--base"))}
+        "filter", "fip", "filter_lab.has_fip", (_BASE,), lambda f, a: {"fip": f(_parse_base(a.base, "--base"))}
     ),
-    Command("filter", "extend", filter_lab.extend, (_BASE, _SET), _filter_extend),
+    Command("filter", "extend", "filter_lab.extend", (_BASE, _SET), _filter_extend),
     Command(
-        "filter", "residues", filter_lab.feasible_residues, (_BASE, _M),
+        "filter", "residues", "filter_lab.feasible_residues", (_BASE, _M),
         lambda f, a: {"residues": sorted(f(_filter_base(a.base, "--base"), a.m))},
     ),
     Command(
-        "filter", "congruent", filter_lab.congruent_mod, (_LEFT, _RIGHT, _M),
+        "filter", "congruent", "filter_lab.congruent_mod", (_LEFT, _RIGHT, _M),
         lambda f, a: {
             "verdict": f(_filter_base(a.left, "--left"), _filter_base(a.right, "--right"), a.m).value
         },
     ),
-    Command("filter", "divides", filter_lab.divides_check, (_LEFT, _RIGHT), _filter_divides),
+    Command("filter", "divides", "filter_lab.divides_check", (_LEFT, _RIGHT), _filter_divides),
     Command(
-        "filter", "nmax", filter_lab.nmax_witness,
+        "filter", "nmax", "filter_lab.nmax_witness",
         (_M, _R, _arg("--forbid", type=_int_list, default=""), _arg("--pool", type=_int_list, required=True)),
         lambda f, a: {"witness": f(a.m, a.r, a.forbid, a.pool)},
     ),
     Command(
-        "oracle", "run", oracles.run_suite,
+        "oracle", "run", "oracles.run_suite",
         (
-            _arg("suite", choices=sorted(oracles.SUITES)),
+            _arg("suite", choices=lambda: sorted(_lib("oracles.SUITES"))),
             _arg("--seed", type=int, help="defaults to $CONGRUENCE_LATTICE_SEED or 42"),
             _arg("--cases", type=int),
             _arg("--budget", type=float, help="wall-clock budget in seconds"),
@@ -356,39 +363,43 @@ COMMANDS = (
     ),
 )
 
-DISPATCH = {(c.group, c.name): f"{c.op.__module__.rsplit('.', 1)[1]}.{c.op.__name__}" for c in COMMANDS}
+DISPATCH = {(c.group, c.name): c.op for c in COMMANDS}
 
 
-def _build_parser():
+def _build_parser(argv):
+    """Every group, with subcommands only for the first group that argv names."""
     parser = argparse.ArgumentParser(
         prog="conlat",
         description="Exact congruence, residue-geometry, divisibility and filter-base tools",
     )
     parser.add_argument("--output", choices=("json", "pretty"), default="json")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-    subcommands = {
-        name: groups.add_parser(name, help=text).add_subparsers(dest="command")
-        for name, text in GROUPS.items()
-    }
-    for command in COMMANDS:
+    named = next((token for token in argv if token in GROUPS), None)
+    for name, text in GROUPS.items():
+        group = groups.add_parser(name, help=text)
+        if name == named:
+            subcommands = group.add_subparsers(dest="command")
+    for command in (c for c in COMMANDS if c.group == named):
         # a help entry, even an empty one, would list the subcommand in its group's help
-        options = {"help": command.help} if command.help else {}
-        sub = subcommands[command.group].add_parser(command.name, **options)
+        sub = subcommands.add_parser(command.name, **({"help": command.help} if command.help else {}))
         for flags, options in command.args:
+            if callable(options.get("choices")):  # read from the library only now
+                options = {**options, "choices": options["choices"]()}
             sub.add_argument(*flags, **options)
         sub.set_defaults(entry=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     command = getattr(args, "entry", None)
     if command is None:
         parser.print_help(sys.stderr)
         return 2
     try:
-        payload = command.run(command.op, args)
+        payload = command.run(_lib(command.op), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,8 +116,10 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
         # the periodic parts miss each other, so the meet is made of added points
         carrier = set().union(*(s.added for s in base))
         return {x % modulus for x in carrier if all(x in s for s in base)}
-    checks = _classes_met(core, modulus)
-    return {r for r in range(modulus) if all(r % g in hit for g, hit in checks)}
+    feasible = set(range(modulus))
+    for g, hit in _classes_met(core, modulus):
+        feasible.difference_update(*(range(t, modulus, g) for t in range(g) if t not in hit))
+    return feasible
 
 
 class CongruenceVerdict(Enum):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections import Counter
 from math import gcd, isqrt, lcm, prod
 
@@ -93,22 +94,13 @@ def upward_scan(s, factor: int = 10):
     modulus^2, so this scan decides upward-closedness exactly.
     """
     bound = factor * s.modulus * s.modulus
-    members = [n for n in range(1, bound + 1) if n in s]
-    if not members:
-        return False
-    have = set(members)
-    for a in members:
-        for x in range(2 * a, bound + 1, a):
-            if x not in have:
-                return False
-    return True
+    have = {n for n in range(1, bound + 1) if n in s}
+    return bool(have) and all(x in have for a in have for x in range(2 * a, bound + 1, a))
 
 
 def least_prime_factors(bound: int):
     """spf[n] = least prime factor of n for 2 <= n <= bound (n itself when n is
     prime), by a sieve that shares no code with `primes`."""
-    from array import array  # loading it costs every CLI start about 0.5 ms
-
     spf = array("l", range(bound + 1))
     small = [p for p in range(2, isqrt(bound) + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
     # descending: the least prime factor q of m, with q*q <= m, writes last

@@ -1,0 +1,139 @@
+"""What one `conlat` start loads and builds: the lazy package, the modules a
+command imports, and a parser with subcommands for the named group only.
+
+The module sets are read from `python -X importtime` in a fresh interpreter,
+so they count imports and take no timings."""
+
+import os
+import re
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import congruence_lattice
+from congruence_lattice import antichain, cli, oracles
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = "congruence_lattice"
+SPEC = '{"chains":[{"prime":3,"residues":[1,4,13]},{"prime":5,"residues":[2,7,57]}],"divisors":[2,13]}'
+
+
+def loaded(*args):
+    """Names of the package's modules that `python -X importtime *args` imports."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in names if name == PACKAGE or name.startswith(PACKAGE + ".")}
+
+
+def modules(*short):
+    return {PACKAGE, *(f"{PACKAGE}.{name}" for name in short)}
+
+
+# cli_cold's five command groups; under -m the cli module itself runs as __main__
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["crt", "solve", '[{"m":3,"a":2},{"m":5,"a":3}]'], modules("primes", "crt")),
+        (["geom", "check", "-p", "7", "--set", "1,2,4"], modules("primes", "geometry")),
+        (["lattice", "up", "4,6"], modules("primes", "periodic_sets", "lattice")),
+        (
+            ["antichain", "build", "--spec", SPEC, "-n", "1"],
+            modules("primes", "crt", "periodic_sets", "lattice", "antichain"),
+        ),
+        (
+            ["filter", "fip", "--base", '[{"modulus":2,"residues":[0]}]'],
+            modules("primes", "crt", "periodic_sets", "lattice", "filter_lab"),
+        ),
+    ],
+    ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else "",
+)
+def test_a_command_loads_only_its_modules(argv, expected):
+    assert loaded("-m", "congruence_lattice.cli", *argv) == expected
+
+
+def test_console_script_entry_loads_cli_and_the_command_module():
+    entry = "import sys; from congruence_lattice.cli import main; sys.exit(main())"
+    args = ("-c", entry, "crt", "solve", '[{"m":3,"a":2}]')
+    assert loaded(*args) == modules("cli", "primes", "crt")
+
+
+def test_oracle_command_loads_oracles():
+    assert f"{PACKAGE}.oracles" in loaded("-m", "congruence_lattice.cli", "oracle", "run", "crt", "--cases", "1")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded("-c", "import congruence_lattice") == modules()
+
+
+# -- the lazy package -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", congruence_lattice.__all__)
+def test_every_exported_name_is_its_home_object(name):
+    value = getattr(congruence_lattice, name)
+    if isinstance(value, ModuleType):
+        assert value is import_module(f"{PACKAGE}.{name}")
+    else:
+        assert value.__module__.startswith(PACKAGE + ".")
+        assert getattr(import_module(value.__module__), name) is value
+
+
+def test_star_import_binds_all_names():
+    namespace = {}
+    exec(f"from {PACKAGE} import *", namespace)
+    assert set(congruence_lattice.__all__) <= set(namespace)
+    assert namespace["PeriodicSet"] is congruence_lattice.periodic_sets.PeriodicSet
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nosuch"):
+        congruence_lattice.nosuch  # noqa: B018
+
+
+# -- one group's parser -------------------------------------------------------------
+
+
+def exits(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_top_help_lists_every_group(capsys):
+    code, out, _ = exits(capsys, "--help")
+    assert code == 0
+    assert all(group in out for group in cli.GROUPS)
+
+
+@pytest.mark.parametrize("group", sorted(cli.GROUPS))
+def test_group_help_lists_exactly_its_commands(capsys, group):
+    code, out, _ = exits(capsys, group, "--help")
+    assert code == 0
+    offered = re.search(r"\{([^}]*)\}", out).group(1).split(",")
+    assert offered == [c.name for c in cli.COMMANDS if c.group == group]
+
+
+def test_unknown_group_exits_2_naming_every_group(capsys):
+    code, _, err = exits(capsys, "nosuch")
+    assert code == 2
+    assert "invalid choice: 'nosuch'" in err
+    assert all(f"'{group}'" in err for group in cli.GROUPS)
+
+
+def test_choices_come_from_their_modules(capsys):
+    _, out, _ = exits(capsys, "antichain", "build", "--help")
+    assert "{strict,safe}" in out and tuple(antichain.SUBSTITUTION_MODES) == ("strict", "safe")
+    _, out, _ = exits(capsys, "oracle", "run", "--help")
+    assert "{" + ",".join(sorted(oracles.SUITES)) + "}" in out
+    code, _, err = exits(capsys, "antichain", "build", "--spec", SPEC, "-n", "1", "--substitution", "loose")
+    assert code == 2 and "invalid choice: 'loose'" in err
+

@@ -96,17 +96,19 @@ def test_feasible_residues_examples():
 
 
 def test_feasible_residues_matches_extension_definition():
+    # the docstring's definition: r is feasible iff progression(m, r) extends the base
     rng = random.Random(3333)
     from congruence_lattice.oracles import _random_member
 
-    for _ in range(100):
+    for _ in range(200):
         members = [_random_member(rng) for _ in range(rng.randint(1, 4))]
         if not fl.has_fip(members):
             continue
         base = FilterBase(tuple(members))
-        m = rng.randint(2, 16)
+        m = rng.randint(2, 60)
         want = {r for r in range(m) if fl.extend(base, ps.progression(m, r)) is not None}
         assert fl.feasible_residues(base, m) == want
+        assert fl.feasible_residues(members, m) == want
 
 
 def test_feasible_residues_nonempty_on_valid_bases():
