@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .crt import Congruence, ZeroToDepth, chain_support, solve_system, validate_chain_table
-from .lattice import is_antichain, omega_lower_bound
+from .crt import Congruence, ZeroToDepth, _merge, chain_support, validate_chain_table
+from .lattice import _is_antichain, _valuations
 from .primes import is_prime, json_int, strict_int
 
 SUBSTITUTION_MODES = ("strict", "safe")
@@ -135,19 +135,24 @@ def _schedule(spec: AntichainSpec, n: int, substitution: str):
             yield "substitute", chains[n + j][0], 1, 0
 
 
+def _requirements(spec: AntichainSpec, n: int, substitution: str) -> list:
+    """Element n's (modulus, residue) pairs, or the refusal of one that cannot be formed."""
+    out = []
+    for kind, p, e, r in _schedule(spec, n, substitution):
+        if kind == "short":
+            raise ValueError(f"chain for prime {p} too short: element {n} needs depth {e}")
+        if kind == "missing":
+            raise ValueError(f"{p} prime number {e} unavailable and substitution disabled")
+        out.append((p**e, r))
+    return out
+
+
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
     _check_mode(substitution)
     if strict_int(index, "index") < 1:
         raise ValueError("index must be >= 1")
-    out = []
-    for kind, p, e, r in _schedule(spec, index, substitution):
-        if kind == "short":
-            raise ValueError(f"chain for prime {p} too short: element {index} needs depth {e}")
-        if kind == "missing":
-            raise ValueError(f"{p} prime number {e} unavailable and substitution disabled")
-        out.append(Congruence(p**e, r))
-    return out
+    return [Congruence(m, r) for m, r in _requirements(spec, index, substitution)]
 
 
 def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
@@ -162,13 +167,11 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
         raise ValueError("last must be non-negative")
     values = [spec.chains[0][0] ** spec._depths[0]]
     for index in range(1, last + 1):
-        system = step_congruences(spec, index, substitution)
-        sol = solve_system(system)
-        if sol is None:
-            raise RuntimeError("system over distinct primes cannot be infeasible")
-        prev = values[-1]
-        k = (prev - sol.residue) // sol.modulus + 1
-        values.append(sol.residue + k * sol.modulus)
+        # prime powers, residue 0 on both where a prime repeats: no merge fails
+        m, r = 1, 0
+        for mi, ri in _requirements(spec, index, substitution):
+            m, r = _merge(m, r, mi, ri)
+        values.append(r + ((values[-1] - r) // m + 1) * m)
     return values
 
 
@@ -218,13 +221,9 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     if not monotone:
         failures.append("values are not strictly increasing positive integers")
 
-    antichain_ok = False
-    if positive and len(set(vals)) == len(vals):
-        antichain_ok = is_antichain(vals)
-    if not antichain_ok and vals:
+    antichain_ok = positive and len(set(vals)) == len(vals) and _is_antichain(sorted(vals))
+    if not antichain_ok:
         failures.append("values are not a divisibility antichain")
-    if not vals:
-        antichain_ok = True
 
     flags = {flag: True for flag, _ in _FAILURES.values()}
     growth_ok = True
@@ -238,7 +237,7 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
                 flags[flag] = False
                 failures.append(text.format(n=n, p=p, e=e, r=r))
             need = n * min(n, len(divisors))
-            if divisors and omega_lower_bound(a, divisors) < need:
+            if divisors and _valuations(a, divisors) < need:
                 growth_ok = False
                 failures.append(f"element {n} has fewer than {need} factors over the divisor primes")
 

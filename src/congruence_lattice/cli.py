@@ -136,8 +136,6 @@ def _crt_stream(stream_type, args):
 
 def _crt_classify(classify, args):
     table = _load_json(args.table, "residue chain table")
-    if not isinstance(table, dict):
-        raise UsageError("residue chain table: expected a JSON object keyed by primes")
     zero_to_depth = _lib("crt.ZeroToDepth")
     return {
         p: {"kind": "zero_to_depth" if isinstance(cls, zero_to_depth) else "nonzero", **cls._asdict()}

@@ -8,9 +8,10 @@ whole point.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .primes import is_prime, json_int, strict_int
 
@@ -104,6 +105,8 @@ def validate_chain_table(table: Mapping) -> dict:
     consecutive entries must be congruent (each entry refines the previous
     one p-adically).  Returns a normalized {prime: tuple} dict.
     """
+    if not isinstance(table, Mapping):
+        raise ValueError(f"residue-chain table must be a mapping, got {type(table).__name__}")
     out = {}
     for p, chain in table.items():
         p = json_int(p, "chain prime")

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .crt import Congruence, solve_system
+from .crt import _merge
 from .lattice import is_upward_closed
 from .periodic_sets import PeriodicSet, _classes_met, _factors, _meet_parts, progression
 from .primes import json_int, strict_int
@@ -34,6 +34,15 @@ class NoWitnessSourceError(ValueError):
 
 def _meet(members: Sequence) -> PeriodicSet:
     return reduce(PeriodicSet.intersect, members) if members else progression(1, 0)
+
+
+def _checked(members: Iterable) -> tuple:
+    """The members as a tuple, refused unless every one is a PeriodicSet."""
+    members = tuple(members)
+    for s in members:
+        if not isinstance(s, PeriodicSet):
+            raise TypeError(f"filter base members must be PeriodicSet, got {type(s).__name__}")
+    return members
 
 
 def _core(members: Iterable, parts=()) -> Optional[list]:
@@ -51,13 +60,10 @@ class FilterBase:
     members: tuple = ()
 
     def __post_init__(self):
-        members = tuple(self.members)
+        members = _checked(self.members)
         object.__setattr__(self, "members", members)
-        for s in members:
-            if not isinstance(s, PeriodicSet):
-                raise TypeError(f"filter base members must be PeriodicSet, got {type(s).__name__}")
-            if s.is_empty():
-                raise ValueError("filter base members must be nonempty")
+        if any(s.is_empty() for s in members):
+            raise ValueError("filter base members must be nonempty")
         core = _core(members)
         if core is None:
             raise ValueError("every finite intersection of a filter base must be infinite")
@@ -79,13 +85,13 @@ def has_fip(members: BaseLike) -> bool:
     is infinite.  Accepts a FilterBase or any sequence of PeriodicSets, so
     candidate families can be tested before constructing a base.
     """
-    return isinstance(members, FilterBase) or _core(members) is not None
+    return isinstance(members, FilterBase) or _core(_checked(members)) is not None
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> Optional[FilterBase]:
     """Base with s appended when that preserves the intersection property,
     else None."""
-    core = _core((s,), base._core)
+    core = _core(_checked((s,)), base._core)
     if core is None:
         return None
     # valid by construction: keep the narrowed meet instead of re-deriving it
@@ -110,7 +116,7 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
     if isinstance(base, FilterBase):
         core = base._core
     else:
-        base = tuple(base)
+        base = _checked(base)
         core = _core(base)
     if core is None:
         # the periodic parts miss each other, so the meet is made of added points
@@ -167,9 +173,8 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
     """
     found = False
     for member in base_f.members:
-        if (member.added | member.removed) - {0}:
-            continue  # closure undecidable under edits away from 0
-        if not member.residues or not is_upward_closed(member):
+        # closure is undecidable under edits away from 0
+        if (member.added | member.removed) - {0} or not is_upward_closed(member):
             continue
         found = True
         if _core((member,), base_g._core) is None:
@@ -208,13 +213,10 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
         raise NoWitnessSourceError(
             f"no pool element is coprime to {modulus} and to all of {forbidden}"
         )
-    sol = solve_system([Congruence(modulus, residue), Congruence(source, 0)])
-    if sol is None:
-        raise RuntimeError("coprime moduli cannot produce an infeasible pair")
+    step, x = _merge(modulus, residue, source, 0)  # coprime moduli: never None
     cap = lcm(modulus, source, prod(forbidden, start=1))
-    x = sol.residue
     while x <= cap:
         if all(x % n != 0 for n in forbidden):
             return x
-        x += sol.modulus
+        x += step
     raise RuntimeError("witness search exhausted its period window")

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
-from .primes import is_prime, prime_factors
+from .primes import _factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class StructureReport:
         return self.gcd_closed and self.multiples_closed and self.arithmetic_progression
 
 
-# is_geometric checks p, then the descriptor it returns checks p again: from the cache
+# the descriptor is_geometric returns re-checks the p it has just checked, and callers
+# repeat a few primes (the geom oracle sweeps p <= 31): both are answered from the cache
 _is_prime = lru_cache(maxsize=256)(is_prime)
 
 
@@ -108,7 +109,7 @@ def primitive_root(p: int) -> int:
     _check_prime(p)
     if p == 2:
         return 1
-    factors = prime_factors(p - 1)
+    factors = _factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
@@ -120,7 +121,7 @@ def multiplicative_order(p: int, a: int) -> int:
     _check_prime(p)
     _check_residue(p, a, "a", 1)
     t = p - 1
-    for f in prime_factors(p - 1):
+    for f in _factorize(p - 1):
         while t % f == 0 and pow(a, t // f, p) == 1:
             t //= f
     return t
@@ -214,7 +215,7 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     hs = sorted(x * inv % p for x in s)
     if any(pow(h, l, p) != 1 for h in hs):
         return None
-    qs = prime_factors(l)
+    qs = _factorize(l)
     ratio = next(h for h in hs if all(pow(h, l // q, p) != 1 for q in qs))
     return GeometricDescriptor(p, s0, ratio)
 
@@ -266,9 +267,4 @@ def witness_class_set(p: int, seed_residue: int, ratio_residue: int, count: int)
         raise ValueError(f"count must be a positive integer, got {count!r}")
     s = prime_in_progression(p, seed_residue)
     b = prime_in_progression(p, ratio_residue)
-    out = []
-    val = s
-    for _ in range(count):
-        out.append(val)
-        val *= b
-    return out
+    return [s * b**k for k in range(count)]

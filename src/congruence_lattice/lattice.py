@@ -63,7 +63,11 @@ def down_closure(elements: Iterable) -> list:
 
 def is_antichain(elements: Iterable) -> bool:
     """True iff no element divides a distinct element."""
-    els = _elements(elements)
+    return _is_antichain(_elements(elements))
+
+
+def _is_antichain(els) -> bool:
+    """is_antichain of ascending distinct positive ints."""
     for i, a in enumerate(els):
         for b in els[i + 1 :]:
             if b % a == 0:
@@ -75,22 +79,13 @@ def is_convex(elements: Iterable) -> bool:
     """True iff every z with x | z | y for x, y in the set is itself in it."""
     els = _elements(elements)
     have = set(els)
-    for y in els:
-        for z in _divisors(y):
-            if z not in have and any(z % x == 0 for x in els):
-                return False
-    return True
+    return all(z in have or all(z % x for x in els) for y in els for z in _divisors(y))
 
 
 def convex_hull(elements: Iterable) -> list:
     """Least convex superset: all z with x | z | y for some set members x, y."""
     els = _elements(elements)
-    out = set()
-    for y in els:
-        for z in _divisors(y):
-            if any(z % x == 0 for x in els):
-                out.add(z)
-    return sorted(out)
+    return sorted({z for y in els for z in _divisors(y) if any(z % x == 0 for x in els)})
 
 
 def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
@@ -101,8 +96,6 @@ def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
     cannot be split within it the call raises FactorizationBudgetError
     instead of stalling.
     """
-    if strict_int(n, "n") < 1:
-        raise ValueError(f"omega expects a positive integer, got {n!r}")
     return sum(factorize(n, trial_budget).values())
 
 
@@ -110,10 +103,17 @@ def omega_lower_bound(n: int, primes: Iterable) -> int:
     """Sum of valuations of n at the supplied primes; cheap for huge n."""
     if strict_int(n, "n") < 1:
         raise ValueError(f"omega_lower_bound expects a positive integer, got {n!r}")
-    total = 0
-    for p in sorted({json_int(p, "prime") for p in primes}):
+    primes = {json_int(p, "prime") for p in primes}
+    for p in sorted(primes):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+    return _valuations(n, primes)
+
+
+def _valuations(n: int, primes) -> int:
+    """omega_lower_bound of a positive int and distinct primes."""
+    total = 0
+    for p in primes:
         while n % p == 0:
             total += 1
             n //= p

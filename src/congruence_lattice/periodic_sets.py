@@ -14,14 +14,15 @@ complements and finite unions of them are products over coprime moduli, or
 complements of one.  A view has parts (m_i, R_i, co_i), nonempty, not
 everything and each at its own minimal period, whose moduli multiply to m,
 and a flag co: x is in it iff co != all((x mod m_i in R_i) != co_i).  `in`
-and `len` cost O(parts); iteration enumerates by CRT; hash and equality
-agree with the frozenset of the same members (the hash walks the members
-once and is kept).  `~` flips a flag, `&` joins the parts of two products,
-intersecting explicitly only parts whose moduli share a factor (at their
-lcm), and `|` is ~(~A & ~B).  A view materialises on iteration (so in
-`to_json`), on its first hash, in those joins, and when a complemented
-product of several parts meets another set: then it lists its smaller
-side, its own members or those of the product it complements.
+and `len` cost O(parts); iteration enumerates by CRT one member at a time
+and lists nothing, so the first member comes at once whatever the moduli;
+hash and equality agree with the frozenset of the same members (the hash
+walks the members once and is kept).  `~` flips a flag, `&` joins the
+parts of two products, intersecting explicitly only parts whose moduli
+share a factor (at their lcm), and `|` is ~(~A & ~B).  A view is
+materialised only in those joins and when a complemented product of
+several parts meets another set: then it lists its smaller side, its own
+members or those of the product it complements.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import product
+from itertools import filterfalse
 from math import gcd, lcm, prod
 from typing import Iterable
 
@@ -59,19 +60,15 @@ class ProductView(Set):
         return self.modulus - n if self.co else n
 
     def __iter__(self):
-        big, parts = self.modulus, self.parts
-        coef = [big // m * pow(big // m, -1, m) for m, _, _ in parts]
-        members = lambda m, r, c: [x for x in range(m) if x not in r] if c else r
-        inside = [members(*part) for part in parts]
-        blocks = [inside]
-        if self.co:  # x misses the product at a first part i: a disjoint union of products
-            blocks = [
-                inside[:i] + [members(m, r, not c)] + [range(n) for n, _, _ in parts[i + 1 :]]
-                for i, (m, r, c) in enumerate(parts)
-            ]
-        for block in blocks:
-            for terms in product(*([x * e for x in xs] for xs, e in zip(block, coef))):
-                yield sum(terms) % big
+        big = self.modulus
+        # per part: modulus, stored residues, whether its members are them, CRT coefficient
+        levels = [(m, r, not c, big // m * pow(big // m, -1, m)) for m, r, c in self.parts]
+        if not self.co:
+            yield from _crt_walk(levels, big)
+            return
+        for i, (m, r, keep, e) in enumerate(levels):  # x misses the product first at part i
+            rest = [(n, range(n), True, f) for n, _, _, f in levels[i + 1 :]]
+            yield from _crt_walk(levels[:i] + [(m, r, not keep, e)] + rest, big)
 
     def __eq__(self, other):
         if not isinstance(other, Set):
@@ -89,6 +86,19 @@ class ProductView(Set):
     @classmethod
     def _from_iterable(cls, it):
         return frozenset(it)
+
+
+def _crt_walk(levels, big, acc=0):
+    """(acc + sum of x_i * e_i) % big for each choice of x_i per level (m, r, keep, e),
+    x_i in r if keep, else in range(m) outside r; lazy, each level walked afresh."""
+    (m, r, keep, e), *rest = levels
+    xs = r if keep else filterfalse(r.__contains__, range(m))
+    if rest:
+        for x in xs:
+            yield from _crt_walk(rest, big, acc + x * e)
+    else:
+        for x in xs:
+            yield (acc + x * e) % big
 
 
 _ZERO = frozenset((0,))

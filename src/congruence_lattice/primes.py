@@ -255,11 +255,11 @@ def prime_factors(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> list[int]:
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound by sieve of Eratosthenes."""
-    if bound < 2:
+    if strict_int(bound, "bound") < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(bound**0.5) + 1):
+    for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
     return [n for n in range(2, bound + 1) if sieve[n]]

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from congruence_lattice import antichain as ac
+from congruence_lattice import antichain as ac, crt, filter_lab as fl, lattice
 from congruence_lattice.oracles import random_antichain_spec
 
 # chain residues beyond the ones that matter for the early elements are held
@@ -215,3 +215,19 @@ def test_verify_and_step_congruences_share_the_schedule():
             flagged = any(f.startswith(f"element {n} ") and any(c in f for c in checks) for f in failures)
             missed = any(not c.satisfied_by(values[n]) for c in ac.step_congruences(spec, n))
             assert flagged == missed, (spec, values, n, failures)
+
+
+def test_values_the_library_built_are_not_checked_again(monkeypatch):
+    # build folds CRT on ints, verify reads lattice's private cores, and
+    # nmax_witness merges two classes without building a Congruence
+    def refuse(*args):
+        raise AssertionError("a value the library built was checked again")
+
+    monkeypatch.setattr(crt.Congruence, "__post_init__", refuse)
+    monkeypatch.setattr(lattice, "is_prime", refuse)
+    monkeypatch.setattr(lattice, "json_int", refuse)
+    values = ac.build(WORKED_SPEC, 4)
+    assert values == [3, 40, 40432, 851944432, 76699534432]
+    assert ac.verify(values, WORKED_SPEC).ok
+    assert ac.verify(values[:2], WORKED_SPEC).ok
+    assert fl.nmax_witness(4, 1, [3], [5, 7]) == 5

@@ -188,6 +188,13 @@ def test_classify_rejects_non_integer_residues():
         crt.classify_prime_support({3.0: [1]})
 
 
+def test_a_table_that_is_not_a_mapping_is_refused():
+    for table in ([3], [(3, [1])], "3"):
+        for check in (crt.classify_prime_support, crt.validate_chain_table):
+            with pytest.raises(ValueError, match="^residue-chain table must be a mapping, got "):
+                check(table)
+
+
 def test_solution_class_is_the_congruence_type():
     assert crt.SolutionClass is Congruence
     assert crt.solve_system([Congruence(3, 2), Congruence(5, 3)]) == crt.SolutionClass(15, 8)

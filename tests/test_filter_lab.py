@@ -34,6 +34,18 @@ def test_base_rejects_finite_intersection():
         FilterBase((ps.make(1, (), {5, 10}, ()),))  # finite member
 
 
+def test_members_that_are_not_sets_get_one_type_error():
+    calls = (
+        lambda: FilterBase((ps.progression(2, 0), 1)),
+        lambda: fl.has_fip([1, 2]),
+        lambda: fl.feasible_residues([1], 5),
+        lambda: fl.extend(FilterBase(()), 1),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="^filter base members must be PeriodicSet, got int$"):
+            call()
+
+
 def test_empty_base_is_valid():
     base = FilterBase(())
     assert base.intersection == ps.progression(1, 0)

@@ -37,6 +37,7 @@ ENTRY_POINTS = {
     "step_congruences": lambda v: ac.step_congruences(SPEC, v),
     "factorize": primes.factorize,
     "factorize trial_bound": lambda v: primes.factorize(12, v),
+    "primes_up_to": primes.primes_up_to,
 }
 
 # calls that used to answer or end in a TypeError traceback
@@ -49,6 +50,8 @@ HOLES = {
     "level_members(1, 10.5)": lambda: lattice.level_members(1, 10.5),
     "build(spec, 2.5)": lambda: ac.build(SPEC, 2.5),
     "enumerate_up_to(2.5)": lambda: EVENS.enumerate_up_to(2.5),
+    "primes_up_to(10.5)": lambda: primes.primes_up_to(10.5),
+    'primes_up_to("10")': lambda: primes.primes_up_to("10"),
 }
 
 

@@ -112,6 +112,12 @@ def test_omega_examples():
     assert lattice.omega(2**10) == 10
 
 
+def test_omega_leaves_its_argument_check_to_factorize():
+    for n in (0, -12):
+        with pytest.raises(ValueError, match=f"^factorize expects n >= 1, got {n}$"):
+            lattice.omega(n)
+
+
 def test_omega_of_two_primes_above_a_million():
     # trial division to 10^6 used to refuse; rho splits it
     assert lattice.omega(1000036000099) == 2

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import islice
 from math import prod
 
 import pytest
@@ -259,6 +260,20 @@ def test_views_iterate_by_crt_and_agree_with_frozensets():
         shifted = frozenset((n + 1) % s.modulus for n in listed)  # as many members, not the same
         assert view != shifted and shifted != view
         assert type(view | {0}) is frozenset and view - listed == frozenset()
+
+
+def test_a_view_yields_members_without_listing_a_part():
+    # 10^12 + 39 is prime: no part at that modulus can be listed, plain or complemented
+    big = 10**12 + 39
+    cases = (
+        ps.progression(7, 3) & ~ps.progression(big, 5),
+        lattice.up_closure([7, big]),  # a complemented product: parts after the first are walked
+        ~ps.progression(big, 3),
+    )
+    for s in cases:
+        got, peak = peak_bytes(lambda: list(islice(s.residues, 3)))
+        assert len(set(got)) == 3 and all(0 <= x < s.modulus and x in s.residues for x in got)
+        assert peak < 2**16
 
 
 def test_is_upward_closed_decides_each_part():
