@@ -86,9 +86,7 @@ def _parse_congruences(text):
                 raise UsageError(f'congruence {i}: missing field "{key}"')
         m = json_int(item["m"], f'congruence {i}: field "m"')
         a = json_int(item["a"], f'congruence {i}: field "a"')
-        if m < 1:
-            raise UsageError(f'congruence {i}: field "m" must be >= 1, got {m}')
-        out.append(congruence(m, a))
+        out.append(_named(f'congruence {i}: field "m"', lambda m: congruence(m, a), m))
     return out
 
 

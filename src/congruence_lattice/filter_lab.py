@@ -6,34 +6,28 @@ to "every finite intersection is infinite", so a valid base always extends
 to nonprincipal ultrafilters; for a finite family that is equivalent to
 the single condition that the meet of all members is infinite.
 
-Everything here is exact.  Edits are finite, so the meet is infinite iff
-the meet of the members' periodic parts is nonempty.  That meet is kept as
-the parts of its product form (see `periodic_sets`): parts whose moduli
-share a prime factor are intersected into one part, parts have pairwise
-coprime moduli, and the product is nonempty iff every part is.  No lcm of
-the whole family is ever materialised to decide a question.
+Everything here is exact and reads the meet of the members, built once per
+base by `periodic_sets`' n-ary meet, the routine `PeriodicSet.intersect`
+calls.  That meet is in CRT-product form (parts with pairwise coprime
+moduli), so no lcm of the whole family is ever materialised; edits are
+finite, so it is infinite iff the members' periodic parts meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .crt import _merge
 from .lattice import is_upward_closed
-from .periodic_sets import PeriodicSet, _classes_met, _factors, _meet_parts, progression
+from .periodic_sets import PeriodicSet, _meet, _residues_met
 from .primes import json_int, strict_int
 
 
 class NoWitnessSourceError(ValueError):
     """No pool element is coprime to the modulus and all forbidden divisors."""
-
-
-def _meet(members: Sequence) -> PeriodicSet:
-    return reduce(PeriodicSet.intersect, members) if members else progression(1, 0)
 
 
 def _checked(members: Iterable) -> tuple:
@@ -45,18 +39,11 @@ def _checked(members: Iterable) -> tuple:
     return members
 
 
-def _core(members: Iterable, parts=()) -> Optional[list]:
-    """Parts of the product form of the meet of the members' periodic parts
-    and of the product `parts` (default everything); None once it is empty."""
-    for s in members:
-        parts = _meet_parts(parts, _factors(s))
-        if parts is None:
-            return None
-    return parts
-
-
 @dataclass(frozen=True)
 class FilterBase:
+    """A filter base; `intersection`, the meet of all members, is built once
+    with the base and is infinite (everything for the empty base)."""
+
     members: tuple = ()
 
     def __post_init__(self):
@@ -64,15 +51,10 @@ class FilterBase:
         object.__setattr__(self, "members", members)
         if any(s.is_empty() for s in members):
             raise ValueError("filter base members must be nonempty")
-        core = _core(members)
-        if core is None:
+        meet = _meet(members)
+        if not meet.is_infinite():
             raise ValueError("every finite intersection of a filter base must be infinite")
-        object.__setattr__(self, "_core", core)
-
-    @cached_property
-    def intersection(self) -> PeriodicSet:
-        """Meet of all members, materialised on first access (cached)."""
-        return _meet(self.members)
+        object.__setattr__(self, "intersection", meet)
 
 
 BaseLike = Union[FilterBase, Sequence]
@@ -85,20 +67,17 @@ def has_fip(members: BaseLike) -> bool:
     is infinite.  Accepts a FilterBase or any sequence of PeriodicSets, so
     candidate families can be tested before constructing a base.
     """
-    return isinstance(members, FilterBase) or _core(_checked(members)) is not None
+    if isinstance(members, FilterBase):
+        return True
+    members = _checked(members)
+    return not members or members[0].meets_infinitely(*members[1:])
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> Optional[FilterBase]:
     """Base with s appended when that preserves the intersection property,
     else None."""
-    core = _core(_checked((s,)), base._core)
-    if core is None:
-        return None
-    # valid by construction: keep the narrowed meet instead of re-deriving it
-    out = object.__new__(FilterBase)
-    object.__setattr__(out, "members", base.members + (s,))
-    object.__setattr__(out, "_core", core)
-    return out
+    _checked((s,))
+    return FilterBase(base.members + (s,)) if base.intersection.meets_infinitely(s) else None
 
 
 def feasible_residues(base: BaseLike, modulus: int) -> set:
@@ -109,23 +88,14 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
     this set.  By CRT, r is feasible iff r mod g_i is hit by part i of the
     meet for every part, where g_i = gcd(part modulus, modulus).  A
     degenerate base whose meet is finite (a principal carrier) falls back
-    to the residues actually hit by the finite meet.
+    to the residues of the meet's own points, its added ones.
     """
     if strict_int(modulus, "modulus") < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    if isinstance(base, FilterBase):
-        core = base._core
-    else:
-        base = _checked(base)
-        core = _core(base)
-    if core is None:
-        # the periodic parts miss each other, so the meet is made of added points
-        carrier = set().union(*(s.added for s in base))
-        return {x % modulus for x in carrier if all(x in s for s in base)}
-    feasible = set(range(modulus))
-    for g, hit in _classes_met(core, modulus):
-        feasible.difference_update(*(range(t, modulus, g) for t in range(g) if t not in hit))
-    return feasible
+    meet = base.intersection if isinstance(base, FilterBase) else _meet(_checked(base))
+    if meet.is_infinite():
+        return _residues_met(meet, modulus)
+    return {x % modulus for x in meet.added}
 
 
 class CongruenceVerdict(Enum):
@@ -177,7 +147,7 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
         if (member.added | member.removed) - {0} or not is_upward_closed(member):
             continue
         found = True
-        if _core((member,), base_g._core) is None:
+        if not member.meets_infinitely(base_g.intersection):
             return DividesReport(DividesStatus.FAILS, member)
     return DividesReport(DividesStatus.PASSES if found else DividesStatus.VACUOUS)
 

@@ -24,6 +24,10 @@ materialised only in those joins and when a complemented product of
 several parts meets another set: then it lists its smaller side, its own
 members or those of the product it complements.
 
+The meet of a family is one routine, `_meet`, which `&` and filter_lab's
+bases both call: it folds the parts of every set, then settles the edited
+points of all of them once.  `meets_infinitely` runs the fold alone.
+
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
 """
@@ -54,6 +58,9 @@ class ProductView(Set):
             if (x % m in r) == c:  # x misses part (m, r, c)
                 return self.co
         return not self.co
+
+    def __bool__(self):
+        return True  # nonempty parts, none everything: neither the product nor its complement is empty
 
     def __len__(self):
         n = prod(m - len(r) if c else len(r) for m, r, c in self.parts)
@@ -150,17 +157,13 @@ class PeriodicSet:
 
     # -- boolean algebra -----------------------------------------------------
 
-    def meets_infinitely(self, other: "PeriodicSet") -> bool:
-        """Whether the intersection is infinite: edits are finite, so whether
-        the periodic parts meet."""
-        return _meet_parts(_factors(self), _factors(other)) is not None
+    def meets_infinitely(self, *others: "PeriodicSet") -> bool:
+        """Whether the meet of self and the others is infinite: edits are
+        finite, so whether their periodic parts meet."""
+        return _core((self, *others)) is not None
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
-        parts = _meet_parts(_factors(self), _factors(other))
-        # only the operands' edited points can differ from the periodic meet
-        edits = self.added | self.removed | other.added | other.removed
-        inside = {n for n in edits if n in self and n in other}
-        return _finish(*_assemble(parts or (), parts is None), inside, edits - inside)
+        return _meet((self, other))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
         return ~(~self & ~other)
@@ -248,20 +251,6 @@ def _part_sets(s: PeriodicSet) -> list:
     return [(m, r if c == co else ProductView(((m, r, True),), False)) for m, r, c in parts]
 
 
-def _classes_met(parts, modulus: int) -> list:
-    """(g, the classes mod g that the part meets) for each part of a product
-    whose modulus shares a factor g = gcd(part modulus, modulus) > 1."""
-    out = []
-    for m, r, c in parts:
-        g = gcd(m, modulus)
-        if g > 1:
-            counts = Counter(x % g for x in r)
-            # a plain part meets the classes of its residues, a complemented
-            # one every class whose m // g lifts are not all stored
-            out.append((g, {t for t in range(g) if (counts[t] < m // g if c else counts[t])}))
-    return out
-
-
 def _join(p, q):
     """The canonical part p ∩ q at lcm of their moduli, or None when empty."""
     (m1, r1, c1), (m2, r2, c2) = p, q
@@ -295,6 +284,45 @@ def _meet_parts(pa, pb):
         # parts of one product are coprime, so q stays coprime to the rest
         parts = rest + [q] if q[0] > 1 else rest
     return parts
+
+
+def _core(sets):
+    """Parts of the product form of the meet of the sets' periodic parts
+    (everything when there are none); None once it is empty."""
+    parts = ()
+    for s in sets:
+        parts = _meet_parts(parts, _factors(s)) if parts else _factors(s)
+        if parts is None:
+            return None
+    return parts
+
+
+def _meet(sets) -> PeriodicSet:
+    """The meet of a sequence of sets (everything when there are none): the
+    product of their parts, then their edited points settled once."""
+    parts = _core(sets)
+    # only the operands' edited points can differ from the periodic meet
+    edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
+    inside = {n for n in edits if all(n in s for s in sets)}
+    return _finish(*_assemble(parts or (), parts is None), inside, edits - inside)
+
+
+def _residues_met(s: PeriodicSet, modulus: int) -> set:
+    """Residues r mod `modulus` whose class meets the infinite set s infinitely.
+
+    By CRT over the coprime parts of s's periodic part, r qualifies iff for
+    every part (m, R, c), r mod g, g = gcd(m, modulus), is a class mod g
+    that the part meets."""
+    out = set(range(modulus))
+    for m, r, c in _factors(s):
+        g = gcd(m, modulus)
+        if g > 1:
+            counts = Counter(x % g for x in r)
+            # a plain part meets the classes of its residues, a complemented
+            # one every class whose m // g lifts are not all stored
+            missed = (t for t in range(g) if (counts[t] == m // g if c else not counts[t]))
+            out.difference_update(*(range(t, modulus, g) for t in missed))
+    return out
 
 
 def _minimal_period(modulus, residues):

@@ -1,13 +1,14 @@
-"""Property tests: canonical periods and canonical algebra results, and the
-componentwise meet of filter_lab against the meet materialised in the
-periodic-set algebra."""
+"""Property tests: canonical periods and canonical algebra results, the
+n-ary meet of periodic_sets against membership, and filter_lab's decisions
+against a meet folded pairwise with `PeriodicSet.intersect`."""
 
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from congruence_lattice import filter_lab as fl, lattice, oracles, periodic_sets as ps
-from congruence_lattice.filter_lab import FilterBase, _meet
+from congruence_lattice.filter_lab import FilterBase
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -42,6 +43,11 @@ def periodic_members(draw, allow_empty=False):
 families = st.lists(periodic_members(allow_empty=True), max_size=5)
 
 
+def pairwise_meet(members):
+    """The reference meet: the members folded pairwise (everything for none)."""
+    return reduce(ps.PeriodicSet.intersect, members, ps.progression(1, 0))
+
+
 def least_period(m, residues):
     """Least d | m such that membership in R depends only on x mod d."""
     return next(
@@ -52,7 +58,7 @@ def least_period(m, residues):
 
 def materialised_feasible(members, modulus):
     """feasible_residues read off the full meet, as the meet defines it."""
-    meet = _meet(members)
+    meet = pairwise_meet(members)
     if meet.is_infinite():
         g = gcd(meet.modulus, modulus)
         hit = {r % g for r in meet.residues}
@@ -95,9 +101,27 @@ def test_product_form_matches_the_explicit_listing(a, b, divisors):
 
 
 @SETTINGS
+@given(families)
+def test_n_ary_meet_is_pointwise_membership(members):
+    meet = ps._meet(members)
+    bound = 2 * lcm(*(s.modulus for s in members)) + max((s.max_edit() for s in members), default=0)
+    assert all((n in meet) == all(n in s for s in members) for n in range(bound + 1))
+    assert ps.make(meet.modulus, meet.residues, meet.added, meet.removed) == meet
+
+
+@SETTINGS
+@given(families, st.integers(2, 40))
+def test_a_base_and_its_member_list_answer_alike(members, modulus):
+    assume(all(not s.is_empty() for s in members) and pairwise_meet(members).is_infinite())
+    base = FilterBase(tuple(members))
+    assert fl.has_fip(base) == fl.has_fip(members)
+    assert fl.feasible_residues(base, modulus) == fl.feasible_residues(members, modulus)
+
+
+@SETTINGS
 @given(families, st.integers(2, 40))
 def test_componentwise_decisions_match_the_materialised_meet(members, modulus):
-    meet = _meet(members)
+    meet = pairwise_meet(members)
     assert fl.has_fip(members) == meet.is_infinite()
     assert fl.feasible_residues(members, modulus) == materialised_feasible(members, modulus)
 
@@ -105,7 +129,7 @@ def test_componentwise_decisions_match_the_materialised_meet(members, modulus):
 @SETTINGS
 @given(st.lists(periodic_members(), max_size=4), periodic_members(allow_empty=True), st.integers(2, 40))
 def test_extend_matches_the_materialised_meet(base_members, s, modulus):
-    assume(_meet(base_members).is_infinite())
+    assume(pairwise_meet(base_members).is_infinite())
     base = FilterBase(tuple(base_members))
     extended = fl.extend(base, s)
     if not base.intersection.meets_infinitely(s):
@@ -115,15 +139,15 @@ def test_extend_matches_the_materialised_meet(base_members, s, modulus):
     assert hash(extended) == hash(FilterBase(base.members + (s,)))
     assert fl.has_fip(extended)
     assert fl.feasible_residues(extended, modulus) == materialised_feasible(extended.members, modulus)
-    assert extended.intersection == _meet(extended.members)
+    assert extended.intersection == pairwise_meet(extended.members)
 
 
 @SETTINGS
 @given(st.lists(periodic_members(), max_size=5))
 def test_intersection_is_the_meet(base_members):
-    assume(_meet(base_members).is_infinite())
+    assume(pairwise_meet(base_members).is_infinite())
     base = FilterBase(tuple(base_members))
-    assert base.intersection == _meet(base_members)
+    assert base.intersection == pairwise_meet(base_members)
     assert base.intersection is base.intersection
 
 
