@@ -10,7 +10,8 @@ Everything here is exact and reads the meet of the members, built once per
 base by `periodic_sets`' n-ary meet, the routine `PeriodicSet.intersect`
 calls.  That meet is in CRT-product form (parts with pairwise coprime
 moduli), so no lcm of the whole family is ever materialised; edits are
-finite, so it is infinite iff the members' periodic parts meet.
+finite, so it is infinite iff the members' periodic parts meet.  Residues
+and upward closure are asked of `periodic_sets`, which alone reads parts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .crt import _merge
-from .lattice import is_upward_closed
-from .periodic_sets import PeriodicSet, _meet, _residues_met
+from .periodic_sets import PeriodicSet, _meet, _residues_met, is_upward_closed
 from .primes import json_int, strict_int
 
 
@@ -93,9 +93,7 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
     if strict_int(modulus, "modulus") < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
     meet = base.intersection if isinstance(base, FilterBase) else _meet(_checked(base))
-    if meet.is_infinite():
-        return _residues_met(meet, modulus)
-    return {x % modulus for x in meet.added}
+    return _residues_met(meet, modulus)
 
 
 class CongruenceVerdict(Enum):
@@ -143,8 +141,10 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
     """
     found = False
     for member in base_f.members:
-        # closure is undecidable under edits away from 0
-        if (member.added | member.removed) - {0} or not is_upward_closed(member):
+        try:
+            if not is_upward_closed(member):
+                continue
+        except ValueError:  # closure is undecidable under edits away from 0
             continue
         found = True
         if not member.meets_infinitely(base_g.intersection):

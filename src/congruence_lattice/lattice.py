@@ -3,15 +3,16 @@
 Finite sets are passed around as plain iterables of positive integers and
 returned as sorted lists.  Upward closures are eventually periodic, so they
 come back as PeriodicSet values with 0 edited out (0 is not part of the
-divisibility universe here).
+divisibility universe here).  `is_upward_closed` reads a set's parts, so it
+lives in `periodic_sets`, which owns them; this module re-exports it.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable
 
-from .periodic_sets import PeriodicSet, _multiples, _part_sets
+from .periodic_sets import PeriodicSet, _multiples, is_upward_closed
 from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, factorize
 from .primes import is_prime, json_int, strict_int
 
@@ -127,34 +128,3 @@ def level_members(level: int, bound: int) -> list:
     if strict_int(bound, "bound") < 1:
         raise ValueError("bound must be positive")
     return [n for n in range(1, bound + 1) if sum(_factorize(n).values()) == level]
-
-
-def is_upward_closed(s: PeriodicSet) -> bool:
-    """Decide whether a purely periodic set is closed under taking multiples.
-
-    0 is outside the divisibility universe, so edits at 0 are ignored; any
-    other edit makes closure undecidable from the residue structure and is
-    rejected.  The empty set does not count as upward closed.
-
-    Criterion: with period m and residue set R, the set is upward closed
-    iff for every r in R every multiple of gcd(r, m) modulo m is in R (the
-    residues of the multiples of any n = r mod m are exactly gcd(r, m) * Z_m).
-    By CRT a product of sets T_i modulo coprime m_i, and the union of the
-    classes they select, are closed iff every T_i is, so parts are decided alone.
-    """
-    edits = (s.added | s.removed) - {0}
-    if edits:
-        raise ValueError(
-            f"upward-closedness undecidable under edits at {sorted(edits)}; "
-            "only purely periodic sets are supported"
-        )
-    if not s.residues:
-        return False
-    for m, t in _part_sets(s):
-        if 1 in t:  # the multiples of 1 are everything, which a part never is
-            return False
-        # distinct gcds only: all residues with the same gcd demand the same classes
-        for d in {gcd(x, m) for x in t}:
-            if any(x not in t for x in range(0, m, d)):
-                return False
-    return True

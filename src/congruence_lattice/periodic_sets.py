@@ -26,7 +26,8 @@ members or those of the product it complements.
 
 The meet of a family is one routine, `_meet`, which `&` and filter_lab's
 bases both call: it folds the parts of every set, then settles the edited
-points of all of them once.  `meets_infinitely` runs the fold alone.
+points of all of them once.  `meets_infinitely` runs the fold alone.  The
+closure test `is_upward_closed` lives here too: no other module reads parts.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -243,14 +244,6 @@ def _factors(s: PeriodicSet):
     return ((s.modulus, frozenset(s.residues), False),)
 
 
-def _part_sets(s: PeriodicSet) -> list:
-    """(m_i, T_i) with pairwise coprime m_i for a nonempty periodic part of s:
-    it is the product of the sets T_i mod m_i, or the union of the classes
-    they select, each T_i neither empty nor everything."""
-    parts, co = _structure(s)
-    return [(m, r if c == co else ProductView(((m, r, True),), False)) for m, r, c in parts]
-
-
 def _join(p, q):
     """The canonical part p ∩ q at lcm of their moduli, or None when empty."""
     (m1, r1, c1), (m2, r2, c2) = p, q
@@ -308,11 +301,14 @@ def _meet(sets) -> PeriodicSet:
 
 
 def _residues_met(s: PeriodicSet, modulus: int) -> set:
-    """Residues r mod `modulus` whose class meets the infinite set s infinitely.
+    """Residues r mod `modulus` whose class meets s infinitely, or for a
+    finite s the residues of its points, its added ones.
 
     By CRT over the coprime parts of s's periodic part, r qualifies iff for
     every part (m, R, c), r mod g, g = gcd(m, modulus), is a class mod g
     that the part meets."""
+    if not s.is_infinite():
+        return {x % modulus for x in s.added}
     out = set(range(modulus))
     for m, r, c in _factors(s):
         g = gcd(m, modulus)
@@ -323,6 +319,39 @@ def _residues_met(s: PeriodicSet, modulus: int) -> set:
             missed = (t for t in range(g) if (counts[t] == m // g if c else not counts[t]))
             out.difference_update(*(range(t, modulus, g) for t in missed))
     return out
+
+
+def is_upward_closed(s: PeriodicSet) -> bool:
+    """Decide whether a purely periodic set is closed under taking multiples.
+
+    0 is outside the divisibility universe, so edits at 0 are ignored; any
+    other edit makes closure undecidable from the residue structure and is
+    rejected.  The empty set does not count as upward closed.
+
+    Criterion: with period m and residue set R, the set is upward closed
+    iff for every r in R every multiple of gcd(r, m) modulo m is in R (the
+    residues of the multiples of any n = r mod m are exactly gcd(r, m) * Z_m).
+    By CRT a product of sets T_i modulo coprime m_i, and the union of the
+    classes they select, are closed iff every T_i is, so parts are decided alone.
+    """
+    edits = (s.added | s.removed) - {0}
+    if edits:
+        raise ValueError(
+            f"upward-closedness undecidable under edits at {sorted(edits)}; "
+            "only purely periodic sets are supported"
+        )
+    if not s.residues:
+        return False
+    parts, co = _structure(s)
+    for m, r, c in parts:
+        t = r if c == co else ProductView(((m, r, True),), False)  # T_i: r or its complement
+        if 1 in t:  # the multiples of 1 are everything, which a part never is
+            return False
+        # distinct gcds only: all residues with the same gcd demand the same classes
+        for d in {gcd(x, m) for x in t}:
+            if any(x not in t for x in range(0, m, d)):
+                return False
+    return True
 
 
 def _minimal_period(modulus, residues):

@@ -50,7 +50,12 @@ def modules(*short):
         ),
         (
             ["filter", "fip", "--base", '[{"modulus":2,"residues":[0]}]'],
-            modules("primes", "crt", "periodic_sets", "lattice", "filter_lab"),
+            modules("primes", "crt", "periodic_sets", "filter_lab"),
+        ),
+        # divides_check decides upward closure, which periodic_sets owns: no lattice
+        (
+            ["filter", "divides", "--left", '[{"modulus":2,"residues":[0]}]', "--right", '[{"modulus":4,"residues":[0]}]'],
+            modules("primes", "crt", "periodic_sets", "filter_lab"),
         ),
     ],
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else "",

@@ -181,6 +181,11 @@ def test_divides_check_skips_edited_members():
     odd_after_five = ps.make(2, {1}, added={2}, removed={1})
     base = FilterBase((odd_after_five,))
     assert fl.divides_check(base, FilterBase((nN(2),))).status is DividesStatus.VACUOUS
+    # the evens less 2 would be the witness if their periodic part were tested;
+    # the up-closure's only edit is at 0, so it is tested and fails
+    evens_but_two, threes = ps.make(2, {0}, removed={2}), lattice.up_closure([3])
+    report = fl.divides_check(FilterBase((evens_but_two, threes)), FilterBase((ps.progression(6, 1),)))
+    assert report.status is DividesStatus.FAILS and report.witness == threes
 
 
 def test_divides_passes_for_refining_up_closures():

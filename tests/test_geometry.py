@@ -68,7 +68,7 @@ def test_residue_sets_must_hold_ints():
 
 
 def test_descriptor_validation():
-    # the public constructor keeps every check, though the recognizer skips them
+    # the constructor runs every check, also for the descriptors the recognizer returns
     with pytest.raises(ValueError, match="^p must be a prime int, got 6$"):
         GeometricDescriptor(6, 1, 2)
     with pytest.raises(ValueError):

@@ -289,6 +289,13 @@ def test_is_upward_closed_decides_each_part():
     assert refused is False and peak < 2**20
 
 
+def test_only_periodic_sets_reads_the_storage():
+    assert lattice.is_upward_closed is ps.is_upward_closed
+    assert not hasattr(ps, "_part_sets")
+    for module in (lattice, fl):
+        assert not {"_structure", "_factors", "ProductView"} & set(vars(module)), module.__name__
+
+
 # -- canonical form is semantic identity ---------------------------------------
 
 
