@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .crt import Congruence, ZeroToDepth, _merge, chain_support, validate_chain_table
-from .lattice import _is_antichain, _valuations
-from .primes import is_prime, json_int, strict_int
+from .primes import _is_antichain, _valuations, is_prime, json_int, strict_int
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
@@ -150,9 +149,7 @@ def _requirements(spec: AntichainSpec, n: int, substitution: str) -> list:
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
     _check_mode(substitution)
-    if strict_int(index, "index") < 1:
-        raise ValueError("index must be >= 1")
-    return [Congruence(m, r) for m, r in _requirements(spec, index, substitution)]
+    return [Congruence(m, r) for m, r in _requirements(spec, strict_int(index, "index", 1), substitution)]
 
 
 def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
@@ -163,8 +160,7 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     exceeds element n-1.
     """
     _check_mode(substitution)
-    if strict_int(last, "last") < 0:
-        raise ValueError("last must be non-negative")
+    strict_int(last, "last", 0)
     values = [spec.chains[0][0] ** spec._depths[0]]
     for index in range(1, last + 1):
         # prime powers, residue 0 on both where a prime repeats: no merge fails

@@ -54,11 +54,16 @@ def _emit(payload, pretty: bool):
     print(json.dumps(_jsonable(payload), sort_keys=True, **layout))
 
 
-def _int_list(text):
+def _int(text):
+    """An integer argument, by `json_int`'s rule (ASCII digits, an optional sign)."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return json_int(text, "argument")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _int_list(text):
+    return [_int(part) for part in text.split(",") if part != ""]
 
 
 def _load_json(source, what):
@@ -208,14 +213,14 @@ def _arg(*flags, **options):
     return flags, options
 
 
-_P = _arg("-p", type=int, required=True)
-_M = _arg("-m", type=int, required=True)
-_R = _arg("-r", type=int, required=True)
-_S = _arg("-s", type=int, required=True)
+_P = _arg("-p", type=_int, required=True)
+_M = _arg("-m", type=_int, required=True)
+_R = _arg("-r", type=_int, required=True)
+_S = _arg("-s", type=_int, required=True)
 _SYSTEM = _arg("system", help='JSON array like [{"m":3,"a":2},{"m":5,"a":3}]')
 _RESIDUES = _arg("--set", type=_int_list, required=True, help="comma-separated residues")
 _ELEMENTS = _arg("elements", type=_int_list, help="comma-separated positive integers")
-_N = _arg("n", type=int)
+_N = _arg("n", type=_int)
 _SET = _arg("--set", required=True, help="periodic set JSON")
 _SPEC = _arg("--spec", required=True, help="spec JSON (inline or file path)")
 _SUBSTITUTION = _arg("--substitution", choices=lambda: _lib("antichain.SUBSTITUTION_MODES"), default="safe")
@@ -264,12 +269,12 @@ COMMANDS = (
         "geom", "root", "geometry.primitive_root", (_P,), lambda f, a: {"p": a.p, "primitive_root": f(a.p)}
     ),
     Command(
-        "geom", "order", "geometry.multiplicative_order", (_P, _arg("-a", type=int, required=True)),
+        "geom", "order", "geometry.multiplicative_order", (_P, _arg("-a", type=_int, required=True)),
         lambda f, a: {"order": f(a.p, a.a)},
     ),
     Command(
         "geom", "dlog", "geometry.discrete_log",
-        (_P, _arg("--base", type=int, required=True), _arg("-x", type=int, required=True)),
+        (_P, _arg("--base", type=_int, required=True), _arg("-x", type=_int, required=True)),
         _geom_dlog,
     ),
     Command(
@@ -282,7 +287,7 @@ COMMANDS = (
     ),
     Command(
         "geom", "witnesses", "geometry.witness_class_set",
-        (_P, _S, _R, _arg("-n", type=int, required=True)),
+        (_P, _S, _R, _arg("-n", type=_int, required=True)),
         lambda f, a: {"values": f(a.p, a.s, a.r, a.n)},
     ),
     Command("lattice", "up", "lattice.up_closure", (_ELEMENTS,), lambda f, a: f(a.elements).to_json()),
@@ -296,7 +301,7 @@ COMMANDS = (
     Command(
         "lattice", "omega", "lattice.omega",
         (_N, _arg(
-            "--budget", type=int, default=DEFAULT_TRIAL_BUDGET,
+            "--budget", type=_int, default=DEFAULT_TRIAL_BUDGET,
             help="factoring work cap: trial division up to d costs d, a rho step "
             "on a b-bit cofactor 8 + b/24; exceeding it exits 2 (default %(default)s)",
         )),
@@ -309,7 +314,7 @@ COMMANDS = (
     ),
     Command(
         "lattice", "levels", "lattice.level_members",
-        (_arg("-l", "--level", type=int, required=True), _arg("--bound", type=int, required=True)),
+        (_arg("-l", "--level", type=_int, required=True), _arg("--bound", type=_int, required=True)),
         lambda f, a: {"members": f(a.level, a.bound)},
     ),
     Command(
@@ -318,7 +323,7 @@ COMMANDS = (
     Command("antichain", "depths", "antichain.first_nonzero_depths", (_SPEC,), _antichain_depths),
     Command(
         "antichain", "build", "antichain.build",
-        (_SPEC, _arg("-n", type=int, required=True, help="index of the last element"), _SUBSTITUTION),
+        (_SPEC, _arg("-n", type=_int, required=True, help="index of the last element"), _SUBSTITUTION),
         lambda f, a: [str(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
     ),
     Command(
@@ -350,8 +355,8 @@ COMMANDS = (
         "oracle", "run", "oracles.run_suite",
         (
             _arg("suite", choices=lambda: sorted(_lib("oracles.SUITES"))),
-            _arg("--seed", type=int, help="defaults to $CONGRUENCE_LATTICE_SEED or 42"),
-            _arg("--cases", type=int),
+            _arg("--seed", type=_int, help="defaults to $CONGRUENCE_LATTICE_SEED or 42"),
+            _arg("--cases", type=_int),
             _arg("--budget", type=float, help="wall-clock budget in seconds"),
         ),
         _oracle_run,

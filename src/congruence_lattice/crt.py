@@ -25,8 +25,7 @@ class Congruence:
     residue: int
 
     def __post_init__(self):
-        if strict_int(self.modulus, "modulus") < 1:
-            raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
+        strict_int(self.modulus, "modulus", 1)
         object.__setattr__(self, "residue", strict_int(self.residue, "residue") % self.modulus)
 
     def satisfied_by(self, x: int) -> bool:

@@ -90,8 +90,7 @@ def feasible_residues(base: BaseLike, modulus: int) -> set:
     degenerate base whose meet is finite (a principal carrier) falls back
     to the residues of the meet's own points, its added ones.
     """
-    if strict_int(modulus, "modulus") < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+    strict_int(modulus, "modulus", 2)
     meet = base.intersection if isinstance(base, FilterBase) else _meet(_checked(base))
     return _residues_met(meet, modulus)
 
@@ -161,20 +160,17 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
     always simultaneously satisfiable, and the least solution appears
     within one period lcm(modulus, a, product of forbidden).
     """
-    if strict_int(modulus, "modulus") < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    if not 0 < strict_int(residue, "residue") < modulus:
-        raise ValueError(f"residue must lie strictly between 0 and {modulus}")
+    strict_int(modulus, "modulus", 2)
+    strict_int(residue, "residue", 1, modulus)
     if gcd(modulus, residue) != 1:
         raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
     forbidden = sorted({json_int(n, "forbidden divisor") for n in forbidden})
     pool = sorted({json_int(a, "pool element") for a in pool})
-    if any(n < 2 for n in forbidden):
-        raise ValueError("forbidden divisors must be >= 2")
+    if forbidden:
+        strict_int(forbidden[0], "forbidden divisor", 2)
     if not pool:
         raise ValueError("pool must be nonempty")
-    if any(a < 2 for a in pool):
-        raise ValueError("pool elements must be >= 2")
+    strict_int(pool[0], "pool element", 2)
     source = next(
         (a for a in pool if gcd(a, modulus) == 1 and all(gcd(a, n) == 1 for n in forbidden)),
         None,

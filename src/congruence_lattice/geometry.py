@@ -9,7 +9,10 @@ every s in S, where s0 = min(S): then s0^-1 * S is all of H_l and
 S = s0 * H_l.  Recognition and enumeration work from this criterion and
 take no discrete logarithms; only the exponent-offset views do.
 
-Residue sets are passed as (p, S) with S any iterable of residues.
+Residue sets are passed as (p, S) with S any iterable of residues.  Every
+integer argument is checked by `primes.strict_int`, range included, like
+those of the rest of the library; only the per-residue loop over a set
+tests inline first, so that a valid residue costs no call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
-from .primes import _factorize, is_prime
+from .primes import _factorize, is_prime, strict_int
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,8 @@ class GeometricDescriptor:
 
     def __post_init__(self):
         _check_prime(self.p)
-        _check_residue(self.p, self.seed, "seed", 0)
-        _check_residue(self.p, self.ratio, "ratio", 1)
+        strict_int(self.seed, "seed", 0, self.p)
+        strict_int(self.ratio, "ratio", 1, self.p)
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,6 @@ def _check_prime(p) -> None:
         raise ValueError(f"p must be a prime int, got {p!r}")
 
 
-def _check_residue(m: int, r, what: str, low: int) -> None:
-    """Refuse r unless it is an int (not a bool) in [low, m)."""
-    if type(r) is not int:
-        raise ValueError(f"{what} {r!r} is not an int")
-    if not low <= r < m:
-        raise ValueError(f"{what} {r} out of range [{low}, {m})")
-
-
 def _check_residue_set(p: int, residues: Iterable) -> frozenset:
     _check_prime(p)
     # check the residues as given, in one pass before the set is built:
@@ -82,7 +77,7 @@ def _check_residue_set(p: int, residues: Iterable) -> frozenset:
     items = tuple(residues)
     for r in items:
         if type(r) is not int or not 0 <= r < p:  # no call per valid residue
-            _check_residue(p, r, "residue", 0)
+            strict_int(r, "residue", 0, p)
     s = frozenset(items)
     if not s:
         raise ValueError("residue set must be nonempty")
@@ -119,7 +114,7 @@ def primitive_root(p: int) -> int:
 def multiplicative_order(p: int, a: int) -> int:
     """Least t >= 1 with a^t = 1 (mod p)."""
     _check_prime(p)
-    _check_residue(p, a, "a", 1)
+    strict_int(a, "a", 1, p)
     t = p - 1
     for f in _factorize(p - 1):
         while t % f == 0 and pow(a, t // f, p) == 1:
@@ -130,8 +125,8 @@ def multiplicative_order(p: int, a: int) -> int:
 def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     """Least k >= 1 with base^k = x (mod p), or None if x is not a power of base."""
     _check_prime(p)
-    _check_residue(p, base, "base", 1)
-    _check_residue(p, x, "x", 1)
+    strict_int(base, "base", 1, p)
+    strict_int(x, "x", 1, p)
     n = multiplicative_order(p, base)
     if pow(x, n, p) != 1:
         return None  # <base> is exactly {z : z^n = 1}
@@ -240,9 +235,8 @@ def enumerate_geometric(p: int) -> set:
 def prime_in_progression(modulus: int, residue: int) -> int:
     """Least prime congruent to `residue` modulo `modulus` (requires
     gcd(modulus, residue) = 1, which guarantees one exists)."""
-    if type(modulus) is not int or modulus < 1:
-        raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-    _check_residue(modulus, residue, "residue", 0)
+    strict_int(modulus, "modulus", 1)
+    strict_int(residue, "residue", 0, modulus)
     if gcd(modulus, residue) != 1:
         raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
     x = residue
@@ -261,10 +255,9 @@ def witness_class_set(p: int, seed_residue: int, ratio_residue: int, count: int)
     ratio_residue) taken from k = 0.
     """
     _check_prime(p)
-    _check_residue(p, seed_residue, "seed residue", 1)
-    _check_residue(p, ratio_residue, "ratio residue", 1)
-    if type(count) is not int or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    strict_int(seed_residue, "seed residue", 1, p)
+    strict_int(ratio_residue, "ratio residue", 1, p)
+    strict_int(count, "count", 1)
     s = prime_in_progression(p, seed_residue)
     b = prime_in_progression(p, ratio_residue)
     return [s * b**k for k in range(count)]

@@ -13,8 +13,8 @@ from math import isqrt
 from typing import Iterable
 
 from .periodic_sets import PeriodicSet, _multiples, is_upward_closed
-from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, factorize
-from .primes import is_prime, json_int, strict_int
+from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, _is_antichain, _valuations
+from .primes import factorize, is_prime, json_int, strict_int
 
 __all__ = [
     "FactorizationBudgetError",
@@ -32,9 +32,9 @@ __all__ = [
 
 def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
     out = sorted({json_int(x, "element") for x in xs})
-    if out and out[0] < 1:
-        raise ValueError(f"elements must be positive integers, got {out[0]}")
-    if not out and not allow_empty:
+    if out:
+        strict_int(out[0], "element", 1)
+    elif not allow_empty:
         raise ValueError("expected a nonempty set of positive integers")
     return tuple(out)
 
@@ -67,15 +67,6 @@ def is_antichain(elements: Iterable) -> bool:
     return _is_antichain(_elements(elements))
 
 
-def _is_antichain(els) -> bool:
-    """is_antichain of ascending distinct positive ints."""
-    for i, a in enumerate(els):
-        for b in els[i + 1 :]:
-            if b % a == 0:
-                return False
-    return True
-
-
 def is_convex(elements: Iterable) -> bool:
     """True iff every z with x | z | y for x, y in the set is itself in it."""
     els = _elements(elements)
@@ -102,8 +93,7 @@ def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
 
 def omega_lower_bound(n: int, primes: Iterable) -> int:
     """Sum of valuations of n at the supplied primes; cheap for huge n."""
-    if strict_int(n, "n") < 1:
-        raise ValueError(f"omega_lower_bound expects a positive integer, got {n!r}")
+    strict_int(n, "n", 1)
     primes = {json_int(p, "prime") for p in primes}
     for p in sorted(primes):
         if not is_prime(p):
@@ -111,20 +101,7 @@ def omega_lower_bound(n: int, primes: Iterable) -> int:
     return _valuations(n, primes)
 
 
-def _valuations(n: int, primes) -> int:
-    """omega_lower_bound of a positive int and distinct primes."""
-    total = 0
-    for p in primes:
-        while n % p == 0:
-            total += 1
-            n //= p
-    return total
-
-
 def level_members(level: int, bound: int) -> list:
     """Integers in [1, bound] with exactly `level` prime factors (with multiplicity)."""
-    if strict_int(level, "level") < 0:
-        raise ValueError("level must be non-negative")
-    if strict_int(bound, "bound") < 1:
-        raise ValueError("bound must be positive")
-    return [n for n in range(1, bound + 1) if sum(_factorize(n).values()) == level]
+    strict_int(level, "level", 0)
+    return [n for n in range(1, strict_int(bound, "bound", 1) + 1) if sum(_factorize(n).values()) == level]

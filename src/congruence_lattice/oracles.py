@@ -15,7 +15,7 @@ from collections import Counter
 from math import gcd, isqrt, lcm, prod
 
 from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets, primes
-from .primes import json_int
+from .primes import json_int, strict_int
 
 DEFAULT_SEED = 42
 
@@ -87,13 +87,16 @@ def orbit_family(p: int) -> dict:
     return out
 
 
-def upward_scan(s, factor: int = 10):
-    """Bounded multiple-closure check over [1, factor * modulus^2].
+def upward_scan(s):
+    """Bounded multiple-closure check over [1, modulus^2].
 
-    Any closure violation of a purely periodic set appears below
-    modulus^2, so this scan decides upward-closedness exactly.
+    This decides upward-closedness of a purely periodic S of period m
+    exactly: say a >= 1 is in S and ka is not.  Then k != 1 (mod m), or
+    ka = a (mod m) would be in S.  Take a' in [1, m] with a' = a and k' in
+    [2, m] with k' = k (mod m): a' is in S, and k'a' = ka (mod m) is a
+    multiple of a' outside S with k'a' <= m^2.
     """
-    bound = factor * s.modulus * s.modulus
+    bound = s.modulus * s.modulus
     have = {n for n in range(1, bound + 1) if n in s}
     return bool(have) and all(x in have for a in have for x in range(2 * a, bound + 1, a))
 
@@ -400,9 +403,7 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, budget_s=None, cases=None) -
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     fn, default_cases = SUITES[suite]
-    n = default_cases if cases is None else json_int(cases, "cases")
-    if n < 0:
-        raise ValueError("cases must be non-negative")
+    n = default_cases if cases is None else strict_int(json_int(cases, "cases"), "cases", 0)
     start = time.perf_counter()
     deadline = None if budget_s is None else start + float(budget_s)
     checks = fn(random.Random(seed), n)

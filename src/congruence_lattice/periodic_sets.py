@@ -152,9 +152,7 @@ class PeriodicSet:
 
     def enumerate_up_to(self, bound: int) -> list:
         """Sorted members n with 0 <= n <= bound."""
-        if strict_int(bound, "bound") < 0:
-            raise ValueError("bound must be non-negative")
-        return [n for n in range(bound + 1) if self.member(n)]
+        return [n for n in range(strict_int(bound, "bound", 0) + 1) if self.member(n)]
 
     # -- boolean algebra -----------------------------------------------------
 
@@ -384,17 +382,10 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
     and the period is minimized.  Rejects non-integers, a modulus < 1,
     residues outside [0, modulus), negative and overlapping edits.
     """
-    if strict_int(modulus, "modulus") < 1:
-        raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-    residues = frozenset(strict_int(r, "residue") for r in residues)
-    for r in residues:
-        if not 0 <= r < modulus:
-            raise ValueError(f"residue {r} out of range for modulus {modulus}")
-    added = frozenset(strict_int(a, "added element") for a in added)
-    removed = frozenset(strict_int(x, "removed element") for x in removed)
-    for e in added | removed:
-        if e < 0:
-            raise ValueError(f"edited element {e} must be non-negative")
+    strict_int(modulus, "modulus", 1)
+    residues = frozenset(strict_int(r, "residue", 0, modulus) for r in residues)
+    added = frozenset(strict_int(a, "added element", 0) for a in added)
+    removed = frozenset(strict_int(x, "removed element", 0) for x in removed)
     if added & removed:
         raise ValueError(f"ambiguous edits: {sorted(added & removed)} both added and removed")
     return _finish(*_minimal_period(modulus, residues), added, removed)
@@ -415,11 +406,9 @@ def progression(modulus: int, residue: int) -> PeriodicSet:
 
 def divisibility_union(divisors: Iterable) -> PeriodicSet:
     """Union of the multiple sets n*{0,1,2,...} over the given divisors."""
-    ds = sorted({strict_int(n, "divisor") for n in divisors})
+    ds = sorted({strict_int(n, "divisor", 1) for n in divisors})
     if not ds:
         raise ValueError("divisibility_union needs at least one divisor")
-    if ds[0] < 1:
-        raise ValueError(f"divisors must be >= 1, got {ds[0]}")
     return _multiples(ds)
 
 
@@ -434,6 +423,4 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
 
 def non_divisibility(n: int) -> PeriodicSet:
     """The non-negative integers not divisible by n (n >= 2)."""
-    if strict_int(n, "n") < 2:
-        raise ValueError(f"non_divisibility expects an integer >= 2, got {n!r}")
-    return ~progression(n, 0)
+    return ~progression(strict_int(n, "n", 2), 0)

@@ -1,4 +1,11 @@
-"""Primality testing, factorization, and the integer checks on outside input."""
+"""Primality testing, factorization, the two divisibility cores that `lattice`
+and `antichain.verify` share, and the integer checks on outside input.
+
+`strict_int` is the one check on a scalar integer argument, its range
+included: every public entry point of the library that takes one refuses
+through it, with one wording per failure.  `json_int` is the one coercer
+of integers that arrive as JSON or as command-line text.
+"""
 
 from __future__ import annotations
 
@@ -208,11 +215,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
     Every key is a prime as is_prime decides it: proved below psi13 (about
     3.3e24), a Baillie-PSW probable prime above.
     """
-    if strict_int(n, "n") < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
-    if strict_int(trial_bound, "trial bound") < 1:
-        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
-    return _factorize(n, trial_bound)
+    return _factorize(strict_int(n, "n", 1), strict_int(trial_bound, "trial bound", 1))
 
 
 def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:
@@ -265,21 +268,48 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if sieve[n]]
 
 
-def strict_int(value, what: str) -> int:
-    """The one check on scalar integer arguments: value if its type is exactly int."""
-    if type(value) is int:
+def _is_antichain(els) -> bool:
+    """True iff no element of the ascending distinct positive ints divides a later one."""
+    for i, a in enumerate(els):
+        for b in els[i + 1 :]:
+            if b % a == 0:
+                return False
+    return True
+
+
+def _valuations(n: int, primes) -> int:
+    """Sum of the valuations of the positive int n at the distinct primes."""
+    total = 0
+    for p in primes:
+        while n % p == 0:
+            total += 1
+            n //= p
+    return total
+
+
+def strict_int(value, what: str, low=None, high=None) -> int:
+    """The one check on scalar integer arguments: value if its type is exactly
+    int and, when `low` is given, low <= value (and value < high when `high` is)."""
+    if type(value) is int and (low is None or low <= value and (high is None or value < high)):
         return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if high is None:
+        raise ValueError(f"{what} must be >= {low}, got {value!r}")
+    raise ValueError(f"{what} {value!r} out of range [{low}, {high})")
 
 
 def json_int(value, what: str) -> int:
-    """An int (by `strict_int`'s rule) or a decimal string (the form JSON integers
-    beyond 2^53-1 travel in); floats and booleans are rejected, never truncated."""
+    """An int (by `strict_int`'s rule) or a decimal string, ASCII [+-]?[0-9]+ (the
+    form JSON integers beyond 2^53-1 travel in); floats, booleans and any other
+    text are rejected, never truncated."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # beyond the interpreter's digit limit
+                pass
     raise ValueError(f"{what}: expected an integer, got {value!r}")

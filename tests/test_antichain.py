@@ -218,14 +218,15 @@ def test_verify_and_step_congruences_share_the_schedule():
 
 
 def test_values_the_library_built_are_not_checked_again(monkeypatch):
-    # build folds CRT on ints, verify reads lattice's private cores, and
+    # build folds CRT on ints, verify reads primes' private cores, and
     # nmax_witness merges two classes without building a Congruence
     def refuse(*args):
         raise AssertionError("a value the library built was checked again")
 
     monkeypatch.setattr(crt.Congruence, "__post_init__", refuse)
-    monkeypatch.setattr(lattice, "is_prime", refuse)
-    monkeypatch.setattr(lattice, "json_int", refuse)
+    for module in (ac, lattice):
+        monkeypatch.setattr(module, "is_prime", refuse)
+        monkeypatch.setattr(module, "json_int", refuse)
     values = ac.build(WORKED_SPEC, 4)
     assert values == [3, 40, 40432, 851944432, 76699534432]
     assert ac.verify(values, WORKED_SPEC).ok

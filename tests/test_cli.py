@@ -54,6 +54,14 @@ def test_crt_solve_malformed_json(capsys):
     assert "JSON" in err
 
 
+def test_crt_solve_takes_only_decimal_strings(capsys):
+    code, out, err = run(capsys, "crt", "solve", '[{"m":"1_0","a":" 3"}]')
+    assert (code, out) == (2, "")
+    assert "expected an integer, got '1_0'" in err
+    code, out, _ = run(capsys, "crt", "solve", '[{"m":"+10","a":"-3"}]')
+    assert (code, json.loads(out)) == (0, {"M": 10, "x0": 7})
+
+
 def test_crt_big_modulus_serializes_as_string(capsys):
     m = 2**60
     code, out, _ = run(capsys, "crt", "solve", json.dumps([{"m": str(m), "a": 1}]))
@@ -126,6 +134,30 @@ def test_lattice_subcommands(capsys):
     code, out, _ = run(capsys, "lattice", "up", "2")
     assert code == 0
     assert json.loads(out) == {"modulus": 2, "residues": [0], "add": [], "remove": [0]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() read "1_0" as 10 and the Arabic-Indic six as 6: modulus 30, exit 0
+        (["lattice", "up", "1_0,\u0666"], "expected an integer, got '1_0'"),
+        (["lattice", "up", "4,\u0666"], "expected an integer, got '\u0666'"),
+        (["geom", "root", "-p", "1_1"], "expected an integer, got '1_1'"),
+        (["geom", "root", "-p", " 11"], "expected an integer, got ' 11'"),
+    ],
+)
+def test_command_line_integers_are_decimal_digits_only(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_command_line_integers_may_carry_a_sign(capsys):
+    code, out, _ = run(capsys, "lattice", "down", "+12,")
+    assert code == 0 and json.loads(out) == {"divisors": [1, 2, 3, 4, 6, 12]}
+    code, out, _ = run(capsys, "geom", "order", "-p", "+7", "-a", "3")
+    assert code == 0 and json.loads(out) == {"order": 6}
 
 
 def test_lattice_omega_rejects_negative_budget(capsys):

@@ -43,7 +43,7 @@ def test_residue_sets_must_hold_ints():
     # int() used to truncate 1.9 to 1 and read True as 1, giving the descriptor of {1, 4};
     # a set built before the check merged True into an equal 1 unseen
     for bad in ([1.9, 4], [True, 4], ["1", 4], [1, True, 4], (4, 1, True), iter([1, True])):
-        with pytest.raises(ValueError, match="not an int"):
+        with pytest.raises(ValueError, match="^residue must be an integer, got "):
             geo.is_geometric(5, bad)
     assert geo.is_geometric(5, [1, 4]) == GeometricDescriptor(5, 1, 4)
     # so must p, seed, ratio and the order and log arguments: p = 7.0 used to

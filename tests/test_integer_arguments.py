@@ -1,6 +1,7 @@
 """Every scalar integer argument from outside the library passes one check,
 `primes.strict_int`: a bool or a float is a ValueError, never an answer and
-never a TypeError from deeper down."""
+never a TypeError from deeper down, and a value outside the argument's range
+is refused with one of two wordings."""
 
 import re
 from enum import IntEnum
@@ -8,9 +9,10 @@ from enum import IntEnum
 import pytest
 
 from congruence_lattice import antichain as ac
-from congruence_lattice import crt, geometry, lattice, primes
+from congruence_lattice import crt, geometry, lattice, oracles, primes
 from congruence_lattice import filter_lab as fl
 from congruence_lattice import periodic_sets as ps
+from congruence_lattice.geometry import GeometricDescriptor
 
 SPEC = ac.AntichainSpec(((3, (1, 4, 13)), (5, (2, 7, 57))), (2,))
 EVENS = ps.progression(2, 0)
@@ -38,7 +40,57 @@ ENTRY_POINTS = {
     "factorize": primes.factorize,
     "factorize trial_bound": lambda v: primes.factorize(12, v),
     "primes_up_to": primes.primes_up_to,
+    "GeometricDescriptor seed": lambda v: GeometricDescriptor(7, v, 3),
+    "GeometricDescriptor ratio": lambda v: GeometricDescriptor(7, 2, v),
+    "is_geometric residue": lambda v: geometry.is_geometric(7, [v]),
+    "multiplicative_order": lambda v: geometry.multiplicative_order(7, v),
+    "discrete_log base": lambda v: geometry.discrete_log(7, v, 6),
+    "discrete_log x": lambda v: geometry.discrete_log(7, 3, v),
+    "prime_in_progression modulus": lambda v: geometry.prime_in_progression(v, 1),
+    "prime_in_progression residue": lambda v: geometry.prime_in_progression(10, v),
+    "witness_class_set seed": lambda v: geometry.witness_class_set(7, v, 3, 2),
+    "witness_class_set ratio": lambda v: geometry.witness_class_set(7, 2, v, 2),
+    "witness_class_set count": lambda v: geometry.witness_class_set(7, 2, 3, v),
 }
+
+# bounded entry point -> (a call that passes the value in the bounded argument,
+# the name it is refused under, its range [low, high), high None when unbounded)
+BOUNDED = {
+    "Congruence modulus": (lambda v: crt.Congruence(v, 0), "modulus", 1, None),
+    "make modulus": (lambda v: ps.make(v, ()), "modulus", 1, None),
+    "make residue": (lambda v: ps.make(5, (v,)), "residue", 0, 5),
+    "make added": (lambda v: ps.make(5, (), (v,)), "added element", 0, None),
+    "make removed": (lambda v: ps.make(5, (1,), (), (v,)), "removed element", 0, None),
+    "enumerate_up_to": (EVENS.enumerate_up_to, "bound", 0, None),
+    "divisibility_union": (lambda v: ps.divisibility_union([v, 3]), "divisor", 1, None),
+    "non_divisibility": (ps.non_divisibility, "n", 2, None),
+    "factorize": (primes.factorize, "n", 1, None),
+    "factorize trial_bound": (lambda v: primes.factorize(12, v), "trial bound", 1, None),
+    "lattice element": (lambda v: lattice.up_closure([4, v]), "element", 1, None),
+    "omega_lower_bound": (lambda v: lattice.omega_lower_bound(v, [2]), "n", 1, None),
+    "level_members level": (lambda v: lattice.level_members(v, 10), "level", 0, None),
+    "level_members bound": (lambda v: lattice.level_members(1, v), "bound", 1, None),
+    "step_congruences": (lambda v: ac.step_congruences(SPEC, v), "index", 1, None),
+    "build": (lambda v: ac.build(SPEC, v), "last", 0, None),
+    "feasible_residues": (lambda v: fl.feasible_residues([EVENS], v), "modulus", 2, None),
+    "nmax_witness modulus": (lambda v: fl.nmax_witness(v, 1, [], [2]), "modulus", 2, None),
+    "nmax_witness residue": (lambda v: fl.nmax_witness(5, v, [], [2]), "residue", 1, 5),
+    "nmax_witness forbidden": (lambda v: fl.nmax_witness(5, 1, [7, v], [2]), "forbidden divisor", 2, None),
+    "nmax_witness pool": (lambda v: fl.nmax_witness(5, 1, [], [3, v]), "pool element", 2, None),
+    "GeometricDescriptor seed": (lambda v: GeometricDescriptor(7, v, 3), "seed", 0, 7),
+    "GeometricDescriptor ratio": (lambda v: GeometricDescriptor(7, 2, v), "ratio", 1, 7),
+    "is_geometric residue": (lambda v: geometry.is_geometric(7, [1, v]), "residue", 0, 7),
+    "multiplicative_order": (lambda v: geometry.multiplicative_order(7, v), "a", 1, 7),
+    "discrete_log base": (lambda v: geometry.discrete_log(7, v, 6), "base", 1, 7),
+    "discrete_log x": (lambda v: geometry.discrete_log(7, 3, v), "x", 1, 7),
+    "prime_in_progression modulus": (lambda v: geometry.prime_in_progression(v, 0), "modulus", 1, None),
+    "prime_in_progression residue": (lambda v: geometry.prime_in_progression(10, v), "residue", 0, 10),
+    "witness_class_set seed": (lambda v: geometry.witness_class_set(7, v, 3, 2), "seed residue", 1, 7),
+    "witness_class_set ratio": (lambda v: geometry.witness_class_set(7, 2, v, 2), "ratio residue", 1, 7),
+    "witness_class_set count": (lambda v: geometry.witness_class_set(7, 2, 3, v), "count", 1, None),
+    "run_suite cases": (lambda v: oracles.run_suite("crt", cases=v), "cases", 0, None),
+}
+
 
 # calls that used to answer or end in a TypeError traceback
 HOLES = {
@@ -62,6 +114,30 @@ def test_entry_points_refuse_non_integers(entry, bad):
         ENTRY_POINTS[entry](bad)
 
 
+def _refusals():
+    for entry, (call, what, low, high) in BOUNDED.items():
+        if high is None:
+            yield pytest.param(call, low - 1, f"{what} must be >= {low}, got {low - 1}", id=f"{entry} low")
+            continue
+        for bad in (low - 1, high):
+            yield pytest.param(call, bad, f"{what} {bad} out of range [{low}, {high})", id=f"{entry} {bad}")
+
+
+@pytest.mark.parametrize("call, bad, message", _refusals())
+def test_bounded_entry_points_refuse_the_value_just_outside_with_one_wording(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_strict_int_keeps_the_ends_of_its_range():
+    assert primes.strict_int(0, "x", 0) == 0
+    assert primes.strict_int(1, "x", 1, 5) == 1
+    assert primes.strict_int(4, "x", 1, 5) == 4
+    # the type rule comes first, whatever the range
+    with pytest.raises(ValueError, match=r"^x must be an integer, got True$"):
+        primes.strict_int(True, "x", 2)
+
+
 @pytest.mark.parametrize("call", HOLES)
 def test_former_holes_are_refused(call):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -74,6 +150,14 @@ def test_strict_int_keeps_ints_and_refuses_the_rest():
     for bad in (True, False, 2.5, 3.0, "3", None):
         with pytest.raises(ValueError, match=f"^x must be an integer, got {re.escape(repr(bad))}$"):
             primes.strict_int(bad, "x")
+
+
+def test_json_int_takes_only_ascii_decimal_strings():
+    assert [primes.json_int(t, "x") for t in ("7", "+7", "-7", "007", "9" * 30)] == [7, 7, -7, 7, int("9" * 30)]
+    # int() reads all of these: underscores, blanks, other scripts' digits
+    for bad in ("1_0", " 7 ", "7\n", "\u0663", "\uff17", "", "+", "-", "+-7", "0x10", "1e3", "7.0"):
+        with pytest.raises(ValueError, match=f"^x: expected an integer, got {re.escape(repr(bad))}$"):
+            primes.json_int(bad, "x")
 
 
 class E(IntEnum):

@@ -114,7 +114,7 @@ def test_omega_examples():
 
 def test_omega_leaves_its_argument_check_to_factorize():
     for n in (0, -12):
-        with pytest.raises(ValueError, match=f"^factorize expects n >= 1, got {n}$"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             lattice.omega(n)
 
 
@@ -202,7 +202,7 @@ def test_is_upward_closed_examples():
     assert not lattice.is_upward_closed(ps.progression(4, 2))
     up = lattice.up_closure([6, 10])
     assert lattice.is_upward_closed(up)
-    assert upward_scan(up, factor=1)  # cross-check by scan to 10·30^2 is criterion 5
+    assert upward_scan(up)  # cross-check by scan to 30^2 is criterion 5
 
 
 def test_is_upward_closed_rejects_edited_sets():
