@@ -102,24 +102,28 @@ def expand(descriptor: GeometricDescriptor) -> frozenset:
 def primitive_root(p: int) -> int:
     """Least generator of the multiplicative group modulo p."""
     _check_prime(p)
-    if p == 2:
-        return 1
-    factors = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"no primitive root found for prime {p}")
+    return _generator(p, p - 1, _factorize(p - 1), range(1, p))
+
+
+def _generator(p: int, n: int, primes, candidates) -> int:
+    """The first candidate c with c^(n/q) != 1 (mod p) for each prime q | n: of order n if c^n = 1."""
+    return next(c for c in candidates if all(pow(c, n // q, p) != 1 for q in primes))
 
 
 def multiplicative_order(p: int, a: int) -> int:
     """Least t >= 1 with a^t = 1 (mod p)."""
     _check_prime(p)
     strict_int(a, "a", 1, p)
-    t = p - 1
-    for f in _factorize(p - 1):
-        while t % f == 0 and pow(a, t // f, p) == 1:
-            t //= f
-    return t
+    return _order(p, a, _factorize(p - 1))[0]
+
+
+def _order(p: int, a: int, factors: dict) -> tuple:
+    """(ord(a), {q: e} with ord(a) the product of q^e), from {q: e} of p - 1."""
+    t, out = p - 1, dict(factors)
+    for q in factors:
+        while out[q] and pow(a, t // q, p) == 1:
+            t, out[q] = t // q, out[q] - 1
+    return t, {q: e for q, e in out.items() if e}
 
 
 def discrete_log(p: int, base: int, x: int) -> Optional[int]:
@@ -127,35 +131,42 @@ def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     _check_prime(p)
     strict_int(base, "base", 1, p)
     strict_int(x, "x", 1, p)
-    n = multiplicative_order(p, base)
+    n, factors = _order(p, base, _factorize(p - 1))
     if pow(x, n, p) != 1:
         return None  # <base> is exactly {z : z^n = 1}
-    return _logs(p, base, n, (x,))[x]
+    return _logs(p, base, n, factors, (x,))[x]
 
 
-def _logs(p: int, base: int, n: int, targets) -> dict:
-    """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, n = ord(base).
+def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
+    """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, where
+    n = ord(base) is the product of q^e over factors = {q: e}.
 
-    Baby-step giant-step with the table sized to the targets: m = min(n,
-    isqrt(n * |targets|) + 1) distinct baby steps base^0..base^(m-1), then
-    at most ceil(n / m) giant steps per target.  Ascending giant steps find
-    the exponent in [0, n) first; 0 means t = 1, whose least k >= 1 is n.
+    Pohlig-Hellman, O(sum of e * sqrt(q)) for one target: the e base-q digits of
+    k mod q^e are logs to h = base^(n/q), of order q, by baby-step giant-step
+    from one table per q for every digit and target.  It holds about
+    sqrt(q * searches / 2) baby steps: a search stops halfway on average, and
+    a baby step (a dict insert) costs more than a giant step (a lookup).  The
+    residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
     """
-    m = min(n, isqrt(n * len(targets)) + 1)
-    baby = {}
-    val = 1
-    for j in range(m):
-        baby[val] = j
-        val = val * base % p
-    giant = pow(base, -m, p)
-    out = {}
-    for t in targets:
-        gamma, k = t, 0
-        while gamma not in baby:
-            gamma = gamma * giant % p
-            k += m
-        out[t] = k + baby[gamma] or n
-    return out
+    ks = dict.fromkeys(targets, 0)
+    for q, e in factors.items():
+        c, h = n // q**e, pow(base, n // q, p)
+        m = min(q, isqrt(q * e * len(ks) // 2) + 1)
+        baby, val = {}, 1
+        for j in range(m):
+            baby[val] = j
+            val = val * h % p
+        giant, inverse = pow(h, -m, p), pow(base, -c, p)
+        unit = c * pow(c, -1, q**e)  # 1 mod q^e and 0 mod n / q^e
+        for t in ks:
+            y, r = pow(t, c, p), 0  # y = (base^c)^(k mod q^e); r holds the digits below i
+            for i in range(e):
+                gamma, d = pow(y * pow(inverse, r, p), q ** (e - 1 - i), p), 0  # h^(digit i)
+                while gamma not in baby:
+                    gamma, d = gamma * giant % p, d + m
+                r += (d + baby[gamma]) * q**i
+            ks[t] += r * unit
+    return {t: k % n or n for t, k in ks.items()}
 
 
 def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:
@@ -163,7 +174,8 @@ def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:
     s = _check_residue_set(p, residues)
     if 0 in s:
         raise ValueError("exponent offsets are undefined when 0 is in the set")
-    ks = sorted(_logs(p, primitive_root(p), p - 1, s).values())
+    factors = _factorize(p - 1)  # the base, the least primitive root, has order p - 1
+    ks = sorted(_logs(p, _generator(p, p - 1, factors, range(1, p)), p - 1, factors, s).values())
     return ExponentOffsets(ks[0], tuple(k - ks[0] for k in ks[1:]))
 
 
@@ -210,9 +222,7 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     hs = sorted(x * inv % p for x in s)
     if any(pow(h, l, p) != 1 for h in hs):
         return None
-    qs = _factorize(l)
-    ratio = next(h for h in hs if all(pow(h, l // q, p) != 1 for q in qs))
-    return GeometricDescriptor(p, s0, ratio)
+    return GeometricDescriptor(p, s0, _generator(p, l, _factorize(l), hs))
 
 
 def enumerate_geometric(p: int) -> set:

@@ -23,6 +23,10 @@ _GEOM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 _SIEVE_BOUND = 10**6
 
+# the dlog suite's first primes: p - 1 = 2^8, 2^9 * 3 * 5, 2^16, and 37-smooth
+_DLOG_PRIMES = (257, 7681, 65537, 29682952539241)
+_DLOG_SCAN_BOUND = 10**4
+
 # (n, its prime factors, whether factorize must split n at the default
 # budget): psi1..psi13, the least strong pseudoprimes to the first t prime
 # bases (psi7 = psi8, psi9 = psi10 = psi11), whose factors beyond psi11 are
@@ -99,6 +103,27 @@ def upward_scan(s):
     bound = s.modulus * s.modulus
     have = {n for n in range(1, bound + 1) if n in s}
     return bool(have) and all(x in have for a in have for x in range(2 * a, bound + 1, a))
+
+
+def power_logs(p: int, base: int) -> dict:
+    """{x: least k >= 1 with base^k = x (mod p)}, by walking the powers of base."""
+    out, x, k = {}, base, 1
+    while x not in out:
+        out[x] = k
+        x, k = x * base % p, k + 1
+    return out
+
+
+def trial_primes(n: int) -> list:
+    """Distinct prime factors of n >= 1 by trial division, sharing no code with `primes`."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def least_prime_factors(bound: int):
@@ -337,6 +362,74 @@ def _antichain_suite(rng, cases):
         yield found
 
 
+def _dlog_prime(rng, index):
+    """The suite's prime for case `index`: the fixed ones first, then by turns a
+    prime up to 10^4, one up to 10^7 and one with p - 1 a product of primes <= 47."""
+    if index < len(_DLOG_PRIMES):
+        return _DLOG_PRIMES[index]
+    kind = index % 3
+    while True:
+        if kind == 0:
+            p = rng.randint(2, _DLOG_SCAN_BOUND)
+        elif kind == 1:
+            p = rng.randint(_DLOG_SCAN_BOUND + 1, 10**7)
+        else:
+            p = 2 * prod(rng.choice(_GEOM_PRIMES + (37, 41, 43, 47)) for _ in range(rng.randint(3, 10))) + 1
+        if (kind == 0 or p > _DLOG_SCAN_BOUND) and primes.is_prime(p):
+            return p
+
+
+def _dlog_scan(rng, p):
+    """discrete_log, multiplicative_order and exponent_offsets against the powers of
+    the base and of the least g whose powers reach all of 1..p-1."""
+    base = rng.randrange(1, p)
+    logs = power_logs(p, base)
+    found = []
+    if geometry.multiplicative_order(p, base) != len(logs):
+        found.append(f"multiplicative_order({p}, {base}) vs scan {len(logs)}")
+    for x in {1, *rng.sample(range(1, p), min(p - 1, 20))}:
+        if geometry.discrete_log(p, base, x) != logs.get(x):
+            found.append(f"discrete_log({p}, {base}, {x}) vs scan {logs.get(x)}")
+    root_logs = next(logs for g in range(1, p) if len(logs := power_logs(p, g)) == p - 1)
+    s = rng.sample(range(1, p), rng.randint(1, min(p - 1, 50)))
+    ks = sorted(root_logs[x] for x in s)
+    got = geometry.exponent_offsets(p, s)
+    if (got.base_exponent, got.offsets) != (ks[0], tuple(k - ks[0] for k in ks[1:])):
+        found.append(f"exponent_offsets({p}, {sorted(s)}) vs scan")
+    return found
+
+
+def _dlog_certify(rng, p):
+    """discrete_log, multiplicative_order and exponent_offsets certified by pow,
+    with the primes of p - 1 found by trial division; g the least generator."""
+    qs = trial_primes(p - 1)
+    base = rng.randrange(1, p)
+    t = geometry.multiplicative_order(p, base)
+    if (p - 1) % t or pow(base, t, p) != 1 or any(pow(base, t // q, p) == 1 for q in qs if t % q == 0):
+        return [f"multiplicative_order({p}, {base}) = {t} is not the order"]
+    found = []
+    # <base> = {z : z^t = 1}, and the log of a member is unique in [1, t]
+    for x in (pow(base, rng.randint(1, t), p), rng.randrange(1, p)):
+        k = geometry.discrete_log(p, base, x)
+        if not (pow(x, t, p) != 1 if k is None else 1 <= k <= t and pow(base, k, p) == x):
+            found.append(f"discrete_log({p}, {base}, {x}) = {k}")
+    g = geometry.primitive_root(p)
+    s = {rng.randrange(1, p) for _ in range(rng.randint(1, 20))}
+    got = geometry.exponent_offsets(p, s)
+    ks = [got.base_exponent, *(got.base_exponent + k for k in got.offsets)]
+    generates = [all(pow(h, (p - 1) // q, p) != 1 for q in qs) for h in range(1, g + 1)]
+    least = generates[-1] and not any(generates[:-1])
+    if not (least and len(ks) == len(s) and 1 <= ks[0] and ks[-1] < p and {pow(g, k, p) for k in ks} == s):
+        found.append(f"exponent_offsets({p}, {sorted(s)}) = {got}")
+    return found
+
+
+def _dlog_suite(rng, cases):
+    for index in range(cases):
+        p = _dlog_prime(rng, index)
+        yield (_dlog_scan if p <= _DLOG_SCAN_BOUND else _dlog_certify)(rng, p)
+
+
 def _exponents(factors) -> dict:
     return dict(sorted(Counter(factors).items()))
 
@@ -389,6 +482,7 @@ SUITES = {
     "antichain": (_antichain_suite, 100),
     "primes": (_primes_suite, 1_000),
     "periodic": (_periodic_suite, 1_000),
+    "dlog": (_dlog_suite, 500),
 }
 
 

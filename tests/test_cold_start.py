@@ -43,6 +43,8 @@ def modules(*short):
     [
         (["crt", "solve", '[{"m":3,"a":2},{"m":5,"a":3}]'], modules("primes", "crt")),
         (["geom", "check", "-p", "7", "--set", "1,2,4"], modules("primes", "geometry")),
+        # Pohlig-Hellman combines its residues itself: no crt
+        (["geom", "dlog", "-p", "29682952539241", "--base", "53", "-x", "123456789"], modules("primes", "geometry")),
         (["lattice", "up", "4,6"], modules("primes", "periodic_sets", "lattice")),
         # verify's divisibility cores live in primes: no periodic_sets, no lattice
         (["antichain", "build", "--spec", SPEC, "-n", "1"], modules("primes", "crt", "antichain")),

@@ -196,7 +196,7 @@ def test_discrete_log_is_least_positive():
 
 
 def test_discrete_log_matches_brute_force_small_primes():
-    # baby-step giant-step is the only route, small primes included, for one
+    # Pohlig-Hellman is the only route, small primes included, for one
     # target (discrete_log) and for many at once (exponent_offsets)
     rng = random.Random(17)
     for p in primes_up_to(60):
@@ -254,6 +254,61 @@ def test_fermat_and_order_small_primes():
         q = geo.primitive_root(p)
         assert pow(q, p - 1, p) == 1
         assert geo.multiplicative_order(p, q) == p - 1
+
+
+# -- Pohlig-Hellman: one base-q digit at a time, one table per prime q ------------------
+
+
+def test_discrete_log_at_a_prime_with_37_smooth_p_minus_1():
+    # p - 1 = 2^3 * 3 * 5 * ... * 37; the one table over the whole order took 7.8 s
+    p = 29682952539241
+    k = geo.discrete_log(p, 53, 123456789)
+    assert k == 25049600759901
+    assert pow(53, k, p) == 123456789
+    assert 1 <= k <= geo.multiplicative_order(p, 53)
+
+
+@pytest.mark.parametrize("base, order", [(3, 2**16), (pow(3, 64, 65537), 2**10)])
+def test_sixteen_digits_of_one_prime_match_a_scan(base, order):
+    # p - 1 = 2^16: a base of order 2^16 or 2^10 has 16 or 10 base-2 digits
+    p = 65537
+    logs = oracles.power_logs(p, base)
+    assert geo.multiplicative_order(p, base) == len(logs) == order
+    for x in random.Random(5).sample(range(1, p), 400):
+        assert geo.discrete_log(p, base, x) == logs.get(x), x
+
+
+def test_exponent_offsets_of_hundreds_of_targets_match_a_scan():
+    # p - 1 = 2^2 * 3^2 * 5 * 7 * 11 * 13: one table per prime serves all targets
+    p = 180181
+    logs = oracles.power_logs(p, geo.primitive_root(p))
+    assert len(logs) == p - 1
+    rng = random.Random(9)
+    for size in (200, 300, 500):
+        s = rng.sample(range(1, p), size)
+        ks = sorted(logs[x] for x in s)
+        off = geo.exponent_offsets(p, s)
+        assert (off.base_exponent, off.offsets) == (ks[0], tuple(k - ks[0] for k in ks[1:]))
+
+
+def test_discrete_log_edge_cases():
+    for p, base in ((2, 1), (7, 3), (7, 2), (65537, 3), (29682952539241, 53)):
+        assert geo.discrete_log(p, base, 1) == geo.multiplicative_order(p, base)  # the identity
+    assert geo.discrete_log(101, 1, 1) == 1
+    assert geo.discrete_log(101, 1, 5) is None
+    assert (geo.primitive_root(2), geo.multiplicative_order(2, 1), geo.discrete_log(2, 1, 1)) == (1, 1, 1)
+    assert geo.exponent_offsets(2, [1]) == geo.ExponentOffsets(1, ())
+
+
+def test_a_non_member_is_answered_before_any_table_is_built(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("_logs was called")
+
+    monkeypatch.setattr(geo, "_logs", no_table)
+    p = 29682952539241
+    square = pow(53, 2, p)
+    assert geo.discrete_log(p, square, 53) is None  # 53 generates more than the squares
+    assert geo.discrete_log(1000003, 4, 2) is None
 
 
 # -- exponent offsets and structure -----------------------------------------------------
