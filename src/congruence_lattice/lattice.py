@@ -9,7 +9,6 @@ lives in `periodic_sets`, which owns them; this module re-exports it.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Iterable
 
 from .periodic_sets import PeriodicSet, _multiples, is_upward_closed
@@ -40,10 +39,8 @@ def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
 
 
 def _divisors(n: int) -> list:
-    # a budget of isqrt(n) pays for trial division up to the square root, which
-    # factorize holds in reserve behind rho, so it never refuses
     divisors = [1]
-    for p, e in _factorize(n, isqrt(n)).items():
+    for p, e in _factorize(n).items():
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
     return sorted(divisors)
 
@@ -54,7 +51,8 @@ def up_closure(elements: Iterable) -> PeriodicSet:
 
 
 def down_closure(elements: Iterable) -> list:
-    """All divisors of elements of the given set, sorted."""
+    """All divisors of elements of the given set, sorted.  A member that `factorize`
+    cannot split at the default budget raises FactorizationBudgetError (CLI exit 2)."""
     els = _elements(elements, allow_empty=False)
     out = set()
     for n in els:
@@ -68,14 +66,16 @@ def is_antichain(elements: Iterable) -> bool:
 
 
 def is_convex(elements: Iterable) -> bool:
-    """True iff every z with x | z | y for x, y in the set is itself in it."""
+    """True iff every z with x | z | y for x, y in the set is itself in it; refuses
+    a member past the default factoring budget as down_closure does."""
     els = _elements(elements)
     have = set(els)
     return all(z in have or all(z % x for x in els) for y in els for z in _divisors(y))
 
 
 def convex_hull(elements: Iterable) -> list:
-    """Least convex superset: all z with x | z | y for some set members x, y."""
+    """Least convex superset: all z with x | z | y for some set members x, y; refuses
+    a member past the default factoring budget as down_closure does."""
     els = _elements(elements)
     return sorted({z for y in els for z in _divisors(y) if any(z % x == 0 for x in els)})
 

@@ -126,6 +126,13 @@ def trial_primes(n: int) -> list:
     return out + [n] if n > 1 else out
 
 
+def scan_divisors(n: int) -> list:
+    """Divisors of n >= 1, ascending, from n % d for d up to isqrt(n); shares no
+    code with `lattice` or `primes`."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
 def least_prime_factors(bound: int):
     """spf[n] = least prime factor of n for 2 <= n <= bound (n itself when n is
     prime), by a sieve that shares no code with `primes`."""
@@ -430,6 +437,33 @@ def _dlog_suite(rng, cases):
         yield (_dlog_scan if p <= _DLOG_SCAN_BOUND else _dlog_certify)(rng, p)
 
 
+def _prime_above_2_10(rng):
+    """A random prime in (2^10, 2^11), tested by trial division."""
+    while True:
+        p = rng.randrange(1025, 2048, 2)
+        if trial_primes(p) == [p]:
+            return p
+
+
+def _divisors_suite(rng, cases):
+    for _ in range(cases):
+        els = []
+        for _ in range(rng.randint(1, 4)):  # about half of them multiples of an earlier one
+            x = rng.choice(els) if els and rng.random() < 0.5 else 1
+            els.append(x * rng.randint(1, 500 // x))
+        if rng.random() < 0.5:  # trial division leaves the product of the two primes to rho
+            els.append(rng.choice(els) * _prime_above_2_10(rng) * _prime_above_2_10(rng))
+        els = sorted(set(els))
+        divisors = [z for y in els for z in scan_divisors(y)]
+        hull = sorted({z for z in divisors if any(z % x == 0 for x in els)})
+        found = []
+        checks = (("down_closure", sorted(set(divisors))), ("convex_hull", hull), ("is_convex", hull == els))
+        for name, want in checks:
+            if getattr(lattice, name)(els) != want:
+                found.append(f"{name}({els}) vs scan")
+        yield found
+
+
 def _exponents(factors) -> dict:
     return dict(sorted(Counter(factors).items()))
 
@@ -483,6 +517,7 @@ SUITES = {
     "primes": (_primes_suite, 1_000),
     "periodic": (_periodic_suite, 1_000),
     "dlog": (_dlog_suite, 500),
+    "divisors": (_divisors_suite, 500),
 }
 
 

@@ -159,7 +159,7 @@ class PeriodicSet:
     def meets_infinitely(self, *others: "PeriodicSet") -> bool:
         """Whether the meet of self and the others is infinite: edits are
         finite, so whether their periodic parts meet."""
-        return _core((self, *others)) is not None
+        return _core((self, *others)) is not None if others else self.is_infinite()
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
         return _meet((self, other))
@@ -289,8 +289,11 @@ def _core(sets):
 
 
 def _meet(sets) -> PeriodicSet:
-    """The meet of a sequence of sets (everything when there are none): the
-    product of their parts, then their edited points settled once."""
+    """The meet of a sequence of sets (everything when there are none, the set
+    itself when there is one): the product of their parts, then their edited
+    points settled once."""
+    if len(sets) == 1:
+        return sets[0]
     parts = _core(sets)
     # only the operands' edited points can differ from the periodic meet
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))

@@ -9,7 +9,7 @@ of integers that arrive as JSON or as command-line text.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 # Miller-Rabin witnesses: the first 13 primes.  No composite below
 # psi13 = 3317044064679887385961981 is a strong pseudoprime to all of them
@@ -130,18 +130,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _trial_divide(n: int, d: int, bound: int, out: dict) -> tuple:
-    """Divide out of n every candidate from d (2, then odd numbers) up to
-    `bound` and up to the square root of what is left, counting into out;
-    returns (cofactor, first candidate not tried)."""
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    return n, d
-
-
 def _brent(m: int, c: int, steps: int) -> tuple:
     """Brent's cycle search on x -> x^2 + c (mod m) from x = 2, multiplying
     the differences of _RHO_BATCH steps before each gcd, within `steps` steps.
@@ -205,12 +193,8 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
     accepts is kept; a composite one is split by Brent's rho, and each part is
     checked and split the same way.  A rho step on a b-bit number spends
     8 + b // 24 units, which keeps a refusal at budget B no slower than trial
-    division up to B.  A composite not split within the budget raises
-    FactorizationBudgetError.
-
-    A budget of at least isqrt(n) never refuses: rho then runs on what is left
-    after setting aside the cost of trial division of the cofactor up to its
-    square root, and that trial division finishes whatever rho has not.
+    division up to B.  This is the one route, at every budget: a composite
+    that rho does not split within the budget raises FactorizationBudgetError.
 
     Every key is a prime as is_prime decides it: proved below psi13 (about
     3.3e24), a Baillie-PSW probable prime above.
@@ -221,18 +205,18 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
 def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:
     """factorize of arguments the library built itself, which it does not check."""
     out = {}
-    n, d = _trial_divide(n, 2, min(trial_bound, _TRIAL_LIMIT), out)
+    d, bound = 2, min(trial_bound, _TRIAL_LIMIT)
+    while d * d <= n and d <= bound:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
     if n < d * d:  # no divisor below d: 1 or a prime
         if n > 1:
             out[n] = 1
         return out
     # d is the first candidate not tried, so trial division went up to d - 2
     left = trial_bound - (d - 2)
-    # what trial division of the cofactor up to its square root would still cost
-    reserve = isqrt(n) - (d - 2)
-    if reserve > left:
-        reserve = 0
-    left -= reserve
     pending = [n]
     while pending:
         m = pending.pop()
@@ -240,14 +224,9 @@ def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int
             out[m] = out.get(m, 0) + 1
             continue
         g, left = _rho(m, left)
-        if g:
-            pending += (g, m // g)
-        elif reserve:
-            rest, _ = _trial_divide(prod(pending, start=m), d, n, out)
-            pending = [rest] if rest > 1 else []
-            reserve = 0
-        else:
+        if not g:
             raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {m}")
+        pending += (g, m // g)
     return dict(sorted(out.items()))
 
 

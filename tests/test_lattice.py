@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from congruence_lattice import lattice, periodic_sets as ps
+from congruence_lattice import lattice, periodic_sets as ps, primes
 from congruence_lattice.lattice import FactorizationBudgetError
 from congruence_lattice.oracles import upward_scan
 from congruence_lattice.primes import factorize
@@ -101,9 +101,19 @@ def test_convex_hull_idempotent_and_convex():
 
 
 def test_down_closure_of_semiprime_beyond_the_trial_budget():
-    # divisor enumeration gives factorize a budget of isqrt(n), which never refuses
+    # trial division stops at 2^10; rho splits the product at the default budget
     p, q = 10**6 + 3, 10**6 + 33
     assert lattice.down_closure([p * q]) == [1, p, q, p * q]
+
+
+def test_divisor_views_refuse_what_factorize_cannot_split(monkeypatch):
+    # no trial division up to the square root stands behind rho
+    monkeypatch.setattr(primes, "_rho", lambda m, left: (0, 0))
+    for view in (lattice.down_closure, lattice.is_convex, lattice.convex_hull):
+        with pytest.raises(FactorizationBudgetError):
+            view([1031 * 1033])
+    # a prime cofactor needs no rho
+    assert lattice.down_closure([2 * 1031]) == [1, 2, 1031, 2 * 1031]
 
 
 def test_omega_examples():

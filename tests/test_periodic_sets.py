@@ -229,6 +229,23 @@ def test_a_complemented_product_meets_other_sets_through_its_smaller_side():
     assert peak < 16 * 2**20
 
 
+def test_a_family_of_one_set_lists_nothing(monkeypatch):
+    # the meet of one set is the set itself; listing the smaller side of this
+    # complemented product would take about 4.8 * 10^8 residues
+    up = lattice.up_closure([89, 97, 101, 103, 107])
+
+    def listed(s):
+        raise LookupError
+
+    monkeypatch.setattr(ps, "_factors", listed)
+    try:
+        fip, meets, base = fl.has_fip([up]), up.meets_infinitely(), fl.FilterBase((up,))
+    except LookupError:  # reported without the traceback, whose arguments' reprs list the set
+        fip = None
+    assert fip is True and meets
+    assert base.intersection == up
+
+
 def test_a_view_walks_its_members_once_for_its_hash(monkeypatch):
     s = lattice.up_closure([83, 89, 97])
     listed = ps.make(s.modulus, list(s.residues), s.added, s.removed)

@@ -172,18 +172,18 @@ def test_default_budget_refuses_two_primes_near_10_15():
         factorize((10**9 + 7) * (10**9 + 9), trial_bound=100)
 
 
-def test_a_budget_of_isqrt_n_never_refuses(monkeypatch):
-    # with rho always out of work, the trial division held in reserve finishes
-    monkeypatch.setattr(primes, "_rho", lambda m, left: (0, 0))
-    for n, want in (
-        (1031 * 1033, {1031: 1, 1033: 1}),
-        (1031**2 * 1049, {1031: 2, 1049: 1}),
-        ((10**6 + 3) * (10**6 + 33), {10**6 + 3: 1, 10**6 + 33: 1}),
-        (2**5 * 1031 * 1033 * 1039, {2: 5, 1031: 1, 1033: 1, 1039: 1}),
-    ):
-        assert factorize(n, isqrt(n)) == want
+def test_rho_gets_every_unit_trial_division_leaves(monkeypatch):
+    # trial division up to 1023 spends 1023 units, and nothing is held back from
+    # rho for a trial division up to the square root
+    lefts = []
+    rho = primes._rho
+    monkeypatch.setattr(primes, "_rho", lambda m, left: lefts.append(left) or rho(m, left))
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    assert lefts[0] == primes.DEFAULT_TRIAL_BUDGET - 1023
+    # a budget that would pay for trial division to isqrt(n), but leaves rho
+    # one step, refuses
     with pytest.raises(FactorizationBudgetError):
-        factorize(1031 * 1033, isqrt(1031 * 1033) - 1)
+        factorize(1031 * 1033, isqrt(1031 * 1033))
 
 
 def test_factorize_rejects_trial_bound_below_one():
