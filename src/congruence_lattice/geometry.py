@@ -4,10 +4,11 @@ A subset S of Z_p is geometric when S = {seed * ratio^k mod p : k >= 1}
 for some seed and ratio.  For a nonzero seed this orbit is the full coset
 seed * <ratio> of the cyclic subgroup generated by the ratio.  As Z_p* is
 cyclic, its only subgroup of order l | p - 1 is H_l = {z : z^l = 1}, so a
-zero-free S is geometric iff l = |S| divides p - 1 and (s / s0)^l = 1 for
-every s in S, where s0 = min(S): then s0^-1 * S is all of H_l and
-S = s0 * H_l.  Recognition and enumeration work from this criterion and
-take no discrete logarithms; only the exponent-offset views do.
+zero-free S is geometric iff l = |S| divides p - 1 and S * r = S for a
+generator r of H_l: a union of cosets of <r> = H_l with l elements is one
+coset, and each coset is closed under r.  Recognition and enumeration work
+from this criterion and take no discrete logarithms; only the
+exponent-offset views do.
 
 Residue sets are passed as (p, S) with S any iterable of residues.  Every
 integer argument is checked by `primes.strict_int`, range included, like
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
@@ -205,11 +207,11 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     """Recognize a geometric set; returns the lexicographically least
     (seed, ratio) descriptor, or None.
 
-    Coset route, with no discrete logarithms: a zero-free S of size l is
-    geometric iff l | p - 1 and h^l = 1 for every h = s * s0^-1, s0 = min(S);
-    then S = s0 * H_l.  Any element of S seeds the orbit, so the least seed
-    is s0, and the least ratio is the least generator of H_l: the least h
-    with h^(l/q) != 1 for each prime q dividing l.
+    One multiplication per residue, no logarithms: a zero-free S of size l
+    is geometric iff l | p - 1 and S * r = S, r the least generator of H_l.
+    S * r = S makes S a union of cosets of <r> = H_l, so, as |S| = l, one
+    coset; every coset is closed under r.  Any element of S seeds the orbit,
+    so the least seed is min(S), and the least ratio generating H_l is r.
     """
     s = _check_residue_set(p, residues)
     if s == {0}:
@@ -217,12 +219,20 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     l = len(s)
     if 0 in s or (p - 1) % l:
         return None  # no orbit holds 0 and more; a coset of H_l needs l | p - 1
-    s0 = min(s)
-    inv = pow(s0, -1, p)
-    hs = sorted(x * inv % p for x in s)
-    if any(pow(h, l, p) != 1 for h in hs):
+    r = _least_generator(p, l)
+    if frozenset(x * r % p for x in s) != s:
         return None
-    return GeometricDescriptor(p, s0, _generator(p, l, _factorize(l), hs))
+    return GeometricDescriptor(p, min(s), r)
+
+
+@lru_cache(maxsize=256)
+def _least_generator(p: int, l: int) -> int:
+    """Least generator of H_l, l | p - 1: h = x^((p - 1) / l) is in H_l, of order l
+    for the first x checked against the primes of l alone (p - 1 is never
+    factored), and the generators are h^k for k prime to l: O(l) steps once."""
+    h = _generator(p, l, _factorize(l), (pow(x, (p - 1) // l, p) for x in range(1, p)))
+    powers = accumulate(range(l - 1), lambda y, _: y * h % p, initial=h)  # h^1 .. h^l
+    return min(y for k, y in enumerate(powers, 1) if gcd(k, l) == 1)
 
 
 def enumerate_geometric(p: int) -> set:

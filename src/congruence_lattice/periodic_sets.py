@@ -95,6 +95,9 @@ class ProductView(Set):
     def _from_iterable(cls, it):
         return frozenset(it)
 
+    def __repr__(self):  # walks no member
+        return f"ProductView(moduli={[m for m, _, _ in self.parts]}, co={self.co}, len={len(self)})"
+
 
 def _crt_walk(levels, big, acc=0):
     """(acc + sum of x_i * e_i) % big for each choice of x_i per level (m, r, keep, e),
@@ -120,10 +123,11 @@ class PeriodicSet:
     removed: frozenset
 
     def __repr__(self):
-        return (
-            f"PeriodicSet(mod={self.modulus}, residues={sorted(self.residues)}, "
-            f"add={sorted(self.added)}, remove={sorted(self.removed)})"
-        )
+        # a period can hold ~10^8 residues (tracebacks print this): list 16 at most
+        r = self.residues
+        shown = r if type(r) is ProductView else sorted(r) if len(r) <= 16 else f"<{len(r)} residues>"
+        edits = f"add={sorted(self.added)}, remove={sorted(self.removed)}"
+        return f"PeriodicSet(mod={self.modulus}, residues={shown}, {edits})"
 
     # -- membership ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ import pytest
 from congruence_lattice import geometry as geo
 from congruence_lattice import oracles
 from congruence_lattice.geometry import GeometricDescriptor
-from congruence_lattice.primes import primes_up_to
+from congruence_lattice.primes import FactorizationBudgetError, factorize, primes_up_to
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -116,8 +116,10 @@ def test_recognizer_agrees_with_exhaustive_oracle():
         family = oracles.orbit_family(p)
         for s, (seed, ratio) in family.items():
             assert geo.is_geometric(p, s) == GeometricDescriptor(p, seed, ratio)
-        for _ in range(300):
-            s = frozenset(rng.sample(range(p), rng.randint(1, p)))
+        subsets = [frozenset(rng.sample(range(p), rng.randint(1, p))) for _ in range(300)]
+        if p <= 13:  # and every nonempty subset
+            subsets += [frozenset(x for x in range(p) if mask >> x & 1) for mask in range(1, 2**p)]
+        for s in subsets:
             d = geo.is_geometric(p, s)
             assert (d is not None) == (s in family)
             if d is not None:
@@ -136,6 +138,43 @@ def test_recognizes_a_large_coset_without_logs():
     assert d.ratio == min(r for r in subgroup if geo.multiplicative_order(p, r) == 512)
     perturbed = coset[:-1] + [(coset[-1] + 1) % p]
     assert geo.is_geometric(p, perturbed) is None
+
+
+def test_least_generator_matches_an_order_scan():
+    for p in primes_up_to(300):
+        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+        least = {}  # order -> least residue of that order
+        for r in range(1, p):
+            least.setdefault(min(d for d in divisors if pow(r, d, p) == 1), r)
+        for l in divisors:
+            assert geo._least_generator(p, l) == least[l], (p, l)
+
+
+def test_the_whole_group_has_the_primitive_root_as_ratio():
+    # H_(p - 1) is all of Z_p*, so its least generator is the least primitive root
+    for p in primes_up_to(2000):
+        assert geo.is_geometric(p, range(1, p)) == GeometricDescriptor(p, 1, geo.primitive_root(p)), p
+
+
+def test_recognition_factors_the_set_size_and_not_p_minus_1(monkeypatch):
+    # p - 1 = 1920 * a * b with a, b primes near 10^15, which the default budget cannot
+    # split; p is prime by Pocklington's criterion with the factor a * b > sqrt(p)
+    a, b = 10**15 + 37, 10**15 + 91
+    p = 1920 * a * b + 1
+    with pytest.raises(FactorizationBudgetError):
+        factorize(p - 1)
+    factored = []
+    monkeypatch.setattr(geo, "_factorize", lambda n: factored.append(n) or factorize(n))
+    for l, qs in ((2, (2,)), (12, (2, 3)), (30, (2, 3, 5)), (1920, (2, 3, 5))):
+        hs = (pow(x, (p - 1) // l, p) for x in range(2, 100))
+        h = next(h for h in hs if all(pow(h, l // q, p) != 1 for q in qs))  # of order l
+        coset = {123456789 * pow(h, k, p) % p for k in range(l)}
+        d = geo.is_geometric(p, coset)
+        assert d.seed == min(coset) and geo.expand(d) == coset
+        assert pow(d.ratio, l, p) == 1 and all(pow(d.ratio, l // q, p) != 1 for q in qs)
+        perturbed = coset - {max(coset)} | {max(coset) + 1}
+        assert geo.is_geometric(p, perturbed) is None
+    assert factored and all(1920 % n == 0 for n in factored)
 
 
 def test_enumeration_matches_the_orbit_walk():

@@ -1,6 +1,7 @@
 """Periodic set algebra: canonicalization, membership, boolean operations."""
 
 import random
+import time
 import tracemalloc
 from itertools import islice
 from math import prod
@@ -244,6 +245,19 @@ def test_a_family_of_one_set_lists_nothing(monkeypatch):
         fip = None
     assert fip is True and meets
     assert base.intersection == up
+
+
+def test_repr_lists_few_residues_and_never_walks_a_view():
+    up = lattice.up_closure([89, 97, 101, 103, 107])  # about 4.8 * 10^8 residues
+    start = time.perf_counter()
+    text = repr(up)
+    assert time.perf_counter() - start < 0.1
+    assert text == (
+        "PeriodicSet(mod=9609573593, residues=ProductView(moduli=[89, 97, 101, 103, 107], "
+        "co=True, len=475595993), add=[], remove=[0])"
+    )
+    assert repr(ps.make(100, range(50))) == "PeriodicSet(mod=100, residues=<50 residues>, add=[], remove=[])"
+    assert repr(ps.make(10, {3, 1}, {2}, {13})) == "PeriodicSet(mod=10, residues=[1, 3], add=[2], remove=[13])"
 
 
 def test_a_view_walks_its_members_once_for_its_hash(monkeypatch):
