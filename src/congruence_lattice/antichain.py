@@ -14,10 +14,12 @@ Each element is the least solution of its congruence system exceeding its
 predecessor, so the construction is a pure function of the input.
 
 When the finite prime supply runs out the "safe" substitution mode keeps
-building: unavailable indices are dropped and missing divisor primes are
-replaced by later chain primes at exponent 1 (exponent 1 so the
-substitution cannot collide with residue requirements scheduled for those
-primes at later steps).  "strict" mode errors out instead.
+building: unavailable indices are dropped, and element n's missing divisor
+prime j is replaced by chain prime n + j at exponent 1 (exponent 1 so the
+substitution cannot collide with residue requirements scheduled for that
+prime at later steps).  At j = 0 that is element n's own chain prime, which
+already divides it, so that substitute is vacuous.  "strict" mode errors
+out instead.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional
@@ -62,6 +63,13 @@ def _int(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
+def _seconds(text):
+    """Seconds as ASCII digits with an optional fraction (5, 0.5); `run_suite` refuses an infinite one."""
+    if re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"expected seconds such as 5 or 0.5, got {text!r}")
+
+
 def _int_list(text):
     return [_int(part) for part in text.split(",") if part != ""]
 
@@ -70,8 +78,11 @@ def _load_json(source, what):
     """Parse inline JSON, or read it from a file path."""
     text = source
     if not source.lstrip().startswith(("[", "{", '"')) and os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{what}: cannot read {source!r} ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -357,7 +368,7 @@ COMMANDS = (
             _arg("suite", choices=lambda: sorted(_lib("oracles.SUITES"))),
             _arg("--seed", type=_int, help="defaults to $CONGRUENCE_LATTICE_SEED or 42"),
             _arg("--cases", type=_int),
-            _arg("--budget", type=float, help="wall-clock budget in seconds"),
+            _arg("--budget", type=_seconds, help="wall-clock budget in seconds"),
         ),
         _oracle_run,
         exit_code=lambda a, report: int(report["mismatches"] > 0),

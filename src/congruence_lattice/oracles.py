@@ -12,7 +12,7 @@ import random
 import time
 from array import array
 from collections import Counter
-from math import gcd, isqrt, lcm, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 from . import antichain, crt, filter_lab, geometry, lattice, periodic_sets, primes
 from .primes import json_int, strict_int
@@ -533,8 +533,10 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED, budget_s=None, cases=None) -
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     fn, default_cases = SUITES[suite]
     n = default_cases if cases is None else strict_int(json_int(cases, "cases"), "cases", 0)
+    if budget_s is not None and not (type(budget_s) in (int, float) and 0 <= budget_s < inf):  # NaN fails too
+        raise ValueError(f"budget_s must be a finite number of seconds >= 0, got {budget_s!r}")
     start = time.perf_counter()
-    deadline = None if budget_s is None else start + float(budget_s)
+    deadline = None if budget_s is None else start + budget_s
     checks = fn(random.Random(seed), n)
     mismatches = []
     cases_run = 0

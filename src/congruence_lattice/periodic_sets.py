@@ -16,13 +16,13 @@ everything and each at its own minimal period, whose moduli multiply to m,
 and a flag co: x is in it iff co != all((x mod m_i in R_i) != co_i).  `in`
 and `len` cost O(parts); iteration enumerates by CRT one member at a time
 and lists nothing, so the first member comes at once whatever the moduli;
-hash and equality agree with the frozenset of the same members (the hash
-walks the members once and is kept).  `~` flips a flag, `&` joins the
-parts of two products, intersecting explicitly only parts whose moduli
-share a factor (at their lcm), and `|` is ~(~A & ~B).  A view is
-materialised only in those joins and when a complemented product of
-several parts meets another set: then it lists its smaller side, its own
-members or those of the product it complements.
+equality agrees with the frozenset of the same members.  A view is
+unhashable; a PeriodicSet hashes its modulus, residue count and edits.
+`~` flips a flag, `&` joins the parts of two products, intersecting
+explicitly only parts whose moduli share a factor (at their lcm), and `|`
+is ~(~A & ~B).  A view is materialised only in those joins and when a
+complemented product of several parts meets another set: then it lists
+its smaller side, its own members or those of the product it complements.
 
 The meet of a family is one routine, `_meet`, which `&` and filter_lab's
 bases both call: it folds the parts of every set, then settles the edited
@@ -48,11 +48,10 @@ from .primes import _factorize, json_int, strict_int
 class ProductView(Set):
     """Read-only residues in CRT-product form; see the module docstring."""
 
-    __slots__ = ("parts", "co", "modulus", "_hashed")
+    __slots__ = ("parts", "co", "modulus")
 
     def __init__(self, parts: tuple, co: bool):
         self.parts, self.co, self.modulus = parts, co, prod(m for m, _, _ in parts)
-        self._hashed = None
 
     def __contains__(self, x):
         for m, r, c in self.parts:
@@ -85,12 +84,6 @@ class ProductView(Set):
             return True
         return len(self) == len(other) and all(x in self for x in other)
 
-    def __hash__(self):
-        # frozenset's algorithm, so equal sets hash alike; like frozenset, walk once
-        if self._hashed is None:
-            self._hashed = Set._hash(self)
-        return self._hashed
-
     @classmethod
     def _from_iterable(cls, it):
         return frozenset(it)
@@ -121,6 +114,10 @@ class PeriodicSet:
     residues: frozenset | ProductView
     added: frozenset
     removed: frozenset
+
+    def __hash__(self):
+        # what __eq__ compares, the residues by their count (equal sets share it): O(parts)
+        return hash((self.modulus, len(self.residues), self.added, self.removed))
 
     def __repr__(self):
         # a period can hold ~10^8 residues (tracebacks print this): list 16 at most

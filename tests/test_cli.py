@@ -204,6 +204,15 @@ def test_antichain_build_from_file(tmp_path, capsys):
     assert json.loads(out) == ["3", "40"]
 
 
+def test_unreadable_json_paths_name_their_argument(tmp_path, capsys):
+    # opening a directory raised IsADirectoryError: a traceback and exit 1
+    latin = tmp_path / "base.json"
+    latin.write_bytes(b'[{"modulus": 2, "residues": [0]}] \xe9')
+    for path in (tmp_path, latin):
+        code, out, err = run(capsys, "filter", "fip", "--base", str(path))
+        assert code == 2 and out == "" and err.startswith(f"error: --base: cannot read {str(path)!r}")
+
+
 def test_antichain_verify(capsys):
     code, out, _ = run(capsys, "antichain", "verify", "--spec", SPEC_JSON, "--prefix", "[3,40]")
     assert code == 0
@@ -286,6 +295,25 @@ def test_oracle_unknown_suite_exits_2(capsys):
         cli.main(["oracle", "run", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", ["1_0", "\u0661", " 2 ", "nan", "inf", "-1", "1e3", ".5", "5."])
+def test_oracle_budget_is_a_decimal_number_of_seconds(capsys, budget):
+    # float() read "1_0" as 10 and the Arabic-Indic one as 1, "nan" turned the budget
+    # off, and "-1" ran no case and exited 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "run", "crt", "--cases", "3", "--budget", budget])
+    assert exc.value.code == 2
+    assert "expected seconds such as 5 or 0.5" in capsys.readouterr().err
+
+
+def test_oracle_budget_takes_whole_and_fractional_seconds(capsys):
+    for budget in ("5", "0.5", "0", "0.0"):
+        code, out, _ = run(capsys, "oracle", "run", "crt", "--cases", "3", "--budget", budget)
+        assert code == 0 and json.loads(out)["cases_run"] == (0 if float(budget) == 0 else 3)
+    # digits too many for a finite float are refused by the suite runner
+    code, out, err = run(capsys, "oracle", "run", "crt", "--budget", "9" * 400)
+    assert code == 2 and out == "" and "budget_s must be a finite number" in err
 
 
 def test_oracle_env_seed(capsys, monkeypatch):

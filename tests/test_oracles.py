@@ -20,6 +20,13 @@ def test_case_count_must_be_a_non_negative_integer(cases):
         oracles.run_suite("crt", cases=cases)
 
 
+@pytest.mark.parametrize("budget", [True, "1", float("nan"), float("inf"), -1, -0.5])
+def test_budget_must_be_finite_non_negative_seconds(budget):
+    # float() read "1" as 1.0, and NaN or a negative budget passed unchecked
+    with pytest.raises(ValueError, match="budget_s"):
+        oracles.run_suite("crt", budget_s=budget, cases=1)
+
+
 def test_case_count_accepts_a_decimal_string():
     assert oracles.run_suite("crt", cases="3")["cases_run"] == 3
 

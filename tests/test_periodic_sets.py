@@ -260,14 +260,17 @@ def test_repr_lists_few_residues_and_never_walks_a_view():
     assert repr(ps.make(10, {3, 1}, {2}, {13})) == "PeriodicSet(mod=10, residues=[1, 3], add=[2], remove=[13])"
 
 
-def test_a_view_walks_its_members_once_for_its_hash(monkeypatch):
-    s = lattice.up_closure([83, 89, 97])
-    listed = ps.make(s.modulus, list(s.residues), s.added, s.removed)
-    walks = []
-    iterate = ps.ProductView.__iter__
-    monkeypatch.setattr(ps.ProductView, "__iter__", lambda view: walks.append(view) or iterate(view))
-    assert hash(s) == hash(s) == hash(listed) and {s: "up"}[listed] == "up"
-    assert len(walks) == 1
+def test_a_set_and_its_base_hash_without_walking_a_view(monkeypatch):
+    def walk(view):
+        raise AssertionError("a view was iterated")
+
+    s, again = (lattice.up_closure([89, 97, 101, 103, 107]) for _ in "ab")  # about 4.8 * 10^8 residues
+    monkeypatch.setattr(ps.ProductView, "__iter__", walk)
+    base = fl.FilterBase((s,))
+    assert s is not again and hash(s) == hash(again) and {s: "up"}[again] == "up"
+    assert hash(base) == hash(fl.FilterBase((again,))) and {base: "base"}[fl.FilterBase((again,))] == "base"
+    with pytest.raises(TypeError):
+        hash(s.residues)
 
 
 def test_views_iterate_by_crt_and_agree_with_frozensets():
@@ -287,7 +290,7 @@ def test_views_iterate_by_crt_and_agree_with_frozensets():
         listed = frozenset(n for n in range(s.modulus) if want(n))
         assert type(view) is ps.ProductView
         assert sorted(view) == sorted(listed) and len(view) == len(listed)
-        assert view == listed and listed == view and hash(view) == hash(listed)
+        assert view == listed and listed == view and hash(s) == hash(ps.make(s.modulus, listed))
         shifted = frozenset((n + 1) % s.modulus for n in listed)  # as many members, not the same
         assert view != shifted and shifted != view
         assert type(view | {0}) is frozenset and view - listed == frozenset()

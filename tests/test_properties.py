@@ -95,8 +95,8 @@ def test_the_algebra_builds_canonical_sets(a, b, divisors):
     st.sets(st.integers(1, 12), min_size=1, max_size=3),
 )
 def test_product_form_matches_the_explicit_listing(a, b, divisors):
-    # membership, len, and equality and hash against make of the listing; the
-    # hash of a product-form view must match frozenset's on every Python run
+    # membership, len, and equality and hash against make of the listing: a
+    # product-form set must hash like its frozenset-backed listing
     assert oracles.periodic_case(a, b, sorted(divisors)) == []
 
 
