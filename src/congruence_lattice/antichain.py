@@ -24,17 +24,15 @@ out instead.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .crt import Congruence, ZeroToDepth, _merge, chain_support, validate_chain_table
-from .primes import _is_antichain, _valuations, is_prime, json_int, strict_int
+from .primes import Record, _is_antichain, _valuations, is_prime, json_int, strict_int
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
 
-@dataclass(frozen=True)
-class AntichainSpec:
+class AntichainSpec(Record):
     """Prime/residue data driving the construction.
 
     chains: ordered (prime, residue chain) pairs; every chain must contain
@@ -42,12 +40,12 @@ class AntichainSpec:
     divisor_primes: primes disjoint from the chain primes.
     """
 
-    chains: tuple
-    divisor_primes: tuple = ()
+    _fields = ("chains", "divisor_primes")
+    __slots__ = (*_fields, "_depths")
 
-    def __post_init__(self):
-        chains = tuple((json_int(p, "chain prime"), chain) for p, chain in self.chains)
-        divisors = tuple(json_int(q, "divisor prime") for q in self.divisor_primes)
+    def __init__(self, chains: tuple, divisor_primes: tuple = ()):
+        chains = tuple((json_int(p, "chain prime"), chain) for p, chain in chains)
+        divisors = tuple(json_int(q, "divisor prime") for q in divisor_primes)
         if not chains:
             raise ValueError("at least one chain prime is required")
         seen = set()
@@ -68,7 +66,6 @@ class AntichainSpec:
             depths.append(support.first_nonzero)
         object.__setattr__(self, "chains", chains)
         object.__setattr__(self, "divisor_primes", divisors)
-        # not a field: equality, hashing, repr and to_json see chains and divisors only
         object.__setattr__(self, "_depths", tuple(depths))
 
     @property
@@ -173,8 +170,7 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     return values
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     monotone: bool
     antichain: bool
     chain_tracking: bool
@@ -188,7 +184,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok, "failures": list(self.failures)}
+        return {**self._asdict(), "ok": self.ok, "failures": list(self.failures)}
 
 
 # report flag and failure text of each schedule kind that verify can find unmet

@@ -5,9 +5,10 @@ entry names its operation by module ("crt.solve_system"), which is imported on d
 only the group the command line names gets its subcommands built.
 
 Output is deterministic: keys sorted, set-valued results sorted, integers
-beyond 2^53-1 rendered as decimal strings.  Exit codes: 0 success, 1 for
-flagged domain negatives (e.g. --fail-on-infeasible), 2 for usage errors
-including malformed JSON.
+beyond 2^53-1 rendered as exact decimal strings of any length: Python's int-string
+digit limit (4300) is lifted while a result is converted; input parsing keeps it.
+Exit codes: 0 success, 1 for flagged domain negatives (e.g. --fail-on-infeasible),
+2 for usage errors including malformed JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple, Optional
 
 from .primes import DEFAULT_TRIAL_BUDGET, json_int
@@ -36,11 +36,23 @@ def _lib(dotted):
     return getattr(sys.modules[f"{__package__}.{module}"], attr)
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any length; see the module docstring."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _jsonable(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > JSON_INT_MAX else value
+        return _decimal(value) if abs(value) > JSON_INT_MAX else value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -171,7 +183,7 @@ def _geom_dlog(discrete_log, args):
 
 def _geom_structure(structure_check, args):
     report = structure_check(args.p, args.set)
-    return {**asdict(report), "all_hold": report.all_hold}
+    return {**report._asdict(), "all_hold": report.all_hold}
 
 
 def _antichain_depths(depths, args):
@@ -289,7 +301,7 @@ COMMANDS = (
         _geom_dlog,
     ),
     Command(
-        "geom", "offsets", "geometry.exponent_offsets", (_P, _RESIDUES), lambda f, a: asdict(f(a.p, a.set))
+        "geom", "offsets", "geometry.exponent_offsets", (_P, _RESIDUES), lambda f, a: f(a.p, a.set)._asdict()
     ),
     Command("geom", "structure", "geometry.structure_check", (_P, _RESIDUES), _geom_structure),
     Command(
@@ -335,7 +347,7 @@ COMMANDS = (
     Command(
         "antichain", "build", "antichain.build",
         (_SPEC, _arg("-n", type=_int, required=True, help="index of the last element"), _SUBSTITUTION),
-        lambda f, a: [str(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
+        lambda f, a: [_decimal(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
     ),
     Command(
         "antichain", "verify", "antichain.verify",

@@ -9,24 +9,21 @@ whole point.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .primes import is_prime, json_int, strict_int
+from .primes import Record, is_prime, json_int, strict_int
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """The residue class x = residue (mod modulus), residue normalized: a single
     constraint, or the solved form of a system (one class modulo the lcm)."""
 
-    modulus: int
-    residue: int
+    __slots__ = _fields = ("modulus", "residue")
 
-    def __post_init__(self):
-        strict_int(self.modulus, "modulus", 1)
-        object.__setattr__(self, "residue", strict_int(self.residue, "residue") % self.modulus)
+    def __init__(self, modulus: int, residue: int):
+        object.__setattr__(self, "modulus", strict_int(modulus, "modulus", 1))
+        object.__setattr__(self, "residue", strict_int(residue, "residue") % modulus)
 
     def satisfied_by(self, x: int) -> bool:
         return x % self.modulus == self.residue

@@ -16,14 +16,13 @@ and upward closure are asked of `periodic_sets`, which alone reads parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .crt import _merge
 from .periodic_sets import PeriodicSet, _meet, _residues_met, is_upward_closed
-from .primes import json_int, strict_int
+from .primes import Record, json_int, strict_int
 
 
 class NoWitnessSourceError(ValueError):
@@ -39,15 +38,15 @@ def _checked(members: Iterable) -> tuple:
     return members
 
 
-@dataclass(frozen=True)
-class FilterBase:
+class FilterBase(Record):
     """A filter base; `intersection`, the meet of all members, is built once
     with the base and is infinite (everything for the empty base)."""
 
-    members: tuple = ()
+    _fields = ("members",)
+    __slots__ = (*_fields, "intersection")
 
-    def __post_init__(self):
-        members = _checked(self.members)
+    def __init__(self, members: tuple = ()):
+        members = _checked(members)
         object.__setattr__(self, "members", members)
         if any(s.is_empty() for s in members):
             raise ValueError("filter base members must be nonempty")
@@ -123,8 +122,7 @@ class DividesStatus(Enum):
     VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class DividesReport:
+class DividesReport(NamedTuple):
     status: DividesStatus
     witness: Optional[PeriodicSet] = None
 

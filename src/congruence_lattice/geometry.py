@@ -18,29 +18,25 @@ tests inline first, so that a valid residue costs no call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .primes import _factorize, is_prime, strict_int
-
-
-@dataclass(frozen=True)
-class GeometricDescriptor:
-    p: int
-    seed: int
-    ratio: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        strict_int(self.seed, "seed", 0, self.p)
-        strict_int(self.ratio, "ratio", 1, self.p)
+from .primes import Record, _factorize, is_prime, strict_int
 
 
-@dataclass(frozen=True)
-class ExponentOffsets:
+class GeometricDescriptor(Record):
+    __slots__ = _fields = ("p", "seed", "ratio")
+
+    def __init__(self, p: int, seed: int, ratio: int):
+        _check_prime(p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "seed", strict_int(seed, "seed", 0, p))
+        object.__setattr__(self, "ratio", strict_int(ratio, "ratio", 1, p))
+
+
+class ExponentOffsets(NamedTuple):
     """Discrete-log data of a zero-free residue set.
 
     base_exponent is the least exponent over the set; offsets are the
@@ -51,8 +47,7 @@ class ExponentOffsets:
     offsets: tuple
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     gcd_closed: bool
     multiples_closed: bool
     arithmetic_progression: bool

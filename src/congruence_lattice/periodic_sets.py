@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Set
-from dataclasses import dataclass
 from itertools import filterfalse
 from math import gcd, lcm, prod
 from typing import Iterable
 
-from .primes import _factorize, json_int, strict_int
+from .primes import Record, _factorize, json_int, strict_int
 
 
 class ProductView(Set):
@@ -108,12 +107,14 @@ def _crt_walk(levels, big, acc=0):
 _ZERO = frozenset((0,))
 
 
-@dataclass(frozen=True)
-class PeriodicSet:
-    modulus: int
-    residues: frozenset | ProductView
-    added: frozenset
-    removed: frozenset
+class PeriodicSet(Record):
+    __slots__ = _fields = ("modulus", "residues", "added", "removed")
+
+    def __init__(self, modulus: int, residues: frozenset | ProductView, added: frozenset, removed: frozenset):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "removed", removed)
 
     def __hash__(self):
         # what __eq__ compares, the residues by their count (equal sets share it): O(parts)

@@ -1,5 +1,5 @@
 """Primality testing, factorization, the two divisibility cores that `lattice`
-and `antichain.verify` share, and the integer checks on outside input.
+and `antichain.verify` share, the integer checks on outside input, and `Record`.
 
 `strict_int` is the one check on a scalar integer argument, its range
 included: every public entry point of the library that takes one refuses
@@ -292,3 +292,29 @@ def json_int(value, what: str) -> int:
             except ValueError:  # beyond the interpreter's digit limit
                 pass
     raise ValueError(f"{what}: expected an integer, got {value!r}")
+
+
+class Record:
+    """Base of the validating value types: `__init__` sets the `_fields`, held in `__slots__`, by
+    `object.__setattr__`; equality (same type), hash, repr and pickle read them; none can change."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # fields read inline, as dataclass generates them: a key method or attrgetter is up to 2x slower
+        own = "".join(f"self.{name}, " for name in cls._fields)
+        eq = f"({own}) == ({own.replace('self.', 'other.')}) if type(other) is type(self) else NotImplemented"
+        cls.__eq__ = eval(f"lambda self, other: {eq}")
+        if "__hash__" not in vars(cls):  # PeriodicSet hashes by its own rule
+            cls.__hash__ = eval(f"lambda self: hash(({own}))")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):  # rebuilt through __init__: a slot state would be set by the refusing __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__

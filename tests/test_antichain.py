@@ -223,7 +223,7 @@ def test_values_the_library_built_are_not_checked_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("a value the library built was checked again")
 
-    monkeypatch.setattr(crt.Congruence, "__post_init__", refuse)
+    monkeypatch.setattr(crt.Congruence, "__init__", refuse)
     for module in (ac, lattice):
         monkeypatch.setattr(module, "is_prime", refuse)
         monkeypatch.setattr(module, "json_int", refuse)

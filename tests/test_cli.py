@@ -1,6 +1,7 @@
 """Command-line surface: JSON shapes, exit codes, determinism, dispatch coverage."""
 
 import json
+import sys
 
 import pytest
 
@@ -69,6 +70,33 @@ def test_crt_big_modulus_serializes_as_string(capsys):
     assert json.loads(out) == {"M": str(m), "x0": 1}
 
 
+def decimal(text):
+    """int(text) for a decimal string of any length, read in chunks the interpreter's digit limit allows."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
+    return value
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_crt_result_beyond_the_int_string_limit_prints_exactly(capsys):
+    # (10^4000 + 1)(10^4000 + 3) has 8001 digits, past Python's default limit of 4300
+    m1, m2 = ("1" + "0" * 3999 + last for last in "13")
+    limit = digit_limit()
+    code, out, err = run(capsys, "crt", "solve", json.dumps([{"m": m1, "a": 0}, {"m": m2, "a": 2}]))
+    assert (code, err) == (0, "")
+    # M = m1 * m2 = 10^8000 + 4 * 10^4000 + 3; x0 = m1 * (m2 - 1), which is 0 mod m1 and 2 mod m2
+    gap = "0" * 3999
+    assert json.loads(out) == {"M": f"1{gap}4{gap}3", "x0": f"1{gap}3{gap}2"}
+    assert digit_limit() == limit  # lifted for the conversion alone
+    if limit is not None:  # input keeps the limit: a 5000-digit modulus is refused, not read
+        code, out, err = run(capsys, "crt", "solve", json.dumps([{"m": "1" + "0" * 4999, "a": 0}]))
+        assert (code, out) == (2, "") and "expected an integer" in err
+
+
 def test_crt_stream(capsys):
     code, out, _ = run(capsys, "crt", "stream", '[{"m":2,"a":0},{"m":4,"a":1}]')
     assert code == 0
@@ -110,6 +138,15 @@ def test_geom_enum(capsys):
     code, out, _ = run(capsys, "geom", "enum", "-p", "3")
     assert code == 0
     assert json.loads(out)["sets"] == [[0], [1], [1, 2], [2]]
+
+
+def test_geom_witnesses_beyond_the_int_string_limit_print_exactly(capsys):
+    # 11 * 2^k: the least primes = 1 and = 2 (mod 5); the last of 15000 has 4517 digits
+    code, out, err = run(capsys, "geom", "witnesses", "-p", "5", "-s", "1", "-r", "2", "-n", "15000")
+    assert (code, err) == (0, "")
+    values = json.loads(out)["values"]
+    assert len(values) == 15000 and values[:3] == [11, 22, 44]
+    assert decimal(values[-1]) == 11 * 2**14999
 
 
 def test_geom_errors_exit_2(capsys):

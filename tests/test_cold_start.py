@@ -1,5 +1,6 @@
 """What one `conlat` start loads and builds: the lazy package, the modules a
-command imports, and a parser with subcommands for the named group only.
+command imports (and no `dataclasses` or `inspect` of the standard library),
+and a parser with subcommands for the named group only.
 
 The module sets are read from `python -X importtime` in a fresh interpreter,
 so they count imports and take no timings."""
@@ -22,15 +23,27 @@ PACKAGE = "congruence_lattice"
 SPEC = '{"chains":[{"prime":3,"residues":[1,4,13]},{"prime":5,"residues":[2,7,57]}],"divisors":[2,13]}'
 
 
-def loaded(*args):
-    """Names of the package's modules that `python -X importtime *args` imports."""
+# dataclasses imports inspect, which imports dis, ast, tokenize and linecache: about 12 ms a start
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
+def imported(*args):
+    """Names of every module, the standard library's too, that `python -X importtime *args` imports."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def ours(names):
     return {name for name in names if name == PACKAGE or name.startswith(PACKAGE + ".")}
+
+
+def loaded(*args):
+    """Names of the package's modules that `python -X importtime *args` imports."""
+    return ours(imported(*args))
 
 
 def modules(*short):
@@ -61,13 +74,16 @@ def modules(*short):
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else "",
 )
 def test_a_command_loads_only_its_modules(argv, expected):
-    assert loaded("-m", "congruence_lattice.cli", *argv) == expected
+    names = imported("-m", "congruence_lattice.cli", *argv)
+    assert ours(names) == expected
+    assert not names & SLOW_STDLIB
 
 
 def test_console_script_entry_loads_cli_and_the_command_module():
     entry = "import sys; from congruence_lattice.cli import main; sys.exit(main())"
-    args = ("-c", entry, "crt", "solve", '[{"m":3,"a":2}]')
-    assert loaded(*args) == modules("cli", "primes", "crt")
+    names = imported("-c", entry, "crt", "solve", '[{"m":3,"a":2}]')
+    assert ours(names) == modules("cli", "primes", "crt")
+    assert not names & SLOW_STDLIB
 
 
 def test_oracle_command_loads_oracles():

@@ -1,0 +1,133 @@
+"""Value semantics of the library's records: equality by type and fields, a hash that
+agrees with it, immutability, the dataclass-style repr, and pickle and copy round trips.
+
+The validating types (`primes.Record` subclasses) are no tuples; the result records
+are `typing.NamedTuple`s, so they compare as tuples do."""
+
+import copy
+import pickle
+
+import pytest
+
+from congruence_lattice.antichain import AntichainSpec, VerificationReport
+from congruence_lattice.crt import Congruence
+from congruence_lattice.filter_lab import DividesReport, DividesStatus, FilterBase
+from congruence_lattice.geometry import ExponentOffsets, GeometricDescriptor, StructureReport
+from congruence_lattice.periodic_sets import PeriodicSet, progression
+from congruence_lattice.primes import Record
+
+E = frozenset()
+VIEW = progression(2, 0) & progression(3, 1)  # residues in CRT-product form
+
+# (a record, an equal one built another way, one that differs in a field, its repr)
+CASES = {
+    "Congruence": (Congruence(7, 10), Congruence(7, 3), Congruence(7, 4), "Congruence(modulus=7, residue=3)"),
+    "GeometricDescriptor": (
+        GeometricDescriptor(7, 1, 3),
+        GeometricDescriptor(p=7, seed=1, ratio=3),
+        GeometricDescriptor(7, 1, 2),
+        "GeometricDescriptor(p=7, seed=1, ratio=3)",
+    ),
+    "AntichainSpec": (
+        AntichainSpec([(3, [1, 4, 13])], [2]),
+        AntichainSpec((("3", (1, 4, 13)),), ("2",)),
+        AntichainSpec([(3, [1, 4, 13])], [7]),
+        "AntichainSpec(chains=((3, (1, 4, 13)),), divisor_primes=(2,))",
+    ),
+    "FilterBase": (
+        FilterBase([progression(2, 0)]),
+        FilterBase((PeriodicSet(2, frozenset({0}), E, E),)),
+        FilterBase([progression(3, 0)]),
+        "FilterBase(members=(PeriodicSet(mod=2, residues=[0], add=[], remove=[]),))",
+    ),
+    "PeriodicSet": (
+        PeriodicSet(6, frozenset({1, 5}), E, E),
+        PeriodicSet(modulus=6, residues=frozenset({5, 1}), added=E, removed=E),
+        PeriodicSet(6, frozenset({1, 5}), frozenset({0}), E),
+        "PeriodicSet(mod=6, residues=[1, 5], add=[], remove=[])",
+    ),
+    "PeriodicSet of a view": (
+        VIEW,
+        progression(3, 1) & progression(2, 0),
+        progression(2, 0) & progression(3, 2),
+        "PeriodicSet(mod=6, residues=ProductView(moduli=[2, 3], co=False, len=1), add=[], remove=[])",
+    ),
+    "ExponentOffsets": (
+        ExponentOffsets(1, ()),
+        ExponentOffsets(base_exponent=1, offsets=()),
+        ExponentOffsets(1, (2,)),
+        "ExponentOffsets(base_exponent=1, offsets=())",
+    ),
+    "StructureReport": (
+        StructureReport(True, False, True),
+        StructureReport(gcd_closed=True, multiples_closed=False, arithmetic_progression=True),
+        StructureReport(True, True, True),
+        "StructureReport(gcd_closed=True, multiples_closed=False, arithmetic_progression=True)",
+    ),
+    "VerificationReport": (
+        VerificationReport(True, True, True, True, True, True, ()),
+        VerificationReport(*[True] * 6, failures=()),
+        VerificationReport(True, True, False, True, True, True, ("element 1 misses residue 1 mod 3^1",)),
+        "VerificationReport(monotone=True, antichain=True, chain_tracking=True, own_prime_divides=True, "
+        "divisor_powers=True, factor_count_growth=True, failures=())",
+    ),
+    "DividesReport": (
+        DividesReport(DividesStatus.PASSES),
+        DividesReport(DividesStatus.PASSES, None),
+        DividesReport(DividesStatus.VACUOUS),
+        "DividesReport(status=<DividesStatus.PASSES: 'passes'>, witness=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_equal_exactly_for_the_same_fields_with_equal_hashes(name):
+    record, twin, other, _ = CASES[name]
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    assert record != other and not record == other
+    for another, *_ in CASES.values():
+        if type(another) is not type(record):
+            assert record != another
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fields_cannot_be_set_or_deleted(name):
+    record = CASES[name][0]
+    field = type(record)._fields[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repr_names_every_field(name):
+    record, _, _, shown = CASES[name]
+    assert repr(record) == shown
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_pickle_and_copy_round_trip(name):
+    record = CASES[name][0]
+    for back in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(back) is type(record) and back == record and hash(back) == hash(record)
+        assert repr(back) == repr(record)
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if isinstance(case[0], Record)])
+def test_a_validating_type_is_no_tuple(name):
+    # a PeriodicSet of len 4 or a Congruence equal to a pair would be traps
+    record = CASES[name][0]
+    fields = tuple(getattr(record, field) for field in record._fields)
+    assert not isinstance(record, tuple) and record != fields
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_a_round_trip_rebuilds_what_is_not_a_field():
+    # pickle and copy call the constructor, which derives the meet and the depths again
+    assert pickle.loads(pickle.dumps(CASES["FilterBase"][0])).intersection == progression(2, 0)
+    assert copy.copy(CASES["AntichainSpec"][0])._depths == (1,)
