@@ -498,13 +498,16 @@ def _primes_suite(rng, cases):
             while spf[p] != p:
                 p -= 1
             ps.append(p)
-        found = []
-        for m, want in ((n, _exponents(sieve_factors(n, spf))), (prod(ps), _exponents(ps))):
+        found, product = [], prod(ps)
+        for m, want in ((n, _exponents(sieve_factors(n, spf))), (product, _exponents(ps))):
             got = _factorization(m)
             if got != want:
                 found.append(f"factorize({m}): {got} vs {want}")
         if primes.is_prime(n) != (n > 1 and spf[n] == n):
             found.append(f"is_prime({n}) disagrees with the sieve")
+        # products of 2-3 primes above 2^10 reach witness bands 2-9, which the sieve does not
+        if primes.is_prime(product):
+            found.append(f"is_prime({product}) accepts a product of {len(ps)} primes")
         yield found
 
 

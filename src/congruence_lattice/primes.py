@@ -9,22 +9,24 @@ of integers that arrive as JSON or as command-line text.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd, isqrt
 
-# Miller-Rabin witnesses: the first 13 primes.  No composite below
-# psi13 = 3317044064679887385961981 is a strong pseudoprime to all of them
-# (Sorenson & Webster 2015), so the test is exact below that bound; psi13
-# itself passes them all, and a strong Lucas test (Baillie-PSW) runs from it
-# upwards.  The first 12 primes alone would stop at
-# psi12 = 318665857834031151167461 = 399165290221 * 798330580441.
+# Miller-Rabin witnesses: the first 13 primes.  psi_k is the least composite
+# that is a strong pseudoprime to each of the first k of them, so the first k
+# witnesses are exact below psi_k: psi1..psi4 Pomerance, Selfridge & Wagstaff
+# 1980; psi5..psi8 Jaeschke 1993; psi9..psi11 Jaeschke's bound, proved least
+# by Jiang & Deng 2014; psi12 and psi13 Sorenson & Webster 2015.  psi13
+# passes all 13, so a strong Lucas test (Baillie-PSW) runs from it upwards.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI13 = 3317044064679887385961981
-
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
 
 DEFAULT_TRIAL_BUDGET = 10**6
 
-# Factorization work is counted in units: trial division up to d spends d.
-# Trial division stops at _TRIAL_LIMIT; Brent's rho splits what is left, and
+# Factorization work is counted in units: trial division by the primes up to
+# d spends d, up to _TRIAL_LIMIT; Brent's rho splits what is left, and
 # one rho step on a b-bit number spends _RHO_STEP_COST + b // _RHO_STEP_BITS
 # units.  The charge grows with b because a rho step's products modulo the
 # number grow with its length and a trial division's remainder hardly does.
@@ -42,13 +44,14 @@ class FactorizationBudgetError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin over the first 13 prime bases; from psi13 on, Baillie-PSW.
-
-    Exact for n < psi13 = 3317044064679887385961981 (about 3.3e24).  At and
-    above that bound n must also pass a strong Lucas test with Selfridge's
-    parameters: True then means n is a strong probable prime to those 13
-    bases and a strong Lucas probable prime.  No composite is known to pass
-    both tests, but none is proved not to exist; False is always a proof.
+    """Miller-Rabin over the first k prime bases below psi_k, the least strong
+    pseudoprime to all k: 2047, 1373653, 25326001, 3215031751, 2152302898747,
+    3474749660383, 341550071728321 (k = 7, 8), 3825123056546413051 (k = 9-11),
+    318665857834031151167461 and psi13 = 3317044064679887385961981 (sources
+    at _PSI).  Exact below psi13 (about 3.3e24).  From psi13 on, all 13 bases
+    and a strong Lucas test with Selfridge's parameters (Baillie-PSW): True
+    then means n passes both, which no known composite does, though none is
+    proved not to; False is always a proof.
     """
     if n < 2:
         return False
@@ -58,12 +61,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_WITNESSES[: bisect_right(_PSI, n) + 1]:  # bisect_right counts the psi_k <= n
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -73,7 +73,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI13 or _strong_lucas_probable_prime(n)
+    return n < _PSI[-1] or _strong_lucas_probable_prime(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -188,13 +188,14 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
     """Prime factorization {p: exponent} of n >= 1, primes ascending, within a
     work budget of `trial_bound` >= 1 units.
 
-    Trial division by 2 and the odd numbers up to min(2^10, trial_bound) comes
-    first; trial division up to d spends d units.  A cofactor that is_prime
-    accepts is kept; a composite one is split by Brent's rho, and each part is
-    checked and split the same way.  A rho step on a b-bit number spends
-    8 + b // 24 units, which keeps a refusal at budget B no slower than trial
-    division up to B.  This is the one route, at every budget: a composite
-    that rho does not split within the budget raises FactorizationBudgetError.
+    Trial division by the primes up to min(2^10, trial_bound) comes first;
+    trial division by the primes up to d spends d units, d odd.  A cofactor
+    that is_prime accepts is kept; a composite one is split by Brent's rho,
+    and each part is checked and split the same way.  A rho step on a b-bit
+    number spends 8 + b // 24 units, which keeps a refusal at budget B no
+    slower than trial division up to B.  This is the one route, at every
+    budget: a composite that rho does not split within the budget raises
+    FactorizationBudgetError.
 
     Every key is a prime as is_prime decides it: proved below psi13 (about
     3.3e24), a Baillie-PSW probable prime above.
@@ -205,18 +206,19 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
 def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:
     """factorize of arguments the library built itself, which it does not check."""
     out = {}
-    d, bound = 2, min(trial_bound, _TRIAL_LIMIT)
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n < d * d:  # no divisor below d: 1 or a prime
+    bound = min(trial_bound, _TRIAL_LIMIT)
+    for p in _TRIAL_PRIMES:
+        if p * p > n or p > bound:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n < p * p:  # no prime divisor below p: 1 or a prime
         if n > 1:
             out[n] = 1
         return out
-    # d is the first candidate not tried, so trial division went up to d - 2
-    left = trial_bound - (d - 2)
+    # trial division stopped at the bound, so it spent the largest odd number up to it (0 for 1)
+    left = trial_bound - (bound - 1 + bound % 2 if bound > 1 else 0)
     pending = [n]
     while pending:
         m = pending.pop()
@@ -271,11 +273,15 @@ def strict_int(value, what: str, low=None, high=None) -> int:
     int and, when `low` is given, low <= value (and value < high when `high` is)."""
     if type(value) is int and (low is None or low <= value and (high is None or value < high)):
         return value
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past the interpreter's int-to-string digit limit
+        shown = f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {shown}")
     if high is None:
-        raise ValueError(f"{what} must be >= {low}, got {value!r}")
-    raise ValueError(f"{what} {value!r} out of range [{low}, {high})")
+        raise ValueError(f"{what} must be >= {low}, got {shown}")
+    raise ValueError(f"{what} {shown} out of range [{low}, {high})")
 
 
 def json_int(value, what: str) -> int:
@@ -318,3 +324,6 @@ class Record:
         raise AttributeError(f"cannot set or delete field {name!r} of an immutable {type(self).__name__}")
 
     __delattr__ = __setattr__
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))  # the 172 primes _factorize divides by

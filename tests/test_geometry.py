@@ -77,6 +77,18 @@ def test_descriptor_validation():
         GeometricDescriptor(5, 1, 0)
 
 
+def test_refusing_an_int_too_long_to_print_keeps_the_message(digit_limit):
+    # past the interpreter's int-string digit limit the value is shown by its bits,
+    # where formatting it would raise "Exceeds the limit ..." instead of the refusal
+    huge = 10**5000
+    with pytest.raises(ValueError, match=r"^seed <int of 16610 bits> out of range \[0, 7\)$"):
+        GeometricDescriptor(7, huge, 2)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got <int of 16610 bits>$"):
+        GeometricDescriptor(7, type("Big", (int,), {})(huge), 2)
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got <negative int of 16610 bits>$"):
+        geo.prime_in_progression(-huge, 1)
+
+
 def test_recognized_descriptors_equal_checked_ones():
     for p in SMALL_PRIMES:
         for s in geo.enumerate_geometric(p):

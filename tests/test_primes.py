@@ -1,6 +1,7 @@
 """Primality: the exact range of the Miller-Rabin witness set, Baillie-PSW
 above it, factorization by trial division and rho under a work budget."""
 
+import random
 from collections import Counter
 from math import gcd, isqrt, prod
 
@@ -16,6 +17,7 @@ from congruence_lattice.primes import (
     is_prime,
     prime_factors,
     primes_up_to,
+    strict_int,
 )
 
 # psi_t: the least composite that is a strong pseudoprime to each of the
@@ -31,6 +33,25 @@ PSI = {
     3825123056546413051: (149491, 747451, 34233211),
     318665857834031151167461: (399165290221, 798330580441),
 }
+
+
+# the psi_k of the first 13 prime bases, k = 1..13, in the order of k
+PSI_K = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _product(factors):
@@ -197,3 +218,154 @@ def test_factorize_rejects_trial_bound_below_one():
     assert factorize(13, trial_bound=1) == {13: 1}
     with pytest.raises(FactorizationBudgetError):
         factorize(12, trial_bound=1)
+
+
+def _miller_rabin_13(n):
+    """Miller-Rabin over all 13 witnesses whatever n is, the reference: exact below psi13."""
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _witness_bands():
+    """(k, low, high): the n in [low, high) need the first k witnesses; empty bands skipped."""
+    lows = (WITNESSES[-1] + 1,) + PSI_K[:-1]
+    return [(k, low, high) for k, (low, high) in enumerate(zip(lows, PSI_K), 1) if low < high]
+
+
+def _largest_prime_below(n):
+    n -= 1 if n % 2 == 0 else 2
+    while not _miller_rabin_13(n):
+        n -= 2
+    return n
+
+
+def _least_prime_from(n):
+    n |= 1
+    while not _miller_rabin_13(n):
+        n += 2
+    return n
+
+
+def test_each_witness_band_agrees_with_all_13_witnesses():
+    rng = random.Random(19)
+    for k, low, high in _witness_bands():
+        for _ in range(300):
+            n = rng.randrange(low, high) | 1
+            assert is_prime(n) == _miller_rabin_13(n), (k, n)
+        q = _largest_prime_below(high)
+        assert q >= low and is_prime(q), (k, q)
+        if high < PSI_K[-1]:  # psi_k itself, the first n of band k + 1
+            assert not is_prime(high) and not _miller_rabin_13(high), k
+    # psi13 passes all 13 witnesses; the strong Lucas test rejects it
+    assert _miller_rabin_13(PSI_K[-1]) and not is_prime(PSI_K[-1])
+
+
+def test_a_prime_in_band_k_runs_the_first_k_witnesses(monkeypatch):
+    bases = []
+    monkeypatch.setattr(primes, "pow", lambda a, d, n: bases.append(a) or pow(a, d, n), raising=False)
+    for k, low, high in _witness_bands():
+        for q in (_least_prime_from(low), _largest_prime_below(high)):
+            bases.clear()
+            assert is_prime(q)
+            assert bases == list(WITNESSES[:k]), (k, q)
+    # at and above psi13 all 13 run, and the strong Lucas test after them
+    bases.clear()
+    assert is_prime(2**89 - 1)
+    assert bases == list(WITNESSES)
+    # the witnesses themselves are settled by trial division
+    bases.clear()
+    assert all(is_prime(p) for p in WITNESSES) and bases == []
+
+
+def _factorize_by_odd_d(n, trial_bound):
+    """The reference for factorize's units: trial division by 2 and every odd d up to
+    min(2^10, trial_bound), stopping at d and charging d - 2 units, then rho."""
+    out = {}
+    d, bound = 2, min(trial_bound, 1 << 10)
+    while d * d <= n and d <= bound:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n < d * d:
+        if n > 1:
+            out[n] = 1
+        return out
+    left = trial_bound - (d - 2)
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        g, left = primes._rho(m, left)
+        if not g:
+            raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {m}")
+        pending += (g, m // g)
+    return dict(sorted(out.items()))
+
+
+def test_trial_division_by_primes_charges_the_units_the_odd_d_loop_charged(monkeypatch):
+    rho_calls = []
+    rho = primes._rho
+    monkeypatch.setattr(primes, "_rho", lambda m, left: rho_calls.append((m, left)) or rho(m, left))
+
+    def run(factorizer, n, budget):
+        rho_calls.clear()
+        try:
+            got = factorizer(n, budget)
+        except FactorizationBudgetError as refusal:
+            got = str(refusal)
+        return got, list(rho_calls)
+
+    rng = random.Random(19)
+    near = [p for p in primes_up_to(1 << 11) if p > 900]  # the primes around 2^10
+    large = [p for p in primes_up_to(200_000) if p > 1 << 10]
+    small = primes_up_to(1 << 10)
+    for case in range(1500):
+        kind = case % 4
+        if kind == 0:  # a square or product of primes near 2^10, times a small number
+            n = rng.choice(near) * rng.choice(near) * rng.randint(1, 30)
+        elif kind == 1:  # a prime power
+            p = rng.choice(small + near + large)
+            n = p ** rng.randint(1, max(1, 60 // p.bit_length()))
+        elif kind == 2:  # a smooth part times primes past trial division: rho's work
+            n = prod(rng.choices(small, k=rng.randint(0, 3))) * prod(rng.choices(large, k=rng.randint(1, 3)))
+        else:
+            n = rng.randint(1, 10**12)
+        budget = rng.choice((rng.randint(1, 1025), rng.randint(1, 1025), primes.DEFAULT_TRIAL_BUDGET))
+        want = run(_factorize_by_odd_d, n, budget)
+        assert run(factorize, n, budget) == want, (n, budget)
+    for budget in (1, 2, 3, 4, 5, 1019, 1020, 1021, 1022, 1023, 1024, 1025):
+        for n in (1, 13, 12, 1021**2, 1021 * 1031, 1031**2, 1021**2 * 1031, 2**40, 2 * 1000003 * 1000033):
+            assert run(factorize, n, budget) == run(_factorize_by_odd_d, n, budget), (n, budget)
+
+
+def test_refusals_show_an_int_too_long_to_print_by_its_bits(digit_limit):
+    huge = 10**5000  # 16610 bits, past the 4300-digit limit
+    with pytest.raises(ValueError, match=r"^n must be an integer, got <int of 16610 bits>$"):
+        strict_int(type("Big", (int,), {})(huge), "n")
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got <negative int of 16610 bits>$"):
+        strict_int(-huge, "n", 1)
+    with pytest.raises(ValueError, match=r"^residue <int of 16610 bits> out of range \[0, 7\)$"):
+        strict_int(huge, "residue", 0, 7)
+    # an int within the limit is shown in full, as before
+    with pytest.raises(ValueError, match=rf"^residue {10**4000} out of range \[0, 7\)$"):
+        strict_int(10**4000, "residue", 0, 7)
