@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .crt import Congruence, ZeroToDepth, _merge, chain_support, validate_chain_table
-from .primes import Record, _is_antichain, _valuations, is_prime, json_int, strict_int
+from .primes import Record, _is_antichain, _shown, _valuations, json_int, strict_int, strict_prime
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
@@ -45,24 +45,21 @@ class AntichainSpec(Record):
 
     def __init__(self, chains: tuple, divisor_primes: tuple = ()):
         chains = tuple((json_int(p, "chain prime"), chain) for p, chain in chains)
-        divisors = tuple(json_int(q, "divisor prime") for q in divisor_primes)
+        divisors = tuple(strict_prime(json_int(q, "divisor prime"), "divisor prime") for q in divisor_primes)
         if not chains:
             raise ValueError("at least one chain prime is required")
         seen = set()
         for p in [p for p, _ in chains] + list(divisors):
             if p in seen:
-                raise ValueError(f"prime {p} listed twice")
+                raise ValueError(f"prime {_shown(p)} listed twice")
             seen.add(p)
-        for q in divisors:
-            if not is_prime(q):
-                raise ValueError(f"{q} is not prime")
         # the primes are distinct, so the table keeps every chain
         chains = tuple(validate_chain_table(dict(chains)).items())
         depths = []
         for p, chain in chains:
             support = chain_support(chain)
             if isinstance(support, ZeroToDepth):
-                raise ValueError(f"chain for {p} is all zero: first nonzero depth undefined")
+                raise ValueError(f"chain for {_shown(p)} is all zero: first nonzero depth undefined")
             depths.append(support.first_nonzero)
         object.__setattr__(self, "chains", chains)
         object.__setattr__(self, "divisor_primes", divisors)
@@ -100,7 +97,7 @@ def first_nonzero_depths(spec: AntichainSpec) -> list:
 
 def _check_mode(substitution: str):
     if substitution not in SUBSTITUTION_MODES:
-        raise ValueError(f"substitution must be one of {SUBSTITUTION_MODES}, got {substitution!r}")
+        raise ValueError(f"substitution must be one of {SUBSTITUTION_MODES}, got {_shown(substitution)}")
 
 
 def _schedule(spec: AntichainSpec, n: int, substitution: str):
@@ -138,7 +135,7 @@ def _requirements(spec: AntichainSpec, n: int, substitution: str) -> list:
     out = []
     for kind, p, e, r in _schedule(spec, n, substitution):
         if kind == "short":
-            raise ValueError(f"chain for prime {p} too short: element {n} needs depth {e}")
+            raise ValueError(f"chain for prime {_shown(p)} too short: element {n} needs depth {e}")
         if kind == "missing":
             raise ValueError(f"{p} prime number {e} unavailable and substitution disabled")
         out.append((p**e, r))
@@ -229,7 +226,7 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
                     continue
                 flag, text = _FAILURES[kind]
                 flags[flag] = False
-                failures.append(text.format(n=n, p=p, e=e, r=r))
+                failures.append(text.format(n=n, p=_shown(p), e=e, r=_shown(r)))
             need = n * min(n, len(divisors))
             if divisors and _valuations(a, divisors) < need:
                 growth_ok = False

@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .primes import Record, is_prime, json_int, strict_int
+from .primes import Record, _shown, json_int, strict_int, strict_prime
 
 
 class Congruence(Record):
@@ -105,26 +105,24 @@ def validate_chain_table(table: Mapping) -> dict:
         raise ValueError(f"residue-chain table must be a mapping, got {type(table).__name__}")
     out = {}
     for p, chain in table.items():
-        p = json_int(p, "chain prime")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        p = strict_prime(json_int(p, "chain prime"), "chain prime")
         if p in out:
-            raise ValueError(f"prime {p} listed twice")
+            raise ValueError(f"prime {_shown(p)} listed twice")
         if not isinstance(chain, (list, tuple)):
-            raise ValueError(f"residue chain for {p} must be a list, got {chain!r}")
+            raise ValueError(f"residue chain for {_shown(p)} must be a list, got {_shown(chain)}")
         chain = tuple(json_int(r, "chain residue") for r in chain)
         if not chain:
-            raise ValueError(f"empty residue chain for prime {p}")
+            raise ValueError(f"empty residue chain for prime {_shown(p)}")
         power = 1
         prev = 0
         for depth, r in enumerate(chain, start=1):
             power *= p
             if not 0 <= r < power:
-                raise ValueError(f"residue {r} at depth {depth} out of range for {p}^{depth}")
+                raise ValueError(f"residue {_shown(r)} at depth {depth} out of range for {_shown(p)}^{depth}")
             if depth > 1 and r % (power // p) != prev:
                 raise ValueError(
-                    f"chain for {p} inconsistent at depth {depth}: "
-                    f"{r} != {prev} (mod {p}^{depth - 1})"
+                    f"chain for {_shown(p)} inconsistent at depth {depth}: "
+                    f"{_shown(r)} != {_shown(prev)} (mod {_shown(p)}^{depth - 1})"
                 )
             prev = r
         out[p] = chain

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .crt import _merge
 from .periodic_sets import PeriodicSet, _meet, _residues_met, is_upward_closed
-from .primes import Record, json_int, strict_int
+from .primes import Record, _check_coprime, _shown, json_int, strict_int, strict_ints
 
 
 class NoWitnessSourceError(ValueError):
@@ -160,22 +160,20 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
     """
     strict_int(modulus, "modulus", 2)
     strict_int(residue, "residue", 1, modulus)
-    if gcd(modulus, residue) != 1:
-        raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
-    forbidden = sorted({json_int(n, "forbidden divisor") for n in forbidden})
-    pool = sorted({json_int(a, "pool element") for a in pool})
-    if forbidden:
-        strict_int(forbidden[0], "forbidden divisor", 2)
+    _check_coprime(modulus, residue)
+    forbidden = [json_int(n, "forbidden divisor") for n in forbidden]
+    forbidden = sorted(strict_ints(forbidden, "forbidden divisor", 2))
+    pool = [json_int(a, "pool element") for a in pool]
+    pool = sorted(strict_ints(pool, "pool element", 2))
     if not pool:
         raise ValueError("pool must be nonempty")
-    strict_int(pool[0], "pool element", 2)
     source = next(
         (a for a in pool if gcd(a, modulus) == 1 and all(gcd(a, n) == 1 for n in forbidden)),
         None,
     )
     if source is None:
         raise NoWitnessSourceError(
-            f"no pool element is coprime to {modulus} and to all of {forbidden}"
+            f"no pool element is coprime to {_shown(modulus)} and to all of {_shown(forbidden)}"
         )
     step, x = _merge(modulus, residue, source, 0)  # coprime moduli: never None
     cap = lcm(modulus, source, prod(forbidden, start=1))

@@ -11,9 +11,9 @@ from this criterion and take no discrete logarithms; only the
 exponent-offset views do.
 
 Residue sets are passed as (p, S) with S any iterable of residues.  Every
-integer argument is checked by `primes.strict_int`, range included, like
-those of the rest of the library; only the per-residue loop over a set
-tests inline first, so that a valid residue costs no call.
+integer argument is checked by `primes.strict_int`, range included, a set's
+residues by `primes.strict_ints` and p by `primes.strict_prime`, like those
+of the rest of the library.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from itertools import accumulate
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Optional
 
-from .primes import Record, _factorize, is_prime, strict_int
+from .primes import Record, _check_coprime, _factorize, is_prime, strict_int, strict_ints, strict_prime
 
 
 class GeometricDescriptor(Record):
     __slots__ = _fields = ("p", "seed", "ratio")
 
     def __init__(self, p: int, seed: int, ratio: int):
-        _check_prime(p)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", strict_prime(p, "p"))
         object.__setattr__(self, "seed", strict_int(seed, "seed", 0, p))
         object.__setattr__(self, "ratio", strict_int(ratio, "ratio", 1, p))
 
@@ -57,30 +56,6 @@ class StructureReport(NamedTuple):
         return self.gcd_closed and self.multiples_closed and self.arithmetic_progression
 
 
-# the descriptor is_geometric returns re-checks the p it has just checked, and callers
-# repeat a few primes (the geom oracle sweeps p <= 31): both are answered from the cache
-_is_prime = lru_cache(maxsize=256)(is_prime)
-
-
-def _check_prime(p) -> None:
-    if type(p) is not int or not _is_prime(p):
-        raise ValueError(f"p must be a prime int, got {p!r}")
-
-
-def _check_residue_set(p: int, residues: Iterable) -> frozenset:
-    _check_prime(p)
-    # check the residues as given, in one pass before the set is built:
-    # building it first would merge True into an equal 1 unseen
-    items = tuple(residues)
-    for r in items:
-        if type(r) is not int or not 0 <= r < p:  # no call per valid residue
-            strict_int(r, "residue", 0, p)
-    s = frozenset(items)
-    if not s:
-        raise ValueError("residue set must be nonempty")
-    return s
-
-
 def expand(descriptor: GeometricDescriptor) -> frozenset:
     """The orbit {seed * ratio^k mod p : k >= 1}.
 
@@ -98,7 +73,7 @@ def expand(descriptor: GeometricDescriptor) -> frozenset:
 
 def primitive_root(p: int) -> int:
     """Least generator of the multiplicative group modulo p."""
-    _check_prime(p)
+    strict_prime(p, "p")
     return _generator(p, p - 1, _factorize(p - 1), range(1, p))
 
 
@@ -109,7 +84,7 @@ def _generator(p: int, n: int, primes, candidates) -> int:
 
 def multiplicative_order(p: int, a: int) -> int:
     """Least t >= 1 with a^t = 1 (mod p)."""
-    _check_prime(p)
+    strict_prime(p, "p")
     strict_int(a, "a", 1, p)
     return _order(p, a, _factorize(p - 1))[0]
 
@@ -125,7 +100,7 @@ def _order(p: int, a: int, factors: dict) -> tuple:
 
 def discrete_log(p: int, base: int, x: int) -> Optional[int]:
     """Least k >= 1 with base^k = x (mod p), or None if x is not a power of base."""
-    _check_prime(p)
+    strict_prime(p, "p")
     strict_int(base, "base", 1, p)
     strict_int(x, "x", 1, p)
     n, factors = _order(p, base, _factorize(p - 1))
@@ -168,7 +143,10 @@ def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
 
 def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:
     """Exponent structure of a residue set not containing 0."""
-    s = _check_residue_set(p, residues)
+    strict_prime(p, "p")
+    s = strict_ints(residues, "residue", 0, p)
+    if not s:
+        raise ValueError("residue set must be nonempty")
     if 0 in s:
         raise ValueError("exponent offsets are undefined when 0 is in the set")
     factors = _factorize(p - 1)  # the base, the least primitive root, has order p - 1
@@ -208,7 +186,10 @@ def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
     coset; every coset is closed under r.  Any element of S seeds the orbit,
     so the least seed is min(S), and the least ratio generating H_l is r.
     """
-    s = _check_residue_set(p, residues)
+    strict_prime(p, "p")
+    s = strict_ints(residues, "residue", 0, p)
+    if not s:
+        raise ValueError("residue set must be nonempty")
     if s == {0}:
         return GeometricDescriptor(p, 0, 1)
     l = len(s)
@@ -236,7 +217,7 @@ def enumerate_geometric(p: int) -> set:
     These are {0} and, for each d | p - 1, the cosets of H_d: the fibres of
     x -> x^d on 1..p-1, whose kernel is H_d.  1 + sigma(p - 1) sets in all.
     """
-    _check_prime(p)
+    strict_prime(p, "p")
     out = {frozenset((0,))}
     for d in range(1, p):
         if (p - 1) % d == 0:
@@ -252,8 +233,7 @@ def prime_in_progression(modulus: int, residue: int) -> int:
     gcd(modulus, residue) = 1, which guarantees one exists)."""
     strict_int(modulus, "modulus", 1)
     strict_int(residue, "residue", 0, modulus)
-    if gcd(modulus, residue) != 1:
-        raise ValueError(f"gcd({modulus}, {residue}) = {gcd(modulus, residue)} != 1")
+    _check_coprime(modulus, residue)
     x = residue
     while True:
         if x >= 2 and is_prime(x):
@@ -269,7 +249,7 @@ def witness_class_set(p: int, seed_residue: int, ratio_residue: int, count: int)
     so the residues run through the geometric orbit of (seed_residue,
     ratio_residue) taken from k = 0.
     """
-    _check_prime(p)
+    strict_prime(p, "p")
     strict_int(seed_residue, "seed residue", 1, p)
     strict_int(ratio_residue, "ratio residue", 1, p)
     strict_int(count, "count", 1)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .periodic_sets import PeriodicSet, _multiples, is_upward_closed
 from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, _is_antichain, _valuations
-from .primes import factorize, is_prime, json_int, strict_int
+from .primes import factorize, json_int, strict_int, strict_ints, strict_prime
 
 __all__ = [
     "FactorizationBudgetError",
@@ -30,12 +30,10 @@ __all__ = [
 
 
 def _elements(xs: Iterable, allow_empty: bool = True) -> tuple:
-    out = sorted({json_int(x, "element") for x in xs})
-    if out:
-        strict_int(out[0], "element", 1)
-    elif not allow_empty:
+    out = tuple(sorted(strict_ints([json_int(x, "element") for x in xs], "element", 1)))
+    if not out and not allow_empty:
         raise ValueError("expected a nonempty set of positive integers")
-    return tuple(out)
+    return out
 
 
 def _divisors(n: int) -> list:
@@ -65,19 +63,26 @@ def is_antichain(elements: Iterable) -> bool:
     return _is_antichain(_elements(elements))
 
 
+def _hull(els: tuple):
+    """Each z with x | z | y for some x, y in els, lazily, y ascending (z may
+    repeat): is_convex stops at the first z outside els, before it factors a
+    later y."""
+    return (z for y in els for z in _divisors(y) if any(z % x == 0 for x in els))
+
+
 def is_convex(elements: Iterable) -> bool:
-    """True iff every z with x | z | y for x, y in the set is itself in it; refuses
-    a member past the default factoring budget as down_closure does."""
+    """True iff the set holds its convex hull (see convex_hull); refuses a member
+    past the default factoring budget as down_closure does, unless a smaller one
+    has already shown the set is not convex."""
     els = _elements(elements)
     have = set(els)
-    return all(z in have or all(z % x for x in els) for y in els for z in _divisors(y))
+    return all(z in have for z in _hull(els))
 
 
 def convex_hull(elements: Iterable) -> list:
     """Least convex superset: all z with x | z | y for some set members x, y; refuses
     a member past the default factoring budget as down_closure does."""
-    els = _elements(elements)
-    return sorted({z for y in els for z in _divisors(y) if any(z % x == 0 for x in els)})
+    return sorted(set(_hull(_elements(elements))))
 
 
 def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
@@ -94,11 +99,7 @@ def omega(n: int, trial_budget: int = DEFAULT_TRIAL_BUDGET) -> int:
 def omega_lower_bound(n: int, primes: Iterable) -> int:
     """Sum of valuations of n at the supplied primes; cheap for huge n."""
     strict_int(n, "n", 1)
-    primes = {json_int(p, "prime") for p in primes}
-    for p in sorted(primes):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    return _valuations(n, primes)
+    return _valuations(n, {strict_prime(json_int(p, "prime"), "prime") for p in primes})
 
 
 def level_members(level: int, bound: int) -> list:

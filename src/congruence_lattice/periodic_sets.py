@@ -41,7 +41,7 @@ from itertools import filterfalse
 from math import gcd, lcm, prod
 from typing import Iterable
 
-from .primes import Record, _factorize, json_int, strict_int
+from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
 
 
 class ProductView(Set):
@@ -340,7 +340,7 @@ def is_upward_closed(s: PeriodicSet) -> bool:
     edits = (s.added | s.removed) - {0}
     if edits:
         raise ValueError(
-            f"upward-closedness undecidable under edits at {sorted(edits)}; "
+            f"upward-closedness undecidable under edits at {_shown(sorted(edits))}; "
             "only purely periodic sets are supported"
         )
     if not s.residues:
@@ -388,11 +388,11 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
     residues outside [0, modulus), negative and overlapping edits.
     """
     strict_int(modulus, "modulus", 1)
-    residues = frozenset(strict_int(r, "residue", 0, modulus) for r in residues)
-    added = frozenset(strict_int(a, "added element", 0) for a in added)
-    removed = frozenset(strict_int(x, "removed element", 0) for x in removed)
+    residues = strict_ints(residues, "residue", 0, modulus)
+    added = strict_ints(added, "added element", 0)
+    removed = strict_ints(removed, "removed element", 0)
     if added & removed:
-        raise ValueError(f"ambiguous edits: {sorted(added & removed)} both added and removed")
+        raise ValueError(f"ambiguous edits: {_shown(sorted(added & removed))} both added and removed")
     return _finish(*_minimal_period(modulus, residues), added, removed)
 
 
@@ -411,7 +411,7 @@ def progression(modulus: int, residue: int) -> PeriodicSet:
 
 def divisibility_union(divisors: Iterable) -> PeriodicSet:
     """Union of the multiple sets n*{0,1,2,...} over the given divisors."""
-    ds = sorted({strict_int(n, "divisor", 1) for n in divisors})
+    ds = sorted(strict_ints(divisors, "divisor", 1))
     if not ds:
         raise ValueError("divisibility_union needs at least one divisor")
     return _multiples(ds)

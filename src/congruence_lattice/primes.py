@@ -2,14 +2,17 @@
 and `antichain.verify` share, the integer checks on outside input, and `Record`.
 
 `strict_int` is the one check on a scalar integer argument, its range
-included: every public entry point of the library that takes one refuses
-through it, with one wording per failure.  `json_int` is the one coercer
+included, `strict_ints` the one check on a collection of them and
+`strict_prime` the one check on a prime: every public entry point of the
+library refuses through them, with one wording per failure, and every
+refusal shows an outside value by `_shown`.  `json_int` is the one coercer
 of integers that arrive as JSON or as command-line text.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd, isqrt
 
 # Miller-Rabin witnesses: the first 13 primes.  psi_k is the least composite
@@ -111,10 +114,8 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False  # gcd(D, n) is a proper divisor of n
         d = -d - 2 if d > 0 else -d + 2
     q = (1 - d) // 4
-    k, s = n + 1, 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s, k odd
+    k = (n + 1) >> s
     # binary ladder from index 1: double, then add one for each 1 bit
     u, v, qk = 1, 1, q % n
     for bit in bin(k)[3:]:
@@ -227,7 +228,7 @@ def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int
             continue
         g, left = _rho(m, left)
         if not g:
-            raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {m}")
+            raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {_shown(m)}")
         pending += (g, m // g)
     return dict(sorted(out.items()))
 
@@ -268,20 +269,60 @@ def _valuations(n: int, primes) -> int:
     return total
 
 
+def _shown(value, _open: tuple = ()) -> str:
+    """repr(value), but an int past the interpreter's int-to-string digit limit,
+    also as an item of a list, as <int of B bits> (<negative int of B bits>),
+    and any other value that holds one by its type, as <tuple too long to print>.
+    `_open` holds the ids of the lists being shown, so a list inside itself is [...]."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        if type(value) is not list:
+            return f"<{type(value).__name__} too long to print>"
+        if id(value) in _open:
+            return "[...]"
+        return f"[{', '.join(_shown(v, _open + (id(value),)) for v in value)}]"
+
+
 def strict_int(value, what: str, low=None, high=None) -> int:
     """The one check on scalar integer arguments: value if its type is exactly
     int and, when `low` is given, low <= value (and value < high when `high` is)."""
     if type(value) is int and (low is None or low <= value and (high is None or value < high)):
         return value
-    try:
-        shown = repr(value)
-    except ValueError:  # an int past the interpreter's int-to-string digit limit
-        shown = f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {shown}")
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
     if high is None:
-        raise ValueError(f"{what} must be >= {low}, got {shown}")
-    raise ValueError(f"{what} {shown} out of range [{low}, {high})")
+        raise ValueError(f"{what} must be >= {low}, got {_shown(value)}")
+    raise ValueError(f"{what} {_shown(value)} out of range [{low}, {high})")
+
+
+def strict_ints(values, what: str, low: int, high=None) -> frozenset:
+    """The one check on collections of integer arguments: the values as a frozenset,
+    each checked as given, in order, by strict_int's rule (a set built first would
+    merge True into an equal 1 unseen); the first refused value is named."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or v < low or high is not None and v >= high:  # no call per valid value
+            strict_int(v, what, low, high)
+    return frozenset(values)
+
+
+def _check_coprime(modulus: int, residue: int) -> None:
+    if (g := gcd(modulus, residue)) != 1:
+        raise ValueError(f"gcd({_shown(modulus)}, {_shown(residue)}) = {_shown(g)} != 1")
+
+
+# primes repeat (the geom oracle sweeps p <= 31; is_geometric's descriptor re-checks its p): cached
+_cached_is_prime = lru_cache(maxsize=256)(is_prime)
+
+
+def strict_prime(value, what: str) -> int:
+    """The one check on prime arguments: value if its type is exactly int and is_prime accepts it."""
+    if type(value) is int and _cached_is_prime(value):
+        return value
+    raise ValueError(f"{what} must be a prime int, got {_shown(value)}")
 
 
 def json_int(value, what: str) -> int:
@@ -297,7 +338,7 @@ def json_int(value, what: str) -> int:
                 return int(value)
             except ValueError:  # beyond the interpreter's digit limit
                 pass
-    raise ValueError(f"{what}: expected an integer, got {value!r}")
+    raise ValueError(f"{what}: expected an integer, got {_shown(value)}")
 
 
 class Record:

@@ -225,7 +225,7 @@ def test_values_the_library_built_are_not_checked_again(monkeypatch):
 
     monkeypatch.setattr(crt.Congruence, "__init__", refuse)
     for module in (ac, lattice):
-        monkeypatch.setattr(module, "is_prime", refuse)
+        monkeypatch.setattr(module, "strict_prime", refuse)
         monkeypatch.setattr(module, "json_int", refuse)
     values = ac.build(WORKED_SPEC, 4)
     assert values == [3, 40, 40432, 851944432, 76699534432]

@@ -1,7 +1,10 @@
-"""Every scalar integer argument from outside the library passes one check,
-`primes.strict_int`: a bool or a float is a ValueError, never an answer and
-never a TypeError from deeper down, and a value outside the argument's range
-is refused with one of two wordings."""
+"""Every integer argument from outside the library passes the one check of
+its kind in `primes`: `strict_int` for a scalar, `strict_ints` for a
+collection, `strict_prime` for a prime.  A bool or a float is a ValueError,
+never an answer and never a TypeError from deeper down; a value outside the
+argument's range is refused with one of two wordings, a non-prime with one;
+a collection names its first refused value; and an int past the digit limit
+is shown by its bits, keeping the refusal's type and wording."""
 
 import re
 from enum import IntEnum
@@ -179,3 +182,153 @@ def test_int_subclasses_are_refused_by_one_rule(call):
     # the rule is type(v) is int everywhere: an IntEnum member is no residue
     with pytest.raises(ValueError):
         call()
+
+
+# entry point -> (a call that passes the value as a prime, the name it is refused under)
+PRIME_ARGUMENTS = {
+    "GeometricDescriptor": (lambda v: GeometricDescriptor(v, 1, 1), "p"),
+    "primitive_root": (geometry.primitive_root, "p"),
+    "multiplicative_order": (lambda v: geometry.multiplicative_order(v, 1), "p"),
+    "discrete_log": (lambda v: geometry.discrete_log(v, 1, 1), "p"),
+    "exponent_offsets": (lambda v: geometry.exponent_offsets(v, [1]), "p"),
+    "structure_check": (lambda v: geometry.structure_check(v, [1]), "p"),
+    "is_geometric": (lambda v: geometry.is_geometric(v, [1]), "p"),
+    "enumerate_geometric": (geometry.enumerate_geometric, "p"),
+    "witness_class_set": (lambda v: geometry.witness_class_set(v, 1, 1, 1), "p"),
+    "omega_lower_bound": (lambda v: lattice.omega_lower_bound(12, [2, v]), "prime"),
+    "classify_prime_support": (lambda v: crt.classify_prime_support({3: [1], v: [1]}), "chain prime"),
+    "AntichainSpec chain": (lambda v: ac.AntichainSpec(((3, (1,)), (v, (1,)))), "chain prime"),
+    "AntichainSpec divisor": (lambda v: ac.AntichainSpec(((3, (1,)),), (2, v)), "divisor prime"),
+}
+
+
+@pytest.mark.parametrize("entry", PRIME_ARGUMENTS)
+def test_prime_arguments_refuse_a_composite_with_one_wording(entry):
+    call, what = PRIME_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{what} must be a prime int, got 4$"):
+        call(4)
+
+
+def test_primes_given_as_decimal_text_are_still_accepted():
+    assert lattice.omega_lower_bound(72, ["2", "+3"]) == 5
+    assert crt.classify_prime_support({"7": [0, 14]}) == {7: crt.NonZero(2)}
+    spec = ac.AntichainSpec((("3", (1,)),), ("7",))
+    assert (spec.chain_primes, spec.divisor_primes) == ((3,), (7,))
+    # geometry takes ints only, as before
+    with pytest.raises(ValueError, match="^p must be a prime int, got '7'$"):
+        geometry.primitive_root("7")
+
+
+# collection entry point -> (a call whose list holds two refused values, the first
+# of them not the least, and the refusal of the first in input order)
+COLLECTIONS = {
+    "make residues": (lambda: ps.make(5, [1, 7, 5]), "residue 7 out of range [0, 5)"),
+    "make added": (lambda: ps.make(5, [], [3, -1, -2]), "added element must be >= 0, got -1"),
+    "make removed": (lambda: ps.make(5, [1], [], [3, -1, -2]), "removed element must be >= 0, got -1"),
+    "divisibility_union": (lambda: ps.divisibility_union([3, 0, -1]), "divisor must be >= 1, got 0"),
+    "lattice elements": (lambda: lattice.up_closure([4, 0, -1]), "element must be >= 1, got 0"),
+    "omega_lower_bound": (
+        lambda: lattice.omega_lower_bound(12, [2, 9, 4]),
+        "prime must be a prime int, got 9",
+    ),
+    "nmax_witness forbidden": (
+        lambda: fl.nmax_witness(5, 1, [7, 1, 0], [2]),
+        "forbidden divisor must be >= 2, got 1",
+    ),
+    "nmax_witness pool": (
+        lambda: fl.nmax_witness(5, 1, [], [3, 1, 0]),
+        "pool element must be >= 2, got 1",
+    ),
+    "is_geometric": (lambda: geometry.is_geometric(7, [1, 8, 7]), "residue 8 out of range [0, 7)"),
+    "AntichainSpec divisors": (
+        lambda: ac.AntichainSpec(((3, (1,)),), (2, 9, 4)),
+        "divisor prime must be a prime int, got 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", COLLECTIONS)
+def test_collections_name_their_first_refused_value(entry):
+    call, message = COLLECTIONS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+HUGE = 10**5000  # 16610 bits, past the 4300-digit limit
+
+# a call that refuses an int past the digit limit -> (its exception type, its message)
+PAST_THE_DIGIT_LIMIT = {
+    "factorize": (
+        lambda: primes.factorize(10**4400, 1),
+        primes.FactorizationBudgetError,
+        "budget exceeded: cannot factor residual <int of 14617 bits>",
+    ),
+    "primitive_root": (
+        lambda: geometry.primitive_root(HUGE),
+        ValueError,
+        "p must be a prime int, got <int of 16610 bits>",
+    ),
+    "omega_lower_bound": (
+        lambda: lattice.omega_lower_bound(12, [HUGE]),
+        ValueError,
+        "prime must be a prime int, got <int of 16610 bits>",
+    ),
+    "make": (
+        lambda: ps.make(5, [1], [HUGE], [HUGE]),
+        ValueError,
+        "ambiguous edits: [<int of 16610 bits>] both added and removed",
+    ),
+    "prime_in_progression": (
+        lambda: geometry.prime_in_progression(HUGE, 2),
+        ValueError,
+        "gcd(<int of 16610 bits>, 2) = 2 != 1",
+    ),
+    "is_upward_closed": (
+        lambda: ps.is_upward_closed(ps.make(5, [0], [], [HUGE])),
+        ValueError,
+        "upward-closedness undecidable under edits at [<int of 16610 bits>]; "
+        "only purely periodic sets are supported",
+    ),
+    "nmax_witness": (
+        lambda: fl.nmax_witness(HUGE, 1, [], [2]),
+        fl.NoWitnessSourceError,
+        "no pool element is coprime to <int of 16610 bits> and to all of []",
+    ),
+    "classify_prime_support": (
+        lambda: crt.classify_prime_support({3: [HUGE]}),
+        ValueError,
+        "residue <int of 16610 bits> at depth 1 out of range for 3^1",
+    ),
+    "a chain that is no list": (
+        lambda: crt.classify_prime_support({3: {1: HUGE}}),
+        ValueError,
+        "residue chain for 3 must be a list, got <dict too long to print>",
+    ),
+    "strict_int of a tuple": (
+        lambda: primes.strict_int((HUGE,), "x"),
+        ValueError,
+        "x must be an integer, got <tuple too long to print>",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", PAST_THE_DIGIT_LIMIT)
+def test_refusals_of_an_int_past_the_digit_limit_keep_their_type_and_wording(entry, digit_limit):
+    call, error, message = PAST_THE_DIGIT_LIMIT[entry]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_list_that_holds_itself_is_shown_as_repr_shows_it(digit_limit):
+    looped = [1]
+    looped.append(looped)
+    with pytest.raises(ValueError, match=re.escape("x must be an integer, got [1, [...]]")):
+        primes.strict_int(looped, "x")
+    with pytest.raises(ValueError, match=re.escape("element: expected an integer, got [1, [...]]")):
+        lattice.up_closure([looped])
+    with pytest.raises(ValueError, match=re.escape("got [1, [...]]")):
+        ac.verify([3], ac.AntichainSpec(((3, (1,)),)), looped)
+    # one past the digit limit is shown by its bits, the loop as repr shows it
+    looped[0] = HUGE
+    with pytest.raises(ValueError, match=re.escape("got [<int of 16610 bits>, [...]]") + "$"):
+        primes.strict_int(looped, "x")

@@ -116,6 +116,14 @@ def test_divisor_views_refuse_what_factorize_cannot_split(monkeypatch):
     assert lattice.down_closure([2 * 1031]) == [1, 2, 1031, 2 * 1031]
 
 
+def test_is_convex_answers_false_before_it_factors_a_larger_member(monkeypatch):
+    monkeypatch.setattr(primes, "_rho", lambda m, left: (0, 0))
+    # 4 lies between 2 and 8, so 1031 * 1033, which no rho can split here, is never factored
+    assert not lattice.is_convex([1031 * 1033, 8, 2])
+    with pytest.raises(FactorizationBudgetError):
+        lattice.is_convex([2, 4, 8, 1031 * 1033])
+
+
 def test_omega_examples():
     assert lattice.omega(12) == 3
     assert lattice.omega(1) == 0
