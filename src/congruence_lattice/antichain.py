@@ -24,9 +24,10 @@ out instead.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Sequence
 
-from .crt import Congruence, ZeroToDepth, _merge, chain_support, validate_chain_table
+from .crt import Congruence, _checked_chain, _merge, chain_support
 from .primes import Record, _is_antichain, _shown, _valuations, json_int, strict_int, strict_prime
 
 SUBSTITUTION_MODES = ("strict", "safe")
@@ -53,17 +54,13 @@ class AntichainSpec(Record):
             if p in seen:
                 raise ValueError(f"prime {_shown(p)} listed twice")
             seen.add(p)
-        # the primes are distinct, so the table keeps every chain
-        chains = tuple(validate_chain_table(dict(chains)).items())
-        depths = []
+        chains = tuple((p, _checked_chain(strict_prime(p, "chain prime"), chain)) for p, chain in chains)
         for p, chain in chains:
-            support = chain_support(chain)
-            if isinstance(support, ZeroToDepth):
+            if not any(chain):
                 raise ValueError(f"chain for {_shown(p)} is all zero: first nonzero depth undefined")
-            depths.append(support.first_nonzero)
         object.__setattr__(self, "chains", chains)
         object.__setattr__(self, "divisor_primes", divisors)
-        object.__setattr__(self, "_depths", tuple(depths))
+        object.__setattr__(self, "_depths", tuple(chain_support(chain).first_nonzero for _, chain in chains))
 
     @property
     def chain_primes(self) -> tuple:
@@ -109,8 +106,8 @@ def _schedule(spec: AntichainSpec, n: int, substitution: str):
     the n-th power for j < n, and "substitute" (safe mode) chain prime n + j
     at exponent 1 in place of a missing divisor prime.  "short" marks a chain
     too short for its tracking depth (residue None); "missing" (strict mode)
-    a prime the supply lacks, with the list it is missing from in the prime
-    slot and its number in that list in the exponent slot.
+    the first prime a list lacks, with the list in the prime slot and the
+    prime's number in that list in the exponent slot.
     """
     chains, divisors, depths = spec.chains, spec.divisor_primes, spec._depths
     for i in range(min(n, len(chains))):
@@ -121,7 +118,7 @@ def _schedule(spec: AntichainSpec, n: int, substitution: str):
         yield "own", chains[n][0], depths[n], 0
     elif substitution == "strict":
         yield "missing", "chain", n, None
-    for j in range(n):
+    for j in range(min(n, max(len(divisors) + 1, len(chains) - n))):  # substitutes end at len(chains) - n
         if j < len(divisors):
             yield "divisor", divisors[j], n, 0
         elif substitution == "strict":
@@ -131,21 +128,22 @@ def _schedule(spec: AntichainSpec, n: int, substitution: str):
 
 
 def _requirements(spec: AntichainSpec, n: int, substitution: str) -> list:
-    """Element n's (modulus, residue) pairs, or the refusal of one that cannot be formed."""
+    """Element n's (prime, exponent, residue) triples, or the refusal of one that cannot be formed."""
     out = []
     for kind, p, e, r in _schedule(spec, n, substitution):
         if kind == "short":
             raise ValueError(f"chain for prime {_shown(p)} too short: element {n} needs depth {e}")
         if kind == "missing":
             raise ValueError(f"{p} prime number {e} unavailable and substitution disabled")
-        out.append((p**e, r))
+        out.append((p, e, r))
     return out
 
 
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
     _check_mode(substitution)
-    return [Congruence(m, r) for m, r in _requirements(spec, strict_int(index, "index", 1), substitution)]
+    index = strict_int(index, "index", 1)
+    return [Congruence(p**e, r) for p, e, r in _requirements(spec, index, substitution)]
 
 
 def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
@@ -153,16 +151,22 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
 
     Element 0 is the first nonzero power of the first chain prime; element
     n (n >= 1) is the least solution of step_congruences(spec, n) that
-    exceeds element n-1.
+    exceeds element n-1.  From step len(chains) + 1 on each system refines the
+    one before (chains a p-adic digit deeper, divisor powers up by one, no "own"
+    or "substitute" entry as n >= len(chains)), so step n-1's class (m, r) is
+    lifted a power of each prime p | m by an inverse mod p; new primes merge.
     """
     _check_mode(substitution)
     strict_int(last, "last", 0)
     values = [spec.chains[0][0] ** spec._depths[0]]
     for index in range(1, last + 1):
-        # prime powers, residue 0 on both where a prime repeats: no merge fails
-        m, r = 1, 0
-        for mi, ri in _requirements(spec, index, substitution):
-            m, r = _merge(m, r, mi, ri)
+        m, r = (1, 0) if index <= len(spec.chains) else (m, r)
+        for p, e, c in _requirements(spec, index, substitution):
+            if m % p or index <= len(spec.chains):  # new prime or fresh fold; a repeat has 0 on both
+                m, r = _merge(m, r, p**e, c)
+            else:  # p^(e-1) exactly divides m
+                low = p ** (e - 1)
+                r, m = r + m * ((c - r) % (low * p) // low * pow(m // low, -1, p) % p), m * p
         values.append(r + ((values[-1] - r) // m + 1) * m)
     return values
 
@@ -227,8 +231,10 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
                 flag, text = _FAILURES[kind]
                 flags[flag] = False
                 failures.append(text.format(n=n, p=_shown(p), e=e, r=_shown(r)))
-            need = n * min(n, len(divisors))
-            if divisors and _valuations(a, divisors) < need:
+            need = left = n * min(n, len(divisors))
+            for q in divisors:  # each valuation capped at what is still missing: one gcd a prime
+                left -= _valuations(gcd(a, q**left), (q,))
+            if left:
                 growth_ok = False
                 failures.append(f"element {n} has fewer than {need} factors over the divisor primes")
 

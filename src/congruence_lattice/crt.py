@@ -108,25 +108,29 @@ def validate_chain_table(table: Mapping) -> dict:
         p = strict_prime(json_int(p, "chain prime"), "chain prime")
         if p in out:
             raise ValueError(f"prime {_shown(p)} listed twice")
-        if not isinstance(chain, (list, tuple)):
-            raise ValueError(f"residue chain for {_shown(p)} must be a list, got {_shown(chain)}")
-        chain = tuple(json_int(r, "chain residue") for r in chain)
-        if not chain:
-            raise ValueError(f"empty residue chain for prime {_shown(p)}")
-        power = 1
-        prev = 0
-        for depth, r in enumerate(chain, start=1):
-            power *= p
-            if not 0 <= r < power:
-                raise ValueError(f"residue {_shown(r)} at depth {depth} out of range for {_shown(p)}^{depth}")
-            if depth > 1 and r % (power // p) != prev:
-                raise ValueError(
-                    f"chain for {_shown(p)} inconsistent at depth {depth}: "
-                    f"{_shown(r)} != {_shown(prev)} (mod {_shown(p)}^{depth - 1})"
-                )
-            prev = r
-        out[p] = chain
+        out[p] = _checked_chain(p, chain)
     return out
+
+
+def _checked_chain(p: int, chain) -> tuple:
+    """The residue chain of the prime p as a tuple, checked as validate_chain_table checks each."""
+    if not isinstance(chain, (list, tuple)):
+        raise ValueError(f"residue chain for {_shown(p)} must be a list, got {_shown(chain)}")
+    chain = tuple(json_int(r, "chain residue") for r in chain)
+    if not chain:
+        raise ValueError(f"empty residue chain for prime {_shown(p)}")
+    power, prev = 1, 0
+    for depth, r in enumerate(chain, start=1):
+        power *= p
+        if not 0 <= r < power:
+            raise ValueError(f"residue {_shown(r)} at depth {depth} out of range for {_shown(p)}^{depth}")
+        if depth > 1 and r % (power // p) != prev:
+            raise ValueError(
+                f"chain for {_shown(p)} inconsistent at depth {depth}: "
+                f"{_shown(r)} != {_shown(prev)} (mod {_shown(p)}^{depth - 1})"
+            )
+        prev = r
+    return chain
 
 
 def chain_support(chain) -> NonZero | ZeroToDepth:

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from congruence_lattice import antichain as ac, crt, filter_lab as fl, lattice
-from congruence_lattice.oracles import random_antichain_spec
+from congruence_lattice.oracles import _random_chain, random_antichain_spec
 
 # chain residues beyond the ones that matter for the early elements are held
 # constant, which keeps each chain consistent at every depth
@@ -42,10 +42,15 @@ def test_inconsistent_chain_rejected():
 
 
 def test_duplicate_primes_rejected():
-    with pytest.raises(ValueError):
-        ac.AntichainSpec(chains=((3, (1,)), (3, (2,))))
-    with pytest.raises(ValueError):
-        ac.AntichainSpec(chains=((3, (1,)),), divisor_primes=(3,))
+    # one check covers chain and divisor primes alike and names the first repeat
+    for chains, divisors, prime in (
+        (((3, (1,)), (5, (2,)), (3, (2,))), (2,), 3),
+        (((3, (1,)), (5, (2,))), (2, 5, 3), 5),
+        (((3, (1,)),), (2, 7, 2, 7), 2),
+        (((4, (1,)), (4, (1,))), (), 4),  # before the chain primes are checked for primality
+    ):
+        with pytest.raises(ValueError, match=f"^prime {prime} listed twice$"):
+            ac.AntichainSpec(chains, divisors)
 
 
 def test_spec_rejects_non_integer_primes_and_residues():
@@ -132,6 +137,124 @@ def test_build_rejects_short_chains():
     spec = ac.AntichainSpec(chains=((3, (1, 4)), (5, (2, 7))), divisor_primes=(2,))
     with pytest.raises(ValueError):
         ac.build(spec, 2)
+
+
+def reference_build(spec, last, substitution="safe"):
+    """The fold build's lift must match: every element from (1, 0) over its own step system."""
+    values = [spec.chains[0][0] ** ac.first_nonzero_depths(spec)[0]]
+    for index in range(1, last + 1):
+        c = crt.solve_system(ac.step_congruences(spec, index, substitution))
+        values.append(c.residue + ((values[-1] - c.residue) // c.modulus + 1) * c.modulus)
+    return values
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def random_lift_spec(rng, last):
+    """1-5 chains and 0-4 divisors, so some divisor primes first appear after the
+    last chain's step; one chain in five may be too short for the run."""
+    chains = []
+    primes = rng.sample((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), rng.randint(1, 5) + rng.randint(0, 4))
+    chain_count = rng.randint(1, min(5, len(primes)))
+    for p in primes[:chain_count]:
+        first = rng.randint(1, 2)
+        depth = first + last if rng.random() < 0.8 else rng.randint(first, first + last)
+        chains.append((p, _random_chain(rng, p, depth, first)))
+    return ac.AntichainSpec(tuple(chains), tuple(primes[chain_count:]))
+
+
+def test_lifted_build_equals_the_fold_from_scratch():
+    rng = random.Random(314159)
+    seen = {"lifted": 0, "late divisor": 0, "short": 0, "strict refusal": 0}
+    for _ in range(300):
+        last = rng.randint(0, 80)
+        spec = random_lift_spec(rng, last)
+        k, d = len(spec.chains), len(spec.divisor_primes)
+        for mode in ("safe", "strict"):
+            want = outcome(reference_build, spec, last, mode)
+            assert outcome(ac.build, spec, last, mode) == want, (spec, last, mode)
+            refused = isinstance(want, tuple)
+            seen["lifted"] += not refused and last > k
+            seen["late divisor"] += not refused and last > k < d
+            seen["short"] += refused and "too short" in want[1]
+            seen["strict refusal"] += refused and mode == "strict"
+    assert min(seen.values()) >= 10, seen
+
+
+def reference_verify(values, spec, substitution="safe"):
+    """verify's report with the factor count taken one division at a time."""
+    failures, flags, growth = [], {flag: True for flag, _ in ac._FAILURES.values()}, True
+    monotone = all(a < b for a, b in zip(values, values[1:]))
+    if not monotone:
+        failures.append("values are not strictly increasing positive integers")
+    antichain = not any(b % a == 0 for i, a in enumerate(values) for b in values[i + 1 :])
+    if not antichain:
+        failures.append("values are not a divisibility antichain")
+    divisors = spec.divisor_primes
+    for n, a in enumerate(values):
+        for kind, p, e, r in ac._schedule(spec, n, substitution):
+            if kind == "missing" or (kind != "short" and a % p**e == r):
+                continue
+            flag, text = ac._FAILURES[kind]
+            flags[flag] = False
+            failures.append(text.format(n=n, p=p, e=e, r=r))
+        need, total = n * min(n, len(divisors)), 0
+        for q in divisors:
+            while a % q == 0:
+                a //= q
+                total += 1
+        if total < need:
+            growth = False
+            failures.append(f"element {n} has fewer than {need} factors over the divisor primes")
+    return ac.VerificationReport(monotone, antichain, **flags, factor_count_growth=growth, failures=tuple(failures))
+
+
+def test_verify_counts_factors_as_division_does():
+    # an element divided or multiplied by a divisor prime moves the factor count by one
+    rng = random.Random(271828)
+    flagged = 0
+    for _ in range(150):
+        last = rng.randint(1, 40)
+        spec = random_lift_spec(rng, last)
+        for mode in ("safe", "strict"):
+            values = outcome(ac.build, spec, last, mode)
+            if isinstance(values, tuple):
+                continue
+            assert ac.verify(values, spec, mode) == reference_verify(values, spec, mode)
+            for _ in range(3):
+                tampered, i = list(values), rng.randrange(len(values))
+                q = rng.choice(spec.divisor_primes or spec.chain_primes)
+                tampered[i] = tampered[i] // q if tampered[i] % q == 0 and rng.random() < 0.7 else tampered[i] * q
+                report = ac.verify(tampered, spec, mode)
+                assert report == reference_verify(tampered, spec, mode), (spec, tampered, mode)
+                flagged += not report.factor_count_growth
+    assert flagged >= 20
+
+
+def test_only_the_first_steps_and_new_divisor_primes_are_merged(monkeypatch):
+    # steps after the last chain's lift the previous class; a fold from (1, 0) on
+    # every step would merge about 200 * 8 times here
+    calls = []
+
+    def counting_merge(*args):
+        calls.append(args)
+        return crt._merge(*args)
+
+    rng = random.Random(1618)
+    spec = ac.AntichainSpec(
+        tuple((p, _random_chain(rng, p, 202, 2)) for p in (3, 5, 7)), divisor_primes=(2, 11, 13, 17, 19)
+    )
+    first_steps = sum(len(ac.step_congruences(spec, n)) for n in range(1, 4))
+    monkeypatch.setattr(ac, "_merge", counting_merge)
+    values = ac.build(spec, 200)
+    assert len(calls) == first_steps + 2  # 17 and 19 first appear at steps 4 and 5
+    monkeypatch.undo()
+    assert values == reference_build(spec, 200)
 
 
 def test_bad_substitution_mode():
