@@ -24,7 +24,8 @@ out instead.
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import repeat
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from .crt import Congruence, _checked_chain, _merge, chain_support
@@ -151,22 +152,42 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
 
     Element 0 is the first nonzero power of the first chain prime; element
     n (n >= 1) is the least solution of step_congruences(spec, n) that
-    exceeds element n-1.  From step len(chains) + 1 on each system refines the
-    one before (chains a p-adic digit deeper, divisor powers up by one, no "own"
-    or "substitute" entry as n >= len(chains)), so step n-1's class (m, r) is
-    lifted a power of each prime p | m by an inverse mod p; new primes merge.
+    exceeds element n-1.  Steps 1..len(chains) fold CRT from (1, 0); each later
+    system refines the one before (chains a p-adic digit deeper, divisor powers
+    up by one, no "own" or "substitute" entry).  So each prime p of the class
+    (m, r) keeps p^e exactly dividing m and k = (m / p^e) mod p, and gives the
+    digit t_p = ((c - r) mod p^(e+1)) / p^e * k^-1 mod p; CRT joins the digits
+    into t mod P, P the product of the primes, and r += m*t, m *= P.  The new
+    m / p^(e+1) is the old m / p^e times P/p, so k is multiplied by P/p mod p.
+    A divisor prime first required later is merged; its power multiplies each k.
     """
     _check_mode(substitution)
     strict_int(last, "last", 0)
-    values = [spec.chains[0][0] ** spec._depths[0]]
-    for index in range(1, last + 1):
-        m, r = (1, 0) if index <= len(spec.chains) else (m, r)
-        for p, e, c in _requirements(spec, index, substitution):
-            if m % p or index <= len(spec.chains):  # new prime or fresh fold; a repeat has 0 on both
-                m, r = _merge(m, r, p**e, c)
-            else:  # p^(e-1) exactly divides m
-                low = p ** (e - 1)
-                r, m = r + m * ((c - r) % (low * p) // low * pow(m // low, -1, p) % p), m * p
+    chains, divisors = spec.chains, spec.divisor_primes
+    values = [chains[0][0] ** spec._depths[0]]
+    for index in range(1, min(last, len(chains)) + 1):
+        m, r, triples = 1, 0, _requirements(spec, index, substitution)
+        for p, e, c in triples:
+            m, r = _merge(m, r, p**e, c)
+        values.append(r + ((values[-1] - r) // m + 1) * m)
+    if last <= len(chains):
+        return values
+    if last > (end := min(len(chain) - depth for (_, chain), depth in zip(chains, spec._depths))):
+        _requirements(spec, end + 1, substitution)  # refuses the first chain too short for step end + 1
+    tracked = dict(chains)  # per prime: p, p^e, k and its residues from depth e + 1 on (a divisor's are 0)
+    state = [[p, p**e, m // p**e % p, iter(tracked.get(p, ())[e:] or repeat(0))] for p, e, _ in triples]
+    P = prod(p for p, _, _ in triples)
+    for index in range(len(chains) + 1, last + 1):
+        t = 0
+        for s in state:
+            p, pe, k, residues = s
+            s[1], s[2] = pe * p, k * (P // p) % p  # the new k: P/p times its inverse is k^-1 mod p, 0 mod P/p
+            t += (next(residues) - r) % s[1] // pe * (P // p) * pow(s[2], -1, p)
+        r, m = r + m * (t % P), m * P
+        if index <= len(divisors):  # divisor prime index - 1, first required now
+            qe = (q := divisors[index - 1]) ** index
+            state = [[p, pe, k * qe % p, res] for p, pe, k, res in state] + [[q, qe, m % q, repeat(0)]]
+            m, r, P = *_merge(m, r, qe, 0), P * q
         values.append(r + ((values[-1] - r) // m + 1) * m)
     return values
 
@@ -206,7 +227,9 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     element divisible by its own chain prime's first nonzero power;
     divisor-prime powers (plus, in safe mode, the exponent-1 substitutes);
     and a prime-factor-count lower bound computed from the divisor primes
-    alone (factoring the elements themselves is not attempted).
+    alone (factoring the elements themselves is not attempted), counted only
+    for an element missing a divisor power: q_j^n | a for every j < min(n,
+    len(divisors)) already gives the n * min(n, len(divisors)) factors.
     """
     _check_mode(substitution)
     failures = []
@@ -225,18 +248,21 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     divisors = spec.divisor_primes
     if positive:
         for n, a in enumerate(vals):
+            unmet = False  # a divisor power this element misses
             for kind, p, e, r in _schedule(spec, n, substitution):
                 if kind == "missing" or (kind != "short" and a % p**e == r):
                     continue
+                unmet |= kind == "divisor"
                 flag, text = _FAILURES[kind]
                 flags[flag] = False
                 failures.append(text.format(n=n, p=_shown(p), e=e, r=_shown(r)))
-            need = left = n * min(n, len(divisors))
-            for q in divisors:  # each valuation capped at what is still missing: one gcd a prime
-                left -= _valuations(gcd(a, q**left), (q,))
-            if left:
-                growth_ok = False
-                failures.append(f"element {n} has fewer than {need} factors over the divisor primes")
+            if unmet:  # else q_j^n | a for every j < min(n, len(divisors)) gives all n * min(n, len(divisors))
+                need = left = n * min(n, len(divisors))
+                for q in divisors:  # each valuation capped at what is still missing: one gcd a prime
+                    left -= _valuations(gcd(a, q**left), (q,))
+                if left:
+                    growth_ok = False
+                    failures.append(f"element {n} has fewer than {need} factors over the divisor primes")
 
     return VerificationReport(
         monotone=monotone,

@@ -54,8 +54,11 @@ def is_prime(n: int) -> bool:
     at _PSI).  Exact below psi13 (about 3.3e24).  From psi13 on, all 13 bases
     and a strong Lucas test with Selfridge's parameters (Baillie-PSW): True
     then means n passes both, which no known composite does, though none is
-    proved not to; False is always a proof.
+    proved not to; False is always a proof.  Any n whose type is not exactly int
+    is refused with ValueError ("n must be an integer, got 2.0").
     """
+    if type(n) is not int:
+        strict_int(n, "n")
     if n < 2:
         return False
     # trial division by the witnesses leaves n larger than every witness

@@ -237,24 +237,66 @@ def test_verify_counts_factors_as_division_does():
 
 
 def test_only_the_first_steps_and_new_divisor_primes_are_merged(monkeypatch):
-    # steps after the last chain's lift the previous class; a fold from (1, 0) on
-    # every step would merge about 200 * 8 times here
-    calls = []
+    # steps after the last chain's advance per-prime state: a fold from (1, 0) on
+    # every step would merge about 200 * 8 times here, and they ask _requirements nothing
+    merges, steps = [], []
 
     def counting_merge(*args):
-        calls.append(args)
+        merges.append(args)
         return crt._merge(*args)
+
+    def counting_requirements(spec, index, substitution):
+        steps.append(index)
+        return requirements(spec, index, substitution)
 
     rng = random.Random(1618)
     spec = ac.AntichainSpec(
         tuple((p, _random_chain(rng, p, 202, 2)) for p in (3, 5, 7)), divisor_primes=(2, 11, 13, 17, 19)
     )
     first_steps = sum(len(ac.step_congruences(spec, n)) for n in range(1, 4))
+    requirements = ac._requirements
     monkeypatch.setattr(ac, "_merge", counting_merge)
+    monkeypatch.setattr(ac, "_requirements", counting_requirements)
     values = ac.build(spec, 200)
-    assert len(calls) == first_steps + 2  # 17 and 19 first appear at steps 4 and 5
+    assert len(merges) == first_steps + 2  # 17 and 19 first appear at steps 4 and 5
+    assert steps == [1, 2, 3]
     monkeypatch.undo()
     assert values == reference_build(spec, 200)
+
+
+def test_verify_counts_factors_only_where_a_divisor_power_is_missing(monkeypatch):
+    # n * min(n, len(divisors)) factors follow from the divisor powers q_j^n | a
+    # themselves; verify used to count them on every element
+    calls = []
+
+    def counting_valuations(n, primes):
+        calls.append(n)
+        return valuations(n, primes)
+
+    valuations = ac._valuations
+    monkeypatch.setattr(ac, "_valuations", counting_valuations)
+    rng = random.Random(4669)
+    tampered_counts = 0
+    for _ in range(60):
+        last = rng.randint(1, 30)
+        spec = random_lift_spec(rng, last)
+        values = outcome(ac.build, spec, last)
+        if isinstance(values, tuple):
+            continue
+        calls.clear()
+        assert ac.verify(values, spec) == reference_verify(values, spec)
+        assert calls == []  # a built prefix meets every divisor power
+        divisors = spec.divisor_primes
+        for _ in range(3):
+            tampered, i = list(values), rng.randrange(len(values))
+            q = rng.choice(divisors or spec.chain_primes)
+            tampered[i] = tampered[i] // q if tampered[i] % q == 0 and rng.random() < 0.7 else tampered[i] * q
+            unmet = [n for n, a in enumerate(tampered) if any(a % d**n for d in divisors[: min(n, len(divisors))])]
+            calls.clear()
+            assert ac.verify(tampered, spec) == reference_verify(tampered, spec)
+            assert len(calls) == len(divisors) * len(unmet)  # one capped count per divisor prime
+            tampered_counts += bool(unmet)
+    assert tampered_counts >= 20
 
 
 def test_bad_substitution_mode():

@@ -1,8 +1,10 @@
 """Oracle suite runner: budget, case count and per-suite verdicts."""
 
+from math import lcm
+
 import pytest
 
-from congruence_lattice import oracles
+from congruence_lattice import antichain, oracles
 
 
 @pytest.mark.parametrize("suite", sorted(oracles.SUITES))
@@ -44,3 +46,21 @@ def test_small_runs_report_no_mismatch(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         oracles.run_suite("bogus")
+
+
+def test_antichain_suite_catches_an_element_one_period_too_high(monkeypatch):
+    # the suite's brute-force check of the lifted steps: element len(chains) + 1,
+    # the first one build lifts, moved to the next solution of its system
+    build = antichain.build
+
+    def planted(spec, last, substitution="safe"):
+        values, n = build(spec, last, substitution), len(spec.chains) + 1
+        if n <= last:
+            values[n] += lcm(*(c.modulus for c in antichain.step_congruences(spec, n, substitution)))
+        return values
+
+    monkeypatch.setattr(antichain, "build", planted)
+    report = oracles.run_suite("antichain", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "element" in text, text

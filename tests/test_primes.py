@@ -2,6 +2,7 @@
 above it, factorization by trial division and rho under a work budget."""
 
 import random
+import re
 from collections import Counter
 from math import gcd, isqrt, prod
 
@@ -142,6 +143,13 @@ def test_witness_primes_are_prime():
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         assert is_prime(p)
         assert prime_factors(p) == [p]
+
+
+@pytest.mark.parametrize("value", [2.0, True, "7", None, 10.0**30])
+def test_is_prime_refuses_what_is_not_an_int(value):
+    # it answered True for 2.0, False for True and for 10.0**30, and raised a bare TypeError for "7"
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+        is_prime(value)
 
 
 def test_factorize_matches_smallest_prime_factor_sieve():
