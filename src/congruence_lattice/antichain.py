@@ -148,18 +148,17 @@ def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe"
 
 
 def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
-    """Elements 0..last of the antichain, strictly increasing.
+    """Elements 0..last, strictly increasing least solutions; verify checks the antichain.
 
-    Element 0 is the first nonzero power of the first chain prime; element
-    n (n >= 1) is the least solution of step_congruences(spec, n) that
-    exceeds element n-1.  Steps 1..len(chains) fold CRT from (1, 0); each later
-    system refines the one before (chains a p-adic digit deeper, divisor powers
-    up by one, no "own" or "substitute" entry).  So each prime p of the class
-    (m, r) keeps p^e exactly dividing m and k = (m / p^e) mod p, and gives the
-    digit t_p = ((c - r) mod p^(e+1)) / p^e * k^-1 mod p; CRT joins the digits
-    into t mod P, P the product of the primes, and r += m*t, m *= P.  The new
-    m / p^(e+1) is the old m / p^e times P/p, so k is multiplied by P/p mod p.
-    A divisor prime first required later is merged; its power multiplies each k.
+    Element 0 is the first nonzero power of the first chain prime; element n (n >= 1) is the least
+    solution of step_congruences(spec, n) above element n-1.  In safe mode with one chain these
+    need not be an antichain: build(AntichainSpec(((2, (0, 2, 6, 6)),), (11,)), 2) is [4, 22, 726], 22 | 726.
+    Steps 1..len(chains) fold CRT from (1, 0); each later system refines the one before (chains a p-adic
+    digit deeper, divisor powers up by one, no "own" or "substitute" entry).  So each prime p of the
+    class (m, r) keeps p^e exactly dividing m and k = (m / p^e) mod p, and gives the digit
+    t_p = ((c - r) mod p^(e+1)) / p^e * k^-1 mod p; CRT joins the digits into t mod P, P the product of
+    the primes, and r += m*t, m *= P.  The new m / p^(e+1) is the old m / p^e times P/p, so k is
+    multiplied by P/p mod p.  A divisor prime first required later is merged; its power multiplies each k.
     """
     _check_mode(substitution)
     strict_int(last, "last", 0)

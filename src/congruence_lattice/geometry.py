@@ -113,30 +113,40 @@ def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
     """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, where
     n = ord(base) is the product of q^e over factors = {q: e}.
 
-    Pohlig-Hellman, O(sum of e * sqrt(q)) for one target: the e base-q digits of
-    k mod q^e are logs to h = base^(n/q), of order q, by baby-step giant-step
-    from one table per q for every digit and target.  It holds about
-    sqrt(q * searches / 2) baby steps: a search stops halfway on average, and
-    a baby step (a dict insert) costs more than a giant step (a lookup).  The
-    residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
+    Pohlig-Hellman, O(sum of e * sqrt(q)) for one target: the e base-q digits of k mod q^e
+    are logs to h = base^(n/q), of order q, by baby-step giant-step from one table per q for
+    every digit and target, of h^j for j < m, about sqrt(q * searches / 2) (a search stops
+    halfway, an insert costs more than a lookup) in whole blocks of s = max(1, q // (64 m)).
+    Only the marks j = 0, s, 2s, ... map to j, the rest to None, so most entries own no int
+    (115 traced bytes each at m = 46341, not 145); a search landing between marks walks back
+    by h^-1 to the one below, fewer than s steps: about 1/64 of the q / 2m giant steps it
+    expects.  The residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
     """
     ks = dict.fromkeys(targets, 0)
     for q, e in factors.items():
         c, h = n // q**e, pow(base, n // q, p)
         m = min(q, isqrt(q * e * len(ks) // 2) + 1)
-        baby, val = {}, 1
-        for j in range(m):
-            baby[val] = j
-            val = val * h % p
-        giant, inverse = pow(h, -m, p), pow(base, -c, p)
-        unit = c * pow(c, -1, q**e)  # 1 mod q^e and 0 mod n / q^e
+        s = max(1, q // (64 * m))
+        m, baby, val, pad = m + -m % s, {}, 1, (None,) * (s - 1)
+        if s == 1:  # the exact map: the loop target stores j under h^j
+            for baby[val] in range(m):
+                val = val * h % p
+        else:  # j under each mark h^j, None under the s - 1 powers after it
+            for baby[val] in range(0, m, s):
+                val = val * h % p
+                for baby[val] in pad:
+                    val = val * h % p
+        back, inverse = pow(h, -1, p), pow(base, -c, p) if e > 1 else 1  # e = 1: no digits to strip
+        giant, unit = pow(back, m, p), c * pow(c, -1, q**e)  # unit: 1 mod q^e and 0 mod n / q^e
         for t in ks:
             y, r = pow(t, c, p), 0  # y = (base^c)^(k mod q^e); r holds the digits below i
             for i in range(e):
                 gamma, d = pow(y * pow(inverse, r, p), q ** (e - 1 - i), p), 0  # h^(digit i)
                 while gamma not in baby:
                     gamma, d = gamma * giant % p, d + m
-                r += (d + baby[gamma]) * q**i
+                while (j := baby[gamma]) is None:  # fewer than s steps back to a mark
+                    gamma, d = gamma * back % p, d + 1
+                r += (d + j) * q**i
             ks[t] += r * unit
     return {t: k % n or n for t, k in ks.items()}
 

@@ -114,6 +114,15 @@ def test_build_monotone_and_verified():
     assert report.ok, report.failures
 
 
+def test_one_chain_in_safe_mode_builds_least_solutions_that_verify_refuses():
+    # build promises least solutions, not an antichain: element 1 divides element 2 here
+    spec = ac.AntichainSpec(((2, (0, 2, 6, 6)),), (11,))
+    values = ac.build(spec, 2)
+    assert values == [4, 22, 726] and 726 % 22 == 0
+    report = ac.verify(values, spec)
+    assert not report.antichain and report.failures == ("values are not a divisibility antichain",)
+
+
 def test_strict_mode_requires_enough_primes():
     spec = ac.AntichainSpec(chains=((3, (1, 4)),), divisor_primes=(2,))
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Geometric residue sets: expansion, recognition, exponent structure."""
 
 import random
-from math import gcd
+import tracemalloc
+from math import gcd, isqrt
 
 import pytest
 
@@ -360,6 +361,96 @@ def test_a_non_member_is_answered_before_any_table_is_built(monkeypatch):
     square = pow(53, 2, p)
     assert geo.discrete_log(p, square, 53) is None  # 53 generates more than the squares
     assert geo.discrete_log(1000003, 4, 2) is None
+
+
+# -- marked tables: an exponent at every s-th power, None between ----------------------
+
+# a safe prime, p = 2q + 1: a base of order q takes one digit from a table of
+# m = isqrt(q / 2) + 1 powers with a mark every s = q // (64 m), rounded up to whole blocks
+SAFE_P, SAFE_Q = 8589935363, 4294967681
+SAFE_M, SAFE_S, SAFE_TABLE = 46341, 1448, 47784
+
+
+def certified_log(p, base, x, order, k):
+    # base has the given order, so its log of x is unique in [1, order] and so least
+    return 1 <= k <= order and pow(base, k, p) == x
+
+
+@pytest.mark.parametrize("k", [
+    1, SAFE_S - 1, SAFE_S, SAFE_S + 1,  # around the first mark past 0
+    SAFE_M - 2, SAFE_M - 1, SAFE_M, SAFE_M + 1,  # around the rule's m
+    SAFE_TABLE - 1, SAFE_TABLE, SAFE_TABLE + 1,  # the last entry and one giant step on
+    5 * SAFE_TABLE + SAFE_S - 1, SAFE_Q - 1,  # between marks after 5 giant steps; the last digit
+])
+def test_digits_around_the_marks_at_a_safe_prime(k):
+    x = pow(4, k, SAFE_P)
+    got = geo.discrete_log(SAFE_P, 4, x)
+    assert got == k and certified_log(SAFE_P, 4, x, SAFE_Q, got)
+
+
+def test_the_identity_and_a_non_member_at_a_safe_prime():
+    assert SAFE_P == 2 * SAFE_Q + 1 and geo.multiplicative_order(SAFE_P, 4) == SAFE_Q
+    assert (isqrt(SAFE_Q // 2) + 1, SAFE_Q // (64 * SAFE_M)) == (SAFE_M, SAFE_S)
+    assert SAFE_TABLE % SAFE_S == 0 and SAFE_M <= SAFE_TABLE < SAFE_M + SAFE_S
+    assert geo.discrete_log(SAFE_P, 4, 1) == SAFE_Q  # digit 0: the least k >= 1 is the order
+    assert SAFE_P % 8 == 3  # so 2 is not a square, and <4> is the squares
+    assert geo.discrete_log(SAFE_P, 4, 2) is None
+
+
+@pytest.mark.parametrize("p, q, cofactor", [
+    (100810807, 4099, 6),  # s = 1 at q: the exact map for both digits
+    (14401464037211, 1200061, 10),  # s = 17 for one target, 3 for 30: both digits walk
+])
+def test_two_digits_of_a_squared_prime_are_certified(p, q, cofactor):
+    assert p == cofactor * q**2 + 1
+    primes = sorted({*factorize(cofactor), q})
+    rng = random.Random(p)
+
+    def order(a):  # certified from the primes of p - 1
+        t = geo.multiplicative_order(p, a)
+        assert (p - 1) % t == 0 and pow(a, t, p) == 1
+        assert all(pow(a, t // r, p) != 1 for r in primes if t % r == 0)
+        return t
+
+    for _ in range(40):
+        base = rng.randrange(2, p - 1)
+        t = order(base)
+        x = pow(base, rng.randrange(1, t + 1), p)
+        assert certified_log(p, base, x, t, geo.discrete_log(p, base, x)), (base, x)
+    g = geo.primitive_root(p)
+    assert order(g) == p - 1
+    s = {rng.randrange(1, p) for _ in range(30)}
+    off = geo.exponent_offsets(p, s)
+    ks = [off.base_exponent, *(off.base_exponent + k for k in off.offsets)]
+    assert len(ks) == len(s) and 1 <= ks[0] and ks[-1] <= p - 1
+    assert {pow(g, k, p) for k in ks} == s
+
+
+def test_a_one_target_table_peaks_below_125_bytes_a_baby_step():
+    # the exact map {h^j: j} peaks at about 145 bytes a step here, as each entry holds an int j
+    x = pow(4, SAFE_TABLE + SAFE_S // 2, SAFE_P)
+    k, peak = peak_bytes(lambda: geo.discrete_log(SAFE_P, 4, x))
+    assert k == SAFE_TABLE + SAFE_S // 2
+    assert peak / SAFE_M < 125, peak / SAFE_M
+
+
+def test_many_targets_keep_the_exact_map_within_its_memory():
+    # 2000 targets at the least safe prime above 10^6 give s = 1, the exact map: about 3.4 MiB
+    p = 1000667
+    assert geo.multiplicative_order(p, 4) == (p - 1) // 2
+    s = random.Random(3).sample(range(1, p), 2000)
+    off, peak = peak_bytes(lambda: geo.exponent_offsets(p, s))
+    assert len(off.offsets) == 1999
+    assert peak <= 3.5 * 2**20, peak / 2**20
+
+
+def peak_bytes(build):
+    """(result, tracemalloc peak) of build()."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- exponent offsets and structure -----------------------------------------------------

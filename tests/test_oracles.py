@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from congruence_lattice import antichain, oracles
+from congruence_lattice import antichain, geometry, oracles
 
 
 @pytest.mark.parametrize("suite", sorted(oracles.SUITES))
@@ -64,3 +64,22 @@ def test_antichain_suite_catches_an_element_one_period_too_high(monkeypatch):
     assert report["mismatches"] >= 1
     text = "\n".join(report["mismatch_examples"])
     assert "element" in text, text
+
+
+def test_dlog_suite_catches_one_log_off_by_one_in_each_case(monkeypatch):
+    # the first answer for each (p, base) pair, and each case draws one, is one too high;
+    # 20 cases run _dlog_prime's draws past its fixed primes, both by scan and by pow
+    discrete_log, seen = geometry.discrete_log, set()
+
+    def planted(p, base, x):
+        k = discrete_log(p, base, x)
+        if k is None or (p, base) in seen:
+            return k
+        seen.add((p, base))
+        return k + 1
+
+    monkeypatch.setattr(geometry, "discrete_log", planted)
+    report = oracles.run_suite("dlog", cases=20)
+    assert report["cases_run"] == 20 and report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "discrete_log" in text, text
