@@ -18,12 +18,25 @@ of the rest of the library.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, NamedTuple, Optional
 
-from .primes import Record, _check_coprime, _factorize, is_prime, strict_int, strict_ints, strict_prime
+from .primes import (Record, _check_coprime, _factorize, _TRIAL_PRIMES, is_prime, strict_int, strict_ints,
+                     strict_prime)
+
+# Index calculus takes the digit of a prime q of ord(base) above _IC_CROSSOVER when q ∥ p - 1.
+# Below it baby-step giant-step is as fast (they tie near q = 2^28; x86_64, Python 3.11), and the
+# walk's budget would leave it little room: isqrt(q * targets) // _IC_STEP_COST steps of about 15
+# baby steps' cost each, so that a walk which runs out costs about what its fallback does, gives
+# one target at q = 2^31 2900 steps, of which its relations take about 1200.  _IC_SLACK relations
+# are kept past one per factor-base prime; the walk multiplies by one of _IC_WALK powers of base.
+_IC_CROSSOVER = 1 << 31
+_IC_STEP_COST = 16
+_IC_SLACK = 8
+_IC_WALK = 16
 
 
 class GeometricDescriptor(Record):
@@ -113,42 +126,145 @@ def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
     """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, where
     n = ord(base) is the product of q^e over factors = {q: e}.
 
-    Pohlig-Hellman, O(sum of e * sqrt(q)) for one target: the e base-q digits of k mod q^e
-    are logs to h = base^(n/q), of order q, by baby-step giant-step from one table per q for
-    every digit and target, of h^j for j < m, about sqrt(q * searches / 2) (a search stops
-    halfway, an insert costs more than a lookup) in whole blocks of s = max(1, q // (64 m)).
-    Only the marks j = 0, s, 2s, ... map to j, the rest to None, so most entries own no int
-    (115 traced bytes each at m = 46341, not 145); a search landing between marks walks back
-    by h^-1 to the one below, fewer than s steps: about 1/64 of the q / 2m giant steps it
-    expects.  The residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
+    Pohlig-Hellman: k mod q^e is found for each q^e in the subgroup of order q.  A prime
+    q > _IC_CROSSOVER with q ∥ p - 1 goes by `_index_calculus`, in time subexponential in
+    log p and a few dozen relations of memory; should it fail a digit's check or run out
+    of steps, and for every other q, by `_baby_giant`, O(e sqrt(q)) for one target.  The
+    residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
     """
     ks = dict.fromkeys(targets, 0)
     for q, e in factors.items():
-        c, h = n // q**e, pow(base, n // q, p)
-        m = min(q, isqrt(q * e * len(ks) // 2) + 1)
-        s = max(1, q // (64 * m))
-        m, baby, val, pad = m + -m % s, {}, 1, (None,) * (s - 1)
-        if s == 1:  # the exact map: the loop target stores j under h^j
-            for baby[val] in range(m):
-                val = val * h % p
-        else:  # j under each mark h^j, None under the s - 1 powers after it
-            for baby[val] in range(0, m, s):
-                val = val * h % p
-                for baby[val] in pad:
-                    val = val * h % p
-        back, inverse = pow(h, -1, p), pow(base, -c, p) if e > 1 else 1  # e = 1: no digits to strip
-        giant, unit = pow(back, m, p), c * pow(c, -1, q**e)  # unit: 1 mod q^e and 0 mod n / q^e
-        for t in ks:
-            y, r = pow(t, c, p), 0  # y = (base^c)^(k mod q^e); r holds the digits below i
-            for i in range(e):
-                gamma, d = pow(y * pow(inverse, r, p), q ** (e - 1 - i), p), 0  # h^(digit i)
-                while gamma not in baby:
-                    gamma, d = gamma * giant % p, d + m
-                while (j := baby[gamma]) is None:  # fewer than s steps back to a mark
-                    gamma, d = gamma * back % p, d + 1
-                r += (d + j) * q**i
+        c = n // q**e
+        unit = c * pow(c, -1, q**e)  # 1 mod q^e and 0 mod n / q^e
+        # q ∥ p - 1, which also makes e = 1: without it the relations would not fix logs mod q
+        digits = _index_calculus(p, base, q, c, ks) if q > _IC_CROSSOVER and (p - 1) % (q * q) else None
+        for t, r in (digits or _baby_giant(p, base, q, e, c, ks)).items():
             ks[t] += r * unit
     return {t: k % n or n for t, k in ks.items()}
+
+
+def _baby_giant(p: int, base: int, q: int, e: int, c: int, targets) -> dict:
+    """{t: k mod q^e} with base^k = t, c = ord(base) / q^e: the e base-q digits are logs to
+    h = base^(c q^(e-1)), of order q, by baby-step giant-step from one table {h^j: j} for
+    every digit and target, of m = sqrt(q * searches / 2) powers (a search stops halfway, an
+    insert costs more than a lookup).  O(e * sqrt(q)) for one target.
+    """
+    h = pow(base, c * q ** (e - 1), p)
+    m = min(q, isqrt(q * e * len(targets) // 2) + 1)
+    baby, val = {}, 1
+    for baby[val] in range(m):  # the loop target stores j under h^j
+        val = val * h % p
+    inverse = pow(base, -c, p) if e > 1 else 1  # e = 1: no digits to strip
+    giant, out = pow(h, -m, p), {}
+    for t in targets:
+        y, r = pow(t, c, p), 0  # y = (base^c)^(k mod q^e); r holds the digits below i
+        for i in range(e):
+            gamma, d = pow(y * pow(inverse, r, p), q ** (e - 1 - i), p), 0  # h^(digit i)
+            while gamma not in baby:
+                gamma, d = gamma * giant % p, d + m
+            r += (d + baby[gamma]) * q**i
+        out[t] = r
+    return out
+
+
+def _index_calculus(p: int, base: int, q: int, c: int, targets) -> Optional[dict]:
+    """{t: k mod q} with base^k = t, for a prime q with q ∥ p - 1 and c = ord(base) / q, or
+    None when the walk runs out of steps or a digit fails its check.
+
+    Every log here is that of z^((p - 1) / q) to base^((p - 1) / q), a generator of the
+    subgroup of order q, so base has log 1 and -1 log 0 (q is odd).  A walk z = base^x
+    multiplies z by one of _IC_WALK powers w = base^s, picked by z mod _IC_WALK, with
+    s = isqrt(l * p) for the first primes l, near irrational multiples of sqrt(p), so two
+    stretches of the walk seldom add up to a third; on the powers of one w they often do,
+    and many relations are then sums of earlier ones.  Each z is written as +-a/b
+    (mod p) with a, b <= sqrt(p): a is the first remainder of Euclid on (p, z) below
+    sqrt(p), and b = +-a / z.  When a and b factor over the primes below B(p), the
+    exponents of a / b are one linear relation mod q among the logs of those primes, all
+    solved by Gaussian elimination.  A target t then takes its log from the first t * base^x
+    on its own walk whose ratio has only solved primes.  Each digit d is checked by
+    (base^c)^d = t^c before it is used.  A walk that has found fewer than half its relations
+    halfway through the budget gives up there: for p much larger than q (q near 2^31 in
+    p - 1 of 40 bits or more) the relations would not fit in it.
+    """
+    fb = _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, _factor_bound(p))]
+    smooth, root = prod(fb), isqrt(p)
+    walk = [(pow(base, s, p), s) for s in (isqrt(l * p) for l in _TRIAL_PRIMES[:_IC_WALK])]
+    budget = steps = isqrt(q * len(targets)) // _IC_STEP_COST
+
+    def ratio(z):  # exponents over fb of a / b with z = +-a/b (mod p), or None if not fb-smooth
+        r0, a = p, z
+        while a > root:  # each remainder of Euclid on (p, z) is +-b * z (mod p) with b <= p / r0
+            r0, a = a, r0 % a
+        if pow(smooth, a.bit_length(), a):  # a has a prime past fb: fb^bits is not 0 mod a
+            return None
+        b = a * pow(z, -1, p) % p
+        b = min(b, p - b)
+        if pow(smooth, b.bit_length(), b):
+            return None
+        v = []
+        for l in fb:
+            k = 0
+            while a % l == 0:
+                a, k = a // l, k + 1
+            while b % l == 0:
+                b, k = b // l, k - 1
+            v.append(k)
+        return v
+
+    rows, z, x, need = [], 1, 0, len(fb) + _IC_SLACK  # z = base^x
+    while len(rows) < need:
+        if not steps or steps == budget // 2 and 2 * len(rows) < need:  # halfway: on pace to run out
+            return None
+        (w, s), steps = walk[z % _IC_WALK], steps - 1
+        z, x = z * w % p, x + s
+        if (v := ratio(z)) is not None:
+            rows.append([x % q, *v])
+    logs = _solve_mod(rows, len(fb), q)
+    h, out = pow(base, c, p), {}
+    for t in targets:
+        z, x = t, 0  # z = t * base^x
+        while (v := ratio(z)) is None or any(k and i not in logs for i, k in enumerate(v)):
+            if not steps:
+                return None
+            (w, s), steps = walk[z % _IC_WALK], steps - 1
+            z, x = z * w % p, x + s
+        d = (sum(k * logs[i] for i, k in enumerate(v) if k) - x) % q
+        if pow(h, d, p) != pow(t, c, p):
+            return None
+        out[t] = d
+    return out
+
+
+def _factor_bound(p: int) -> int:
+    """B(p), the factor base's bound: 2^((bits of p + 22) / 8), and 2^10 from 58 bits on."""
+    return round(2 ** ((min(p.bit_length(), 58) + 22) / 8))
+
+
+def _solve_mod(rows: list, width: int, q: int) -> dict:
+    """{column: value} for each column whose value the linear system fixes mod the prime q; a row
+    is its right-hand side, then `width` coefficients.  Gaussian elimination from the last
+    column, the rarest prime, which keeps the rows sparse and leaves each pivot row 0 past its
+    column, then back substitution, which leaves out a column that stays free or whose row
+    holds one."""
+    pivots = []
+    for col in reversed(range(width)):
+        rank = len(pivots)
+        at = next((i for i in range(rank, len(rows)) if rows[i][col + 1] % q), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        inv = pow(rows[rank][col + 1], -1, q)
+        pivot = rows[rank][: col + 2] = [a * inv % q for a in rows[rank][: col + 2]]
+        for row in rows[rank + 1 :]:
+            if f := row[col + 1] % q:
+                row[: col + 2] = [(a - f * b) % q for a, b in zip(row, pivot)]
+        pivots.append(col)
+    values = {}
+    for col, row in zip(reversed(pivots), reversed(rows[: len(pivots)])):  # the later pivots first
+        others = [j for j in range(col) if row[j + 1]]
+        if all(j in values for j in others):
+            values[col] = (row[0] - sum(row[j + 1] * values[j] for j in others)) % q
+    return values
 
 
 def exponent_offsets(p: int, residues: Iterable) -> ExponentOffsets:

@@ -23,8 +23,9 @@ _GEOM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 _SIEVE_BOUND = 10**6
 
-# the dlog suite's first primes: p - 1 = 2^8, 2^9 * 3 * 5, 2^16, and 37-smooth
-_DLOG_PRIMES = (257, 7681, 65537, 29682952539241)
+# the dlog suite's first primes: p - 1 = 2^8, 2^9 * 3 * 5, 2^16, 37-smooth, and twice a prime
+# above geometry's index-calculus crossover (two safe primes)
+_DLOG_PRIMES = (257, 7681, 65537, 29682952539241, 8589935363, 52274027579)
 _DLOG_SCAN_BOUND = 10**4
 
 # (n, its prime factors, whether factorize must split n at the default
@@ -257,8 +258,10 @@ def _random_chain(rng, p, depth, first_nonzero):
 
 
 def random_antichain_spec(rng, last):
-    chain_primes = rng.sample((3, 5, 7, 11, 13), rng.randint(2, 4))
-    divisor_primes = rng.sample((2, 17, 19, 23), rng.randint(1, 2))
+    # one spec in four has 2 chains and 3-4 divisors, so build merges a divisor past the chains' steps
+    wide = rng.random() < 0.25
+    chain_primes = rng.sample((3, 5, 7, 11, 13), 2 if wide else rng.randint(2, 4))
+    divisor_primes = rng.sample((2, 17, 19, 23), rng.randint(3, 4) if wide else rng.randint(1, 2))
     chains = []
     for p in chain_primes:
         first = rng.randint(1, 2)

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
@@ -363,12 +363,12 @@ def test_a_non_member_is_answered_before_any_table_is_built(monkeypatch):
     assert geo.discrete_log(1000003, 4, 2) is None
 
 
-# -- marked tables: an exponent at every s-th power, None between ----------------------
+# -- index calculus for a prime of the order above the crossover ----------------------
 
-# a safe prime, p = 2q + 1: a base of order q takes one digit from a table of
-# m = isqrt(q / 2) + 1 powers with a mark every s = q // (64 m), rounded up to whole blocks
+# a safe prime, p = 2q + 1, with q above the crossover: a base of order q takes its one digit by
+# index calculus; a primitive root takes its digit mod q so and its digit mod 2 by baby-step giant-step
 SAFE_P, SAFE_Q = 8589935363, 4294967681
-SAFE_M, SAFE_S, SAFE_TABLE = 46341, 1448, 47784
+BIG_P = 52274027579  # a safe prime near the benchmark's largest
 
 
 def certified_log(p, base, x, order, k):
@@ -376,13 +376,16 @@ def certified_log(p, base, x, order, k):
     return 1 <= k <= order and pow(base, k, p) == x
 
 
+def no_baby_giant(*args):
+    raise AssertionError("baby-step giant-step was called")
+
+
 @pytest.mark.parametrize("k", [
-    1, SAFE_S - 1, SAFE_S, SAFE_S + 1,  # around the first mark past 0
-    SAFE_M - 2, SAFE_M - 1, SAFE_M, SAFE_M + 1,  # around the rule's m
-    SAFE_TABLE - 1, SAFE_TABLE, SAFE_TABLE + 1,  # the last entry and one giant step on
-    5 * SAFE_TABLE + SAFE_S - 1, SAFE_Q - 1,  # between marks after 5 giant steps; the last digit
+    1, 1447, 1448, 1449, 46339, 46340, 46341, 46342, 47783, 47784, 47785, 240367, SAFE_Q - 1,
 ])
-def test_digits_around_the_marks_at_a_safe_prime(k):
+def test_digits_by_index_calculus_at_a_safe_prime(monkeypatch, k):
+    monkeypatch.setattr(geo, "_baby_giant", no_baby_giant)
+    assert SAFE_Q > geo._IC_CROSSOVER
     x = pow(4, k, SAFE_P)
     got = geo.discrete_log(SAFE_P, 4, x)
     assert got == k and certified_log(SAFE_P, 4, x, SAFE_Q, got)
@@ -390,16 +393,76 @@ def test_digits_around_the_marks_at_a_safe_prime(k):
 
 def test_the_identity_and_a_non_member_at_a_safe_prime():
     assert SAFE_P == 2 * SAFE_Q + 1 and geo.multiplicative_order(SAFE_P, 4) == SAFE_Q
-    assert (isqrt(SAFE_Q // 2) + 1, SAFE_Q // (64 * SAFE_M)) == (SAFE_M, SAFE_S)
-    assert SAFE_TABLE % SAFE_S == 0 and SAFE_M <= SAFE_TABLE < SAFE_M + SAFE_S
     assert geo.discrete_log(SAFE_P, 4, 1) == SAFE_Q  # digit 0: the least k >= 1 is the order
     assert SAFE_P % 8 == 3  # so 2 is not a square, and <4> is the squares
     assert geo.discrete_log(SAFE_P, 4, 2) is None
 
 
+def test_offsets_of_30_targets_above_the_crossover_are_certified(monkeypatch):
+    baby_giant = geo._baby_giant
+
+    def only_at_2(p, base, q, *args):  # the digit mod q is left to index calculus
+        assert q == 2, q
+        return baby_giant(p, base, q, *args)
+
+    monkeypatch.setattr(geo, "_baby_giant", only_at_2)
+    p = BIG_P
+    g = geo.primitive_root(p)
+    s = set(random.Random(30).sample(range(1, p), 30))
+    off = geo.exponent_offsets(p, s)
+    ks = [off.base_exponent, *(off.base_exponent + k for k in off.offsets)]
+    assert len(ks) == 30 and 1 <= ks[0] and ks[-1] <= p - 1  # g has order p - 1: each log is least
+    assert {pow(g, k, p) for k in ks} == s
+
+
+@pytest.mark.parametrize("fault", ["wrong log", "no log solved"])
+def test_index_calculus_falls_back_to_baby_step_giant_step(monkeypatch, fault):
+    # a wrong log fails the pow check of the digit; with none solved, no target's walk ends
+    # before the budget runs out; either way the digit comes from baby-step giant-step
+    solve, calls = geo._solve_mod, []
+
+    def planted(rows, width, q):
+        calls.append(q)
+        if fault == "no log solved":
+            return {}
+        return {col: (log + 1) % q for col, log in solve(rows, width, q).items()}
+
+    baby_giant = geo._baby_giant
+
+    def counted(p, base, q, *args):
+        calls.append(-q)
+        return baby_giant(p, base, q, *args)
+
+    monkeypatch.setattr(geo, "_solve_mod", planted)
+    monkeypatch.setattr(geo, "_baby_giant", counted)
+    rng = random.Random(7)
+    for _ in range(3):
+        k = rng.randrange(1, SAFE_Q + 1)
+        x = pow(4, k, SAFE_P)
+        got = geo.discrete_log(SAFE_P, 4, x)
+        assert got == k and certified_log(SAFE_P, 4, x, SAFE_Q, got)
+    assert calls == [SAFE_Q, -SAFE_Q] * 3  # each solve, then its fallback
+
+
+def test_a_squared_prime_above_the_crossover_takes_baby_step_giant_step(monkeypatch):
+    # q^2 | p - 1, so the relations would not fix logs mod q: both digits by baby-step giant-step
+    def no_index_calculus(*args):
+        raise AssertionError("index calculus was called")
+
+    monkeypatch.setattr(geo, "_index_calculus", no_index_calculus)
+    q = 2147483659
+    p = 36 * q**2 + 1
+    assert q > geo._IC_CROSSOVER and factorize(p - 1) == {2: 2, 3: 2, q: 2}
+    base = pow(geo.primitive_root(p), 36, p)  # of order q^2
+    assert geo.multiplicative_order(p, base) == q**2
+    for k in (1, q - 1, q, q + 1, 12345 * q + 678, q**2 - 1):
+        x = pow(base, k, p)
+        assert certified_log(p, base, x, q**2, geo.discrete_log(p, base, x))
+
+
 @pytest.mark.parametrize("p, q, cofactor", [
-    (100810807, 4099, 6),  # s = 1 at q: the exact map for both digits
-    (14401464037211, 1200061, 10),  # s = 17 for one target, 3 for 30: both digits walk
+    (100810807, 4099, 6),  # q below the crossover: baby-step giant-step for both digits
+    (14401464037211, 1200061, 10),  # and one table for both digits of 30 targets
 ])
 def test_two_digits_of_a_squared_prime_are_certified(p, q, cofactor):
     assert p == cofactor * q**2 + 1
@@ -426,16 +489,17 @@ def test_two_digits_of_a_squared_prime_are_certified(p, q, cofactor):
     assert {pow(g, k, p) for k in ks} == s
 
 
-def test_a_one_target_table_peaks_below_125_bytes_a_baby_step():
-    # the exact map {h^j: j} peaks at about 145 bytes a step here, as each entry holds an int j
-    x = pow(4, SAFE_TABLE + SAFE_S // 2, SAFE_P)
-    k, peak = peak_bytes(lambda: geo.discrete_log(SAFE_P, 4, x))
-    assert k == SAFE_TABLE + SAFE_S // 2
-    assert peak / SAFE_M < 125, peak / SAFE_M
+def test_a_one_target_log_above_the_crossover_peaks_below_a_mebibyte():
+    # baby-step giant-step would hold about 114,000 powers here, an exact map of about 6.7 MB
+    k = 31415926535
+    x = pow(2, k, BIG_P)
+    got, peak = peak_bytes(lambda: geo.discrete_log(BIG_P, 2, x))
+    assert got == k and certified_log(BIG_P, 2, x, BIG_P - 1, got)
+    assert peak < 2**20, peak
 
 
 def test_many_targets_keep_the_exact_map_within_its_memory():
-    # 2000 targets at the least safe prime above 10^6 give s = 1, the exact map: about 3.4 MiB
+    # 2000 targets at the least safe prime above 10^6, below the crossover: one exact map, about 3.4 MiB
     p = 1000667
     assert geo.multiplicative_order(p, 4) == (p - 1) // 2
     s = random.Random(3).sample(range(1, p), 2000)
