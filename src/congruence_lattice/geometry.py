@@ -29,14 +29,16 @@ from .primes import (Record, _check_coprime, _factorize, _TRIAL_PRIMES, is_prime
 
 # Index calculus takes the digit of a prime q of ord(base) above _IC_CROSSOVER when q ∥ p - 1.
 # Below it baby-step giant-step is as fast (they tie near q = 2^28; x86_64, Python 3.11), and the
-# walk's budget would leave it little room: isqrt(q * targets) // _IC_STEP_COST steps of about 15
-# baby steps' cost each, so that a walk which runs out costs about what its fallback does, gives
-# one target at q = 2^31 2900 steps, of which its relations take about 1200.  _IC_SLACK relations
-# are kept past one per factor-base prime; the walk multiplies by one of _IC_WALK powers of base.
+# walks' budgets would leave it little room: isqrt(q) // _IC_STEP_COST steps for the relations and
+# isqrt(q * targets) // _IC_STEP_COST for the descents, of about 15 baby steps' cost each, so that a
+# walk which runs out costs about what its fallback does.  At q = 2^31 that is 2900 steps, of which
+# the relations take about 1200.  _IC_SLACK relations are kept past one per factor-base prime; a
+# walk multiplies by one of _IC_WALK powers of g; the last _IC_SYSTEMS systems (p, q) are kept.
 _IC_CROSSOVER = 1 << 31
 _IC_STEP_COST = 16
 _IC_SLACK = 8
 _IC_WALK = 16
+_IC_SYSTEMS = 32
 
 
 class GeometricDescriptor(Record):
@@ -126,11 +128,11 @@ def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
     """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, where
     n = ord(base) is the product of q^e over factors = {q: e}.
 
-    Pohlig-Hellman: k mod q^e is found for each q^e in the subgroup of order q.  A prime
-    q > _IC_CROSSOVER with q ∥ p - 1 goes by `_index_calculus`, in time subexponential in
-    log p and a few dozen relations of memory; should it fail a digit's check or run out
-    of steps, and for every other q, by `_baby_giant`, O(e sqrt(q)) for one target.  The
-    residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
+    Pohlig-Hellman: k mod q^e is found for each q^e in the subgroup of order q.  A prime q >
+    _IC_CROSSOVER with q ∥ p - 1 goes by `_index_calculus`, factor-base logs kept per (p, q) and
+    one descent per target; should that system have given up, a descent run out of steps or a
+    digit fail its check, and for every other q, by `_baby_giant`, O(e sqrt(q)) for one target.
+    The residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
     """
     ks = dict.fromkeys(targets, 0)
     for q, e in factors.items():
@@ -169,70 +171,87 @@ def _baby_giant(p: int, base: int, q: int, e: int, c: int, targets) -> dict:
 
 def _index_calculus(p: int, base: int, q: int, c: int, targets) -> Optional[dict]:
     """{t: k mod q} with base^k = t, for a prime q with q ∥ p - 1 and c = ord(base) / q, or
-    None when the walk runs out of steps or a digit fails its check.
+    None when p's system gave up, a descent runs out of steps or a digit fails its check.
 
-    Every log here is that of z^((p - 1) / q) to base^((p - 1) / q), a generator of the
-    subgroup of order q, so base has log 1 and -1 log 0 (q is odd).  A walk z = base^x
-    multiplies z by one of _IC_WALK powers w = base^s, picked by z mod _IC_WALK, with
+    Logs are to π(g), of order q, with π(z) = z^((p - 1) / q) and g and the logs of the
+    factor base from `_ic_system(p, q)`.  base and each target are descended once: the first
+    z = t * g^x on a walk over the system's powers of g whose ratio has only solved primes
+    gives log t, and the digit of t is log t / log base mod q, where log base != 0 as q
+    divides ord(base).  The descents share isqrt(q * targets) // _IC_STEP_COST steps.  Each
+    digit d is checked by (base^c)^d = t^c before it is used.
+    """
+    if (system := _ic_system(p, q)) is None:
+        return None
+    fb, smooth, root, walk, logs = system
+    steps, out = isqrt(q * len(targets)) // _IC_STEP_COST, {}
+    unsolved = [i for i in range(len(fb)) if i not in logs]
+    for t in dict.fromkeys((base, *targets)):  # base first, and once
+        z, x = t, 0  # z = t * g^x
+        while (v := _ratio(p, z, fb, smooth, root)) is None or any(v[i] for i in unsolved):
+            if not steps:
+                return None
+            (w, s), steps = walk[z % _IC_WALK], steps - 1
+            z, x = z * w % p, x + s
+        out[t] = (sum(k * logs[i] for i, k in enumerate(v) if k) - x) % q
+    h, inverse = pow(base, c, p), pow(out[base] or 1, -1, q)  # log base is 0 only if logs are wrong
+    digits = {t: out[t] * inverse % q for t in targets}
+    return None if any(pow(h, d, p) != pow(t, c, p) for t, d in digits.items()) else digits
+
+
+@lru_cache(maxsize=_IC_SYSTEMS)
+def _ic_system(p: int, q: int) -> Optional[tuple]:
+    """(fb, prod(fb), isqrt(p), walk, logs) for the prime q ∥ p - 1, or None when the walk
+    gave up: the factor base fb, the _IC_WALK pairs (g^s, s) and {index in fb: log mod q of
+    π(that prime) to π(g)}, where g is the least x >= 2 with π(x) = x^((p - 1) / q) != 1, so
+    π(g) generates the subgroup of order q and π(-1) = 1.
+
+    A walk z = g^x multiplies z by one of the powers w = g^s, picked by z mod _IC_WALK, with
     s = isqrt(l * p) for the first primes l, near irrational multiples of sqrt(p), so two
     stretches of the walk seldom add up to a third; on the powers of one w they often do,
-    and many relations are then sums of earlier ones.  Each z is written as +-a/b
-    (mod p) with a, b <= sqrt(p): a is the first remainder of Euclid on (p, z) below
-    sqrt(p), and b = +-a / z.  When a and b factor over the primes below B(p), the
-    exponents of a / b are one linear relation mod q among the logs of those primes, all
-    solved by Gaussian elimination.  A target t then takes its log from the first t * base^x
-    on its own walk whose ratio has only solved primes.  Each digit d is checked by
-    (base^c)^d = t^c before it is used.  A walk that has found fewer than half its relations
-    halfway through the budget gives up there: for p much larger than q (q near 2^31 in
-    p - 1 of 40 bits or more) the relations would not fit in it.
+    and many relations are then sums of earlier ones.  A z whose ratio (see `_ratio`) is
+    fb-smooth gives one linear relation mod q among the logs of fb, all solved by Gaussian
+    elimination.  The walk has isqrt(q) // _IC_STEP_COST steps, one target's budget; if it
+    has found fewer than half its relations halfway through, it gives up there: for p much
+    larger than q (q near 2^31 in p - 1 of 40 bits or more) they would not fit in it.
     """
+    g = _generator(p, p - 1, (q,), range(2, p))
     fb = _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, _factor_bound(p))]
     smooth, root = prod(fb), isqrt(p)
-    walk = [(pow(base, s, p), s) for s in (isqrt(l * p) for l in _TRIAL_PRIMES[:_IC_WALK])]
-    budget = steps = isqrt(q * len(targets)) // _IC_STEP_COST
-
-    def ratio(z):  # exponents over fb of a / b with z = +-a/b (mod p), or None if not fb-smooth
-        r0, a = p, z
-        while a > root:  # each remainder of Euclid on (p, z) is +-b * z (mod p) with b <= p / r0
-            r0, a = a, r0 % a
-        if pow(smooth, a.bit_length(), a):  # a has a prime past fb: fb^bits is not 0 mod a
-            return None
-        b = a * pow(z, -1, p) % p
-        b = min(b, p - b)
-        if pow(smooth, b.bit_length(), b):
-            return None
-        v = []
-        for l in fb:
-            k = 0
-            while a % l == 0:
-                a, k = a // l, k + 1
-            while b % l == 0:
-                b, k = b // l, k - 1
-            v.append(k)
-        return v
-
-    rows, z, x, need = [], 1, 0, len(fb) + _IC_SLACK  # z = base^x
+    walk = [(pow(g, s, p), s) for s in (isqrt(l * p) for l in _TRIAL_PRIMES[:_IC_WALK])]
+    budget = steps = isqrt(q) // _IC_STEP_COST
+    rows, z, x, need = [], 1, 0, len(fb) + _IC_SLACK  # z = g^x
     while len(rows) < need:
         if not steps or steps == budget // 2 and 2 * len(rows) < need:  # halfway: on pace to run out
             return None
         (w, s), steps = walk[z % _IC_WALK], steps - 1
         z, x = z * w % p, x + s
-        if (v := ratio(z)) is not None:
+        if (v := _ratio(p, z, fb, smooth, root)) is not None:
             rows.append([x % q, *v])
-    logs = _solve_mod(rows, len(fb), q)
-    h, out = pow(base, c, p), {}
-    for t in targets:
-        z, x = t, 0  # z = t * base^x
-        while (v := ratio(z)) is None or any(k and i not in logs for i, k in enumerate(v)):
-            if not steps:
-                return None
-            (w, s), steps = walk[z % _IC_WALK], steps - 1
-            z, x = z * w % p, x + s
-        d = (sum(k * logs[i] for i, k in enumerate(v) if k) - x) % q
-        if pow(h, d, p) != pow(t, c, p):
-            return None
-        out[t] = d
-    return out
+    return fb, smooth, root, walk, _solve_mod(rows, len(fb), q)
+
+
+def _ratio(p: int, z: int, fb, smooth: int, root: int) -> Optional[list]:
+    """Exponents over fb of a / b, where z = +-a/b (mod p) with a, b <= root = isqrt(p), or None
+    if a or b has a prime past fb: a is the first remainder of Euclid on (p, z) below root,
+    each of which is +-b * z (mod p) with b <= p / the remainder before it, and b = +-a / z."""
+    r0, a = p, z
+    while a > root:
+        r0, a = a, r0 % a
+    if pow(smooth, a.bit_length(), a):  # a has a prime past fb: fb^bits is not 0 mod a
+        return None
+    b = a * pow(z, -1, p) % p
+    b = min(b, p - b)
+    if pow(smooth, b.bit_length(), b):
+        return None
+    v = []
+    for l in fb:
+        k = 0
+        while a % l == 0:
+            a, k = a // l, k + 1
+        while b % l == 0:
+            b, k = b // l, k - 1
+        v.append(k)
+    return v
 
 
 def _factor_bound(p: int) -> int:

@@ -123,7 +123,7 @@ def trial_primes(n: int) -> list:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2  # 2, then odd d only
     return out + [n] if n > 1 else out
 
 
@@ -381,17 +381,24 @@ def _antichain_suite(rng, cases):
 
 def _dlog_prime(rng, index):
     """The suite's prime for case `index`: the fixed ones first, then by turns a
-    prime up to 10^4, one up to 10^7 and one with p - 1 a product of primes <= 47."""
+    prime up to 10^4, one up to 10^7 and one with p - 1 a product of primes <= 47,
+    but every twentieth case a safe prime 2q + 1 with q in 2^31..2^36, whose digit mod
+    q goes by index calculus on a factor-base system of its own (such a case costs
+    about as much as twenty others, half of it certifying q by trial division)."""
     if index < len(_DLOG_PRIMES):
         return _DLOG_PRIMES[index]
-    kind = index % 3
+    kind = 3 if index % 20 == 19 else index % 3  # so that 20 cases reach one
     while True:
         if kind == 0:
             p = rng.randint(2, _DLOG_SCAN_BOUND)
         elif kind == 1:
             p = rng.randint(_DLOG_SCAN_BOUND + 1, 10**7)
-        else:
+        elif kind == 2:
             p = 2 * prod(rng.choice(_GEOM_PRIMES + (37, 41, 43, 47)) for _ in range(rng.randint(3, 10))) + 1
+        else:
+            bits = rng.randint(32, 36)  # log-uniform: certifying q by trial division takes sqrt(q)
+            q = rng.randrange(2 ** (bits - 1) + 1, 2**bits, 2)
+            p = 2 * q + 1 if primes.is_prime(q) else 0
         if (kind == 0 or p > _DLOG_SCAN_BOUND) and primes.is_prime(p):
             return p
 

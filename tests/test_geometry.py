@@ -371,6 +371,14 @@ SAFE_P, SAFE_Q = 8589935363, 4294967681
 BIG_P = 52274027579  # a safe prime near the benchmark's largest
 
 
+@pytest.fixture(autouse=True)
+def no_cached_systems():
+    # a factor-base system cached by one test would hide another's planted solver or spy
+    geo._ic_system.cache_clear()
+    yield
+    geo._ic_system.cache_clear()
+
+
 def certified_log(p, base, x, order, k):
     # base has the given order, so its log of x is unique in [1, order] and so least
     return 1 <= k <= order and pow(base, k, p) == x
@@ -378,6 +386,17 @@ def certified_log(p, base, x, order, k):
 
 def no_baby_giant(*args):
     raise AssertionError("baby-step giant-step was called")
+
+
+def only_at_2(monkeypatch):
+    """Patch `_baby_giant` to fail for any q but 2, so each digit mod q comes from index calculus."""
+    baby_giant = geo._baby_giant
+
+    def at_2(p, base, q, *args):
+        assert q == 2, q
+        return baby_giant(p, base, q, *args)
+
+    monkeypatch.setattr(geo, "_baby_giant", at_2)
 
 
 @pytest.mark.parametrize("k", [
@@ -399,13 +418,7 @@ def test_the_identity_and_a_non_member_at_a_safe_prime():
 
 
 def test_offsets_of_30_targets_above_the_crossover_are_certified(monkeypatch):
-    baby_giant = geo._baby_giant
-
-    def only_at_2(p, base, q, *args):  # the digit mod q is left to index calculus
-        assert q == 2, q
-        return baby_giant(p, base, q, *args)
-
-    monkeypatch.setattr(geo, "_baby_giant", only_at_2)
+    only_at_2(monkeypatch)
     p = BIG_P
     g = geo.primitive_root(p)
     s = set(random.Random(30).sample(range(1, p), 30))
@@ -441,7 +454,67 @@ def test_index_calculus_falls_back_to_baby_step_giant_step(monkeypatch, fault):
         x = pow(4, k, SAFE_P)
         got = geo.discrete_log(SAFE_P, 4, x)
         assert got == k and certified_log(SAFE_P, 4, x, SAFE_Q, got)
-    assert calls == [SAFE_Q, -SAFE_Q] * 3  # each solve, then its fallback
+    assert calls == [SAFE_Q, -SAFE_Q, -SAFE_Q, -SAFE_Q]  # one solve for (p, q), then each call's fallback
+
+
+@pytest.mark.parametrize("p", [SAFE_P, BIG_P])
+def test_bases_other_than_the_reference_share_one_system(monkeypatch, p):
+    only_at_2(monkeypatch)
+    q, rng = (p - 1) // 2, random.Random(p)
+    calls = []
+    for i in range(20):  # a square but 1 has order q, a non-square but -1 order p - 1
+        order = q if i % 2 == 0 else p - 1
+        base = rng.randrange(2, p - 1)
+        while (pow(base, q, p) == 1) != (order == q):
+            base = rng.randrange(2, p - 1)
+        assert geo.multiplicative_order(p, base) == order
+        calls += [(base, order, pow(base, rng.randrange(1, order + 1), p)) for _ in range(3)]
+
+    def run(calls):
+        return {(base, x): geo.discrete_log(p, base, x) for base, _, x in calls}
+
+    forward = run(calls)
+    assert geo._ic_system.cache_info().misses == 1
+    assert all(certified_log(p, base, x, order, forward[base, x]) for base, order, x in calls)
+    geo._ic_system.cache_clear()
+    assert run(reversed(calls)) == forward and geo._ic_system.cache_info().misses == 1
+
+
+def test_a_system_that_gave_up_sends_later_calls_straight_to_baby_step_giant_step(monkeypatch):
+    # q just above the crossover in a p - 1 of 44 bits: the relations would not fit in the walk's
+    # budget, so the walk gives up halfway, and the give-up is kept for (p, q)
+    q = 2147484679
+    p = 4144 * q + 1
+    assert p.bit_length() == 44 and factorize(p - 1) == {2: 4, 7: 1, 37: 1, q: 1}
+    g = geo.primitive_root(p)
+    x = pow(g, 123456789012, p)
+    assert certified_log(p, g, x, p - 1, geo.discrete_log(p, g, x))
+    assert geo._ic_system.cache_info().currsize == 1
+
+    def no_walk_or_solve(*args):
+        raise AssertionError("a walk step or a solve ran")
+
+    for name in ("_ratio", "_solve_mod"):
+        monkeypatch.setattr(geo, name, no_walk_or_solve)
+    base = pow(g, 2 * 3 * 5, p)  # of order (p - 1) / 2, a multiple of q
+    assert geo.multiplicative_order(p, base) == (p - 1) // 2
+    y = pow(base, 98765432, p)
+    assert certified_log(p, base, y, (p - 1) // 2, geo.discrete_log(p, base, y))
+    info = geo._ic_system.cache_info()
+    assert (info.hits, info.misses) == (1, 1) and geo._ic_system(p, q) is None
+
+
+def test_a_cached_system_at_big_p_retains_under_16_kib():
+    assert geo._ic_system.cache_info().maxsize <= 64  # so the whole cache stays under a mebibyte
+    q = (BIG_P - 1) // 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert geo._ic_system(BIG_P, q) is not None
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 2**10, retained
 
 
 def test_a_squared_prime_above_the_crossover_takes_baby_step_giant_step(monkeypatch):
