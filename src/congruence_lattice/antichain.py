@@ -24,9 +24,10 @@ out instead.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import repeat
 from math import gcd, prod
-from typing import NamedTuple, Sequence
 
 from .crt import Congruence, _checked_chain, _merge, chain_support
 from .primes import Record, _is_antichain, _shown, _valuations, json_int, strict_int, strict_prime
@@ -191,14 +192,11 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     return values
 
 
-class VerificationReport(NamedTuple):
-    monotone: bool
-    antichain: bool
-    chain_tracking: bool
-    own_prime_divides: bool
-    divisor_powers: bool
-    factor_count_growth: bool
-    failures: tuple
+_REPORTED = "monotone antichain chain_tracking own_prime_divides divisor_powers factor_count_growth failures"
+
+
+class VerificationReport(namedtuple("VerificationReport", _REPORTED)):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

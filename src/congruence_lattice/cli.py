@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from .primes import DEFAULT_TRIAL_BUDGET, json_int
 
@@ -170,8 +170,7 @@ def _crt_classify(classify, args):
 
 
 def _geom_check(is_geometric, args):
-    d = is_geometric(args.p, args.set)
-    if d is None:
+    if (d := is_geometric(args.p, args.set)) is None:
         return {"geometric": False}
     return {"geometric": True, "descriptor": {"p": d.p, "s": d.seed, "r": d.ratio}}
 
@@ -222,14 +221,10 @@ def _oracle_run(run_suite, args):
 # -- the command table ------------------------------------------------------------------
 
 
-class Command(NamedTuple):
-    group: str
-    name: str
-    op: str  # "module.attr": the one library operation the subcommand exposes
-    args: tuple  # (flags, add_argument options) pairs; choices given as a function are read at build
-    run: Callable  # (op, parsed arguments) -> JSON payload
-    help: Optional[str] = None
-    exit_code: Optional[Callable] = None  # (parsed arguments, payload) -> exit code; default 0
+# op: "module.attr", the one library operation the subcommand exposes; args: (flags, add_argument options)
+# pairs, choices given as a function read at build; run: (op, parsed arguments) -> JSON payload;
+# exit_code: (parsed arguments, payload) -> exit code, 0 when None
+Command = namedtuple("Command", "group name op args run help exit_code", defaults=(None, None))
 
 
 def _arg(*flags, **options):

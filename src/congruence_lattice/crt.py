@@ -8,9 +8,9 @@ whole point.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
 
 from .primes import Record, _shown, json_int, strict_int, strict_prime
 
@@ -42,13 +42,13 @@ def _merge(m1: int, r1: int, m2: int, r2: int):
     return m, (r1 + m1 * t) % m
 
 
-def solve_pair(c1, c2) -> Optional[Congruence]:
+def solve_pair(c1, c2) -> Congruence | None:
     """Merge two congruences into the class modulo lcm, or None if disjoint."""
     merged = _merge(c1.modulus, c1.residue, c2.modulus, c2.residue)
     return None if merged is None else Congruence(*merged)
 
 
-def solve_system(congruences: Iterable) -> Optional[Congruence]:
+def solve_system(congruences: Iterable) -> Congruence | None:
     """Left-fold of solve_pair; the empty system solves to everything (1, 0)."""
     state = (1, 0)
     for c in congruences:
@@ -66,15 +66,15 @@ class FeasibilityStream:
     """
 
     def __init__(self):
-        self._state: Optional[Congruence] = Congruence(1, 0)
+        self._state: Congruence | None = Congruence(1, 0)
 
-    def push(self, congruence: Congruence) -> Optional[Congruence]:
+    def push(self, congruence: Congruence) -> Congruence | None:
         if self._state is not None:
             self._state = solve_pair(self._state, congruence)
         return self._state
 
     @property
-    def state(self) -> Optional[Congruence]:
+    def state(self) -> Congruence | None:
         return self._state
 
     @property
@@ -82,16 +82,8 @@ class FeasibilityStream:
         return self._state is not None
 
 
-class ZeroToDepth(NamedTuple):
-    """All listed residues are 0: zero up to the inspected depth."""
-
-    depth: int
-
-
-class NonZero(NamedTuple):
-    """First depth at which the residue chain leaves 0."""
-
-    first_nonzero: int
+ZeroToDepth = namedtuple("ZeroToDepth", "depth")  # all listed residues are 0: zero up to the inspected depth
+NonZero = namedtuple("NonZero", "first_nonzero")  # the first depth at which the residue chain leaves 0
 
 
 def validate_chain_table(table: Mapping) -> dict:
@@ -136,10 +128,8 @@ def _checked_chain(p: int, chain) -> tuple:
 def chain_support(chain) -> NonZero | ZeroToDepth:
     """NonZero at the least depth whose residue is nonzero, else ZeroToDepth of
     the chain's length (a chain as validate_chain_table returns it)."""
-    for depth, r in enumerate(chain, start=1):
-        if r != 0:
-            return NonZero(depth)
-    return ZeroToDepth(len(chain))
+    depth = next((depth for depth, r in enumerate(chain, start=1) if r != 0), None)
+    return ZeroToDepth(len(chain)) if depth is None else NonZero(depth)
 
 
 def classify_prime_support(table: Mapping) -> dict:

@@ -16,9 +16,10 @@ and upward closure are asked of `periodic_sets`, which alone reads parts.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from math import gcd, lcm, prod
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .crt import _merge
 from .periodic_sets import PeriodicSet, _meet, _residues_met, is_upward_closed
@@ -56,10 +57,7 @@ class FilterBase(Record):
         object.__setattr__(self, "intersection", meet)
 
 
-BaseLike = Union[FilterBase, Sequence]
-
-
-def has_fip(members: BaseLike) -> bool:
+def has_fip(members: FilterBase | Sequence) -> bool:
     """True iff the intersection of all members is infinite.
 
     For a finite family this already implies that every sub-intersection
@@ -72,14 +70,14 @@ def has_fip(members: BaseLike) -> bool:
     return not members or members[0].meets_infinitely(*members[1:])
 
 
-def extend(base: FilterBase, s: PeriodicSet) -> Optional[FilterBase]:
+def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:
     """Base with s appended when that preserves the intersection property,
     else None."""
     _checked((s,))
     return FilterBase(base.members + (s,)) if base.intersection.meets_infinitely(s) else None
 
 
-def feasible_residues(base: BaseLike, modulus: int) -> set:
+def feasible_residues(base: FilterBase | Sequence, modulus: int) -> set:
     """Residues r modulo `modulus` whose progression is consistent with the base.
 
     These are exactly the r for which extend(base, progression(modulus, r))
@@ -100,7 +98,9 @@ class CongruenceVerdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-def congruent_mod(base_f: BaseLike, base_g: BaseLike, modulus: int) -> CongruenceVerdict:
+def congruent_mod(
+    base_f: FilterBase | Sequence, base_g: FilterBase | Sequence, modulus: int
+) -> CongruenceVerdict:
     """Compare the feasible residue sets of two bases modulo `modulus`.
 
     Congruent when both are pinned to the same single residue; not
@@ -122,9 +122,7 @@ class DividesStatus(Enum):
     VACUOUS = "vacuous"
 
 
-class DividesReport(NamedTuple):
-    status: DividesStatus
-    witness: Optional[PeriodicSet] = None
+DividesReport = namedtuple("DividesReport", "status witness", defaults=(None,))  # witness: a failing member
 
 
 def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
@@ -167,11 +165,8 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
     pool = sorted(strict_ints(pool, "pool element", 2))
     if not pool:
         raise ValueError("pool must be nonempty")
-    source = next(
-        (a for a in pool if gcd(a, modulus) == 1 and all(gcd(a, n) == 1 for n in forbidden)),
-        None,
-    )
-    if source is None:
+    coprime = (a for a in pool if gcd(a, modulus) == 1 and all(gcd(a, n) == 1 for n in forbidden))
+    if (source := next(coprime, None)) is None:
         raise NoWitnessSourceError(
             f"no pool element is coprime to {_shown(modulus)} and to all of {_shown(forbidden)}"
         )

@@ -19,10 +19,11 @@ of the rest of the library.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, prod
-from typing import Iterable, NamedTuple, Optional
 
 from .primes import (Record, _check_coprime, _factorize, _TRIAL_PRIMES, is_prime, strict_int, strict_ints,
                      strict_prime)
@@ -50,21 +51,12 @@ class GeometricDescriptor(Record):
         object.__setattr__(self, "ratio", strict_int(ratio, "ratio", 1, p))
 
 
-class ExponentOffsets(NamedTuple):
-    """Discrete-log data of a zero-free residue set.
-
-    base_exponent is the least exponent over the set; offsets are the
-    remaining exponents minus it, sorted ascending.
-    """
-
-    base_exponent: int
-    offsets: tuple
+# discrete-log data of a zero-free residue set: its least exponent, and the others less it, ascending
+ExponentOffsets = namedtuple("ExponentOffsets", "base_exponent offsets")
 
 
-class StructureReport(NamedTuple):
-    gcd_closed: bool
-    multiples_closed: bool
-    arithmetic_progression: bool
+class StructureReport(namedtuple("StructureReport", "gcd_closed multiples_closed arithmetic_progression")):
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
@@ -113,7 +105,7 @@ def _order(p: int, a: int, factors: dict) -> tuple:
     return t, {q: e for q, e in out.items() if e}
 
 
-def discrete_log(p: int, base: int, x: int) -> Optional[int]:
+def discrete_log(p: int, base: int, x: int) -> int | None:
     """Least k >= 1 with base^k = x (mod p), or None if x is not a power of base."""
     strict_prime(p, "p")
     strict_int(base, "base", 1, p)
@@ -169,7 +161,7 @@ def _baby_giant(p: int, base: int, q: int, e: int, c: int, targets) -> dict:
     return out
 
 
-def _index_calculus(p: int, base: int, q: int, c: int, targets) -> Optional[dict]:
+def _index_calculus(p: int, base: int, q: int, c: int, targets) -> dict | None:
     """{t: k mod q} with base^k = t, for a prime q with q ∥ p - 1 and c = ord(base) / q, or
     None when p's system gave up, a descent runs out of steps or a digit fails its check.
 
@@ -199,7 +191,7 @@ def _index_calculus(p: int, base: int, q: int, c: int, targets) -> Optional[dict
 
 
 @lru_cache(maxsize=_IC_SYSTEMS)
-def _ic_system(p: int, q: int) -> Optional[tuple]:
+def _ic_system(p: int, q: int) -> tuple | None:
     """(fb, prod(fb), isqrt(p), walk, logs) for the prime q ∥ p - 1, or None when the walk
     gave up: the factor base fb, the _IC_WALK pairs (g^s, s) and {index in fb: log mod q of
     π(that prime) to π(g)}, where g is the least x >= 2 with π(x) = x^((p - 1) / q) != 1, so
@@ -230,7 +222,7 @@ def _ic_system(p: int, q: int) -> Optional[tuple]:
     return fb, smooth, root, walk, _solve_mod(rows, len(fb), q)
 
 
-def _ratio(p: int, z: int, fb, smooth: int, root: int) -> Optional[list]:
+def _ratio(p: int, z: int, fb, smooth: int, root: int) -> list | None:
     """Exponents over fb of a / b, where z = +-a/b (mod p) with a, b <= root = isqrt(p), or None
     if a or b has a prime past fb: a is the first remainder of Euclid on (p, z) below root,
     each of which is +-b * z (mod p) with b <= p / the remainder before it, and b = +-a / z."""
@@ -311,8 +303,7 @@ def structure_check(p: int, residues: Iterable) -> StructureReport:
     off = exponent_offsets(p, residues).offsets
     if not off:
         return StructureReport(True, True, True)
-    rset = set(off)
-    r1 = off[0]
+    rset, r1 = set(off), off[0]
     gcd_closed = all(gcd(a, b) in rset for a in off for b in off)
     # the multiples of r1 modulo p-1 are those of g = gcd(r1, p-1): 0, g, 2g, ...
     g = gcd(r1, p - 1)
@@ -321,7 +312,7 @@ def structure_check(p: int, residues: Iterable) -> StructureReport:
     return StructureReport(gcd_closed, multiples_closed, ap)
 
 
-def is_geometric(p: int, residues: Iterable) -> Optional[GeometricDescriptor]:
+def is_geometric(p: int, residues: Iterable) -> GeometricDescriptor | None:
     """Recognize a geometric set; returns the lexicographically least
     (seed, ratio) descriptor, or None.
 
@@ -359,17 +350,16 @@ def _least_generator(p: int, l: int) -> int:
 def enumerate_geometric(p: int) -> set:
     """The family of all geometric sets modulo p, as frozensets.
 
-    These are {0} and, for each d | p - 1, the cosets of H_d: the fibres of
-    x -> x^d on 1..p-1, whose kernel is H_d.  1 + sigma(p - 1) sets in all.
+    These are {0} and, for each k | p - 1, the k cosets of H_((p-1)/k): with
+    pw the powers g^0 .. g^(p-2) of the least primitive root g, H_((p-1)/k) is
+    pw[0::k] and its cosets are the slices pw[i::k].  1 + sigma(p - 1) sets in all.
     """
-    strict_prime(p, "p")
+    g = primitive_root(p)
+    pw = list(accumulate(range(p - 2), lambda y, _: y * g % p, initial=1))  # g^0 .. g^(p-2)
     out = {frozenset((0,))}
-    for d in range(1, p):
-        if (p - 1) % d == 0:
-            fibres = {}
-            for x in range(1, p):
-                fibres.setdefault(pow(x, d, p), []).append(x)
-            out.update(map(frozenset, fibres.values()))
+    for k in range(1, p):
+        if (p - 1) % k == 0:
+            out.update(frozenset(pw[i::k]) for i in range(k))
     return out
 
 
@@ -398,6 +388,5 @@ def witness_class_set(p: int, seed_residue: int, ratio_residue: int, count: int)
     strict_int(seed_residue, "seed residue", 1, p)
     strict_int(ratio_residue, "ratio residue", 1, p)
     strict_int(count, "count", 1)
-    s = prime_in_progression(p, seed_residue)
-    b = prime_in_progression(p, ratio_residue)
+    s, b = prime_in_progression(p, seed_residue), prime_in_progression(p, ratio_residue)
     return [s * b**k for k in range(count)]

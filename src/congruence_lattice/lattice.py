@@ -9,7 +9,7 @@ lives in `periodic_sets`, which owns them; this module re-exports it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .periodic_sets import PeriodicSet, _multiples, is_upward_closed
 from .primes import DEFAULT_TRIAL_BUDGET, FactorizationBudgetError, _factorize, _is_antichain, _valuations

@@ -17,7 +17,8 @@ and a flag co: x is in it iff co != all((x mod m_i in R_i) != co_i).  `in`
 and `len` cost O(parts); iteration enumerates by CRT one member at a time
 and lists nothing, so the first member comes at once whatever the moduli;
 equality agrees with the frozenset of the same members.  A view is
-unhashable; a PeriodicSet hashes its modulus, residue count and edits.
+unhashable; a PeriodicSet hashes its modulus, residue count, residue sum
+mod the period and edits.
 `~` flips a flag, `&` joins the parts of two products, intersecting
 explicitly only parts whose moduli share a factor (at their lcm), and `|`
 is ~(~A & ~B).  A view is materialised only in those joins and when a
@@ -36,10 +37,9 @@ positive integers (divisibility, filter bases) simply never consult 0.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Set
+from collections.abc import Iterable, Set
 from itertools import filterfalse
 from math import gcd, lcm, prod
-from typing import Iterable
 
 from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
 
@@ -104,6 +104,17 @@ def _crt_walk(levels, big, acc=0):
             yield (acc + x * e) % big
 
 
+def _view_sum(view: ProductView) -> int:
+    """Sum of a view's members mod M: sum_i e_i * sum(S_i) * prod_{j != i} |S_j| for the product of
+    the part sets S_i, e_i the CRT basis; a complemented part or view takes m(m - 1)/2 less it."""
+    big, sizes = view.modulus, [m - len(r) if c else len(r) for m, r, c in view.parts]
+    n, total = prod(sizes), 0
+    for (m, r, c), size in zip(view.parts, sizes):
+        e = big // m * pow(big // m, -1, m)
+        total += e * (m * (m - 1) // 2 - sum(r) if c else sum(r)) * (n // size)
+    return (big * (big - 1) // 2 - total if view.co else total) % big
+
+
 _ZERO = frozenset((0,))
 
 
@@ -117,8 +128,11 @@ class PeriodicSet(Record):
         object.__setattr__(self, "removed", removed)
 
     def __hash__(self):
-        # what __eq__ compares, the residues by their count (equal sets share it): O(parts)
-        return hash((self.modulus, len(self.residues), self.added, self.removed))
+        # what __eq__ compares, the residues by their count and their sum mod the period (equal
+        # sets share both): a view's sum by CRT, in O(parts) beyond summing what its parts store
+        r = self.residues
+        total = _view_sum(r) if type(r) is ProductView else sum(r) % self.modulus
+        return hash((self.modulus, len(r), total, self.added, self.removed))
 
     def __repr__(self):
         # a period can hold ~10^8 residues (tracebacks print this): list 16 at most
@@ -181,12 +195,8 @@ class PeriodicSet(Record):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "residues": sorted(self.residues),
-            "add": sorted(self.added),
-            "remove": sorted(self.removed),
-        }
+        edits = {"add": sorted(self.added), "remove": sorted(self.removed)}
+        return {"modulus": self.modulus, "residues": sorted(self.residues), **edits}
 
     @staticmethod
     def from_json(data: dict) -> "PeriodicSet":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 # Miller-Rabin witnesses: the first 13 primes.  psi_k is the least composite
 # that is a strong pseudoprime to each of the first k of them, so the first k
@@ -197,9 +197,11 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]
     that is_prime accepts is kept; a composite one is split by Brent's rho,
     and each part is checked and split the same way.  A rho step on a b-bit
     number spends 8 + b // 24 units, which keeps a refusal at budget B no
-    slower than trial division up to B.  This is the one route, at every
-    budget: a composite that rho does not split within the budget raises
-    FactorizationBudgetError.
+    slower than trial division up to B.  A composite rho gives up on is tested,
+    at no charge, for a perfect power r^k, k prime up to its bit length, and r
+    is then factored k times over: so q^2 factors for a prime q past rho's reach.
+    This is the one route, at every budget: a composite neither split nor a
+    perfect power, such as the root of (q r)^2, raises FactorizationBudgetError.
 
     Every key is a prime as is_prime decides it: proved below psi13 (about
     3.3e24), a Baillie-PSW probable prime above.
@@ -230,10 +232,30 @@ def _factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int
             out[m] = out.get(m, 0) + 1
             continue
         g, left = _rho(m, left)
-        if not g:
+        if g:
+            pending += (g, m // g)
+            continue
+        for k in primes_up_to(m.bit_length()):  # m = r^k: r, which rho need not split, may be prime
+            if r := _exact_root(m, k):
+                pending += [r] * k
+                break
+        else:
             raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {_shown(m)}")
-        pending += (g, m // g)
     return dict(sorted(out.items()))
+
+
+def _exact_root(n: int, k: int) -> int:
+    """The r with r^k = n >= 1, or 0 if there is none: isqrt at k = 2, a rounded float guess for
+    r < 2^40 (off by under 0.01), and Newton's method down from just above any larger r."""
+    if k == 2:
+        r = isqrt(n)
+    elif (t := log2(n) / k) < 40:
+        r = round(2**t)
+    else:
+        r = int(2 ** (t % 1 + 40) * 1.000001) << (int(t) - 40)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    return r if r**k == n else 0
 
 
 def prime_factors(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> list[int]:

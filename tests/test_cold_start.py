@@ -1,9 +1,10 @@
 """What one `conlat` start loads and builds: the lazy package, the modules a
-command imports (and no `dataclasses` or `inspect` of the standard library),
-and a parser with subcommands for the named group only.
+command imports (and no `dataclasses`, `inspect` or `typing` of the standard
+library), and a parser with subcommands for the named group only.
 
-The module sets are read from `python -X importtime` in a fresh interpreter,
-so they count imports and take no timings."""
+The module sets are read from `python -S -X importtime` in a fresh interpreter,
+so they count imports and take no timings.  `-S` skips `site`, which may import
+`typing` itself and so would hide an import of it by the package."""
 
 import os
 import re
@@ -23,15 +24,16 @@ PACKAGE = "congruence_lattice"
 SPEC = '{"chains":[{"prime":3,"residues":[1,4,13]},{"prime":5,"residues":[2,7,57]}],"divisors":[2,13]}'
 
 
-# dataclasses imports inspect, which imports dis, ast, tokenize and linecache: about 12 ms a start
-SLOW_STDLIB = {"dataclasses", "inspect"}
+# dataclasses imports inspect, which imports dis, ast, tokenize and linecache: about 12 ms a start;
+# typing, 4-6 ms
+SLOW_STDLIB = {"dataclasses", "inspect", "typing"}
 
 
 def imported(*args):
-    """Names of every module, the standard library's too, that `python -X importtime *args` imports."""
+    """Names of every module, the standard library's too, that `python -S -X importtime *args` imports."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-S", "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -42,7 +44,7 @@ def ours(names):
 
 
 def loaded(*args):
-    """Names of the package's modules that `python -X importtime *args` imports."""
+    """Names of the package's modules that `python -S -X importtime *args` imports."""
     return ours(imported(*args))
 
 
@@ -92,6 +94,12 @@ def test_oracle_command_loads_oracles():
 
 def test_importing_the_package_loads_no_submodule():
     assert loaded("-c", "import congruence_lattice") == modules()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (SRC / PACKAGE).glob("*.py") if p.stem != "__init__"))
+def test_no_submodule_imports_a_slow_standard_library_module(name):
+    names = imported("-c", f"import {PACKAGE}.{name}")
+    assert f"{PACKAGE}.{name}" in names and not names & SLOW_STDLIB
 
 
 # -- the lazy package -----------------------------------------------------------

@@ -343,6 +343,17 @@ def test_exponent_offsets_of_hundreds_of_targets_match_a_scan():
         assert (off.base_exponent, off.offsets) == (ks[0], tuple(k - ks[0] for k in ks[1:]))
 
 
+def test_a_prime_whose_p_minus_1_holds_a_prime_square_past_rho():
+    # p - 1 = 72 * q^2: rho does not split q^2 within the default budget, its square root does
+    q = 68719476767
+    p = 72 * q**2 + 1
+    g = geo.primitive_root(p)
+    assert g == 13 and all(pow(g, (p - 1) // r, p) != 1 for r in (2, 3, q))
+    assert geo.multiplicative_order(p, pow(g, 72 * q, p)) == q
+    x = pow(g, 123456789012345, p)
+    assert geo.discrete_log(p, g, x) == 123456789012345
+
+
 def test_discrete_log_edge_cases():
     for p, base in ((2, 1), (7, 3), (7, 2), (65537, 3), (29682952539241, 53)):
         assert geo.discrete_log(p, base, 1) == geo.multiplicative_order(p, base)  # the identity

@@ -254,14 +254,32 @@ def test_collections_name_their_first_refused_value(entry):
         call()
 
 
+# a collection argument that is no iterable is Python's own TypeError, as the README states
+NOT_ITERABLE = {
+    "make residues": lambda: ps.make(1, 0),
+    "make residues None": lambda: ps.make(1, None),
+    "up_closure": lambda: lattice.up_closure(0),
+    "down_closure": lambda: lattice.down_closure(0),
+    "divisibility_union": lambda: ps.divisibility_union(0),
+    "omega_lower_bound": lambda: lattice.omega_lower_bound(1, 0),
+    "FilterBase": lambda: fl.FilterBase(0),
+}
+
+
+@pytest.mark.parametrize("entry", NOT_ITERABLE)
+def test_a_collection_argument_that_is_not_iterable_is_a_type_error(entry):
+    with pytest.raises(TypeError, match="^'(int|NoneType)' object is not iterable$"):
+        NOT_ITERABLE[entry]()
+
+
 HUGE = 10**5000  # 16610 bits, past the 4300-digit limit
 
 # a call that refuses an int past the digit limit -> (its exception type, its message)
 PAST_THE_DIGIT_LIMIT = {
     "factorize": (
-        lambda: primes.factorize(10**4400, 1),
+        lambda: primes.factorize(2 * 10**4400, 1),  # no perfect power, so refused whole
         primes.FactorizationBudgetError,
-        "budget exceeded: cannot factor residual <int of 14617 bits>",
+        "budget exceeded: cannot factor residual <int of 14618 bits>",
     ),
     "primitive_root": (
         lambda: geometry.primitive_root(HUGE),

@@ -273,6 +273,28 @@ def test_a_set_and_its_base_hash_without_walking_a_view(monkeypatch):
         hash(s.residues)
 
 
+def test_sets_of_one_modulus_and_count_hash_apart():
+    # the residue sum mod the period tells the 2003 classes apart
+    assert len({hash(ps.progression(2003, r)) for r in range(2003)}) == 2003
+
+
+def test_a_view_and_its_frozenset_hash_equal_and_so_do_their_complements():
+    upward = [n for n in range(30) if n % 2 == 0 or n % 3 == 0 or n % 5 == 0]
+    mixed = [n for n in range(36) if n % 4 == 1 and n % 9 != 2]
+    cases = (
+        (ps.progression(2, 1) & ps.progression(3, 1), ps.make(6, [1])),
+        (ps.progression(4, 1) & ~ps.progression(9, 2), ps.make(36, mixed)),
+        (lattice.up_closure([2, 3, 5]), ps.make(30, upward, removed={0})),  # a complemented view
+    )
+    for view, listed in cases:
+        co = ps.make(view.modulus, set(range(view.modulus)) - listed.residues, listed.removed, listed.added)
+        assert type(view.residues) is type((~view).residues) is ps.ProductView
+        assert type(listed.residues) is type(co.residues) is frozenset
+        # the complement of a frozenset-backed set is a view of one part
+        for a, b in ((view, listed), (~view, co), (~view, ~listed), (~listed, co)):
+            assert a == b and hash(a) == hash(b)
+
+
 def test_views_iterate_by_crt_and_agree_with_frozensets():
     # one class modulo about 10^13: iteration must not scan the period
     a, b = 10**6 + 3, 10**7 + 19

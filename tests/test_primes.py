@@ -201,6 +201,39 @@ def test_default_budget_refuses_two_primes_near_10_15():
         factorize((10**9 + 7) * (10**9 + 9), trial_bound=100)
 
 
+Q36 = 68719476767  # a 36-bit prime: rho does not split Q36^2 within the default budget
+
+
+def test_a_perfect_power_that_rho_gives_up_on_is_factored_through_its_root():
+    assert factorize(Q36**2) == {Q36: 2}
+    assert factorize(Q36**3) == {Q36: 3}
+    assert factorize(72 * Q36**2) == {2: 3, 3: 2, Q36: 2}
+    assert factorize(Q36**6) == {Q36: 6}  # a square root, then a cube root of each copy
+    # a root that is composite goes back to rho, which still refuses it
+    a, b = 1000000000000037, 1000000000000091
+    with pytest.raises(FactorizationBudgetError, match=f"^budget exceeded: cannot factor residual {a * b}$"):
+        factorize((a * b) ** 2)
+    with pytest.raises(FactorizationBudgetError, match=f"^budget exceeded: cannot factor residual {a * b**2}$"):
+        factorize(a * b**2)
+
+
+def test_a_residual_that_rho_splits_takes_no_root(monkeypatch):
+    roots = []
+    exact_root = primes._exact_root
+    monkeypatch.setattr(primes, "_exact_root", lambda n, k: roots.append(k) or exact_root(n, k))
+    assert factorize(1000003**2 * 1000033) == {1000003: 2, 1000033: 1}
+    assert factorize(999983**3) == {999983: 3}
+    assert roots == []
+
+
+def test_exact_root_finds_each_kth_power_and_nothing_else():
+    rng = random.Random(26)
+    for _ in range(400):
+        k, r = rng.randint(2, 300), rng.randrange(2, 1 << rng.randint(2, 400))
+        assert primes._exact_root(r**k, k) == r
+        assert primes._exact_root(r**k - 1, k) == primes._exact_root(r**k + 1, k) == 0
+
+
 def test_rho_gets_every_unit_trial_division_leaves(monkeypatch):
     # trial division up to 1023 spends 1023 units, and nothing is held back from
     # rho for a trial division up to the square root
@@ -304,7 +337,8 @@ def test_a_prime_in_band_k_runs_the_first_k_witnesses(monkeypatch):
 
 def _factorize_by_odd_d(n, trial_bound):
     """The reference for factorize's units: trial division by 2 and every odd d up to
-    min(2^10, trial_bound), stopping at d and charging d - 2 units, then rho."""
+    min(2^10, trial_bound), stopping at d and charging d - 2 units, then rho, and where
+    rho gives up the least k with m a k-th power, its root found from a float guess."""
     out = {}
     d, bound = 2, min(trial_bound, 1 << 10)
     while d * d <= n and d <= bound:
@@ -324,9 +358,14 @@ def _factorize_by_odd_d(n, trial_bound):
             out[m] = out.get(m, 0) + 1
             continue
         g, left = primes._rho(m, left)
-        if not g:
+        if g:
+            pending += (g, m // g)
+            continue
+        roots = ((k, r) for k in range(2, m.bit_length() + 1) for r in (round(m ** (1 / k)),) if r**k == m)
+        k, r = next(roots, (0, 0))
+        if not k:
             raise FactorizationBudgetError(f"budget exceeded: cannot factor residual {m}")
-        pending += (g, m // g)
+        pending += [r] * k
     return dict(sorted(out.items()))
 
 

@@ -2,7 +2,7 @@
 agrees with it, immutability, the dataclass-style repr, and pickle and copy round trips.
 
 The validating types (`primes.Record` subclasses) are no tuples; the result records
-are `typing.NamedTuple`s, so they compare as tuples do."""
+are `collections.namedtuple`s, so they compare as tuples do."""
 
 import copy
 import pickle
@@ -122,6 +122,16 @@ def test_a_validating_type_is_no_tuple(name):
     record = CASES[name][0]
     fields = tuple(getattr(record, field) for field in record._fields)
     assert not isinstance(record, tuple) and record != fields
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if not isinstance(case[0], Record)])
+def test_a_result_record_is_a_tuple_that_takes_no_new_attribute(name):
+    record = CASES[name][0]
+    assert isinstance(record, tuple) and record == tuple(getattr(record, field) for field in record._fields)
+    assert record._asdict() == {field: getattr(record, field) for field in record._fields}
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.extra = 1
