@@ -23,23 +23,23 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 
 from .primes import (Record, _check_coprime, _factorize, _TRIAL_PRIMES, is_prime, strict_int, strict_ints,
                      strict_prime)
 
-# Index calculus takes the digit of a prime q of ord(base) above _IC_CROSSOVER when q ∥ p - 1.
-# Below it baby-step giant-step is as fast (they tie near q = 2^28; x86_64, Python 3.11), and the
-# walks' budgets would leave it little room: isqrt(q) // _IC_STEP_COST steps for the relations and
-# isqrt(q * targets) // _IC_STEP_COST for the descents, of about 15 baby steps' cost each, so that a
-# walk which runs out costs about what its fallback does.  At q = 2^31 that is 2900 steps, of which
-# the relations take about 1200.  _IC_SLACK relations are kept past one per factor-base prime; a
-# walk multiplies by one of _IC_WALK powers of g; the last _IC_SYSTEMS systems (p, q) are kept.
-_IC_CROSSOVER = 1 << 31
+# Each digit mod a prime q of ord(base) goes by the cheaper route in baby steps (x86_64, Python 3.11):
+# baby-step giant-step, sqrt(2 q e targets), or, for q ∥ p - 1, index calculus, _IC_STEP_COST (a walk
+# step) * rho(u)^-2 (steps per relation; measured 0.83-1.64x that at 24 to 50 bits) * (|fb| + _IC_SLACK
+# + targets + 1) + |fb|^3 / 3; a walk that runs out costs one more baby-step giant-step at most.  A walk
+# uses _IC_WALK powers of g; _IC_SYSTEMS systems (p, q) are kept; _RHO holds Dickman's rho(j / _RHO_STEPS),
+# 1 - ln u up to 2, then u rho(u) = its integral over [u - 1, u] (as rho'(u) = -rho(u - 1) / u) by trapezoids.
 _IC_STEP_COST = 16
 _IC_SLACK = 8
 _IC_WALK = 16
 _IC_SYSTEMS = 32
+_RHO_STEPS = 64
+_RHO = [1.0] * _RHO_STEPS + [1 - log(j / _RHO_STEPS) for j in range(_RHO_STEPS, 2 * _RHO_STEPS + 1)]
 
 
 class GeometricDescriptor(Record):
@@ -120,18 +120,19 @@ def _logs(p: int, base: int, n: int, factors: dict, targets) -> dict:
     """{t: least k >= 1 with base^k = t (mod p)} for targets in <base>, where
     n = ord(base) is the product of q^e over factors = {q: e}.
 
-    Pohlig-Hellman: k mod q^e is found for each q^e in the subgroup of order q.  A prime q >
-    _IC_CROSSOVER with q ∥ p - 1 goes by `_index_calculus`, factor-base logs kept per (p, q) and
-    one descent per target; should that system have given up, a descent run out of steps or a
-    digit fail its check, and for every other q, by `_baby_giant`, O(e sqrt(q)) for one target.
-    The residues mod the coprime q^e sum to k mod n, and k = 0 (t = 1) becomes n.
+    Pohlig-Hellman: k mod q^e is found for each q^e in the subgroup of order q.  Where q ∥ p - 1
+    and `_ic_cost` is below baby-step giant-step's sqrt(2 q e targets), by `_index_calculus`,
+    factor-base logs kept per (p, q) and one descent per target; else, or should that system have
+    given up, a descent run out of steps or a digit fail its check, by `_baby_giant`, O(e sqrt(q))
+    for one target.  The residues mod the coprime q^e sum to k mod n; k = 0 (t = 1) becomes n.
     """
     ks = dict.fromkeys(targets, 0)
     for q, e in factors.items():
         c = n // q**e
         unit = c * pow(c, -1, q**e)  # 1 mod q^e and 0 mod n / q^e
         # q ∥ p - 1, which also makes e = 1: without it the relations would not fix logs mod q
-        digits = _index_calculus(p, base, q, c, ks) if q > _IC_CROSSOVER and (p - 1) % (q * q) else None
+        by_ic = (p - 1) % (q * q) and _ic_cost(p, len(ks)) < isqrt(2 * q * e * len(ks))
+        digits = _index_calculus(p, base, q, c, ks) if by_ic else None
         for t, r in (digits or _baby_giant(p, base, q, e, c, ks)).items():
             ks[t] += r * unit
     return {t: k % n or n for t, k in ks.items()}
@@ -202,18 +203,18 @@ def _ic_system(p: int, q: int) -> tuple | None:
     stretches of the walk seldom add up to a third; on the powers of one w they often do,
     and many relations are then sums of earlier ones.  A z whose ratio (see `_ratio`) is
     fb-smooth gives one linear relation mod q among the logs of fb, all solved by Gaussian
-    elimination.  The walk has isqrt(q) // _IC_STEP_COST steps, one target's budget; if it
-    has found fewer than half its relations halfway through, it gives up there: for p much
-    larger than q (q near 2^31 in p - 1 of 40 bits or more) they would not fit in it.
+    elimination.  The walk has isqrt(q) // _IC_STEP_COST steps, one target's fallback, and gives
+    up when they run out, at a cost of at most that fallback once per (p, q); for one target
+    `_logs` calls it only where `_ic_cost` is lower, and 0 of 40 safe primes near 10^9 gave up.
     """
     g = _generator(p, p - 1, (q,), range(2, p))
     fb = _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, _factor_bound(p))]
     smooth, root = prod(fb), isqrt(p)
     walk = [(pow(g, s, p), s) for s in (isqrt(l * p) for l in _TRIAL_PRIMES[:_IC_WALK])]
-    budget = steps = isqrt(q) // _IC_STEP_COST
+    steps = isqrt(q) // _IC_STEP_COST
     rows, z, x, need = [], 1, 0, len(fb) + _IC_SLACK  # z = g^x
     while len(rows) < need:
-        if not steps or steps == budget // 2 and 2 * len(rows) < need:  # halfway: on pace to run out
+        if not steps:
             return None
         (w, s), steps = walk[z % _IC_WALK], steps - 1
         z, x = z * w % p, x + s
@@ -244,6 +245,15 @@ def _ratio(p: int, z: int, fb, smooth: int, root: int) -> list | None:
             b, k = b // l, k - 1
         v.append(k)
     return v
+
+
+def _ic_cost(p: int, targets: int) -> float:
+    """Predicted cost of index calculus at p in baby steps (see the constants); inf from u = 100 on."""
+    i = round(min(log(p) / 2 / log(bound := _factor_bound(p)), 100) * _RHO_STEPS)  # u = ln sqrt(p) / ln B
+    while len(_RHO) <= i:
+        _RHO.append((_RHO[-_RHO_STEPS] / 2 + sum(_RHO[1 - _RHO_STEPS :])) / (len(_RHO) - 0.5))
+    fb = bisect_right(_TRIAL_PRIMES, bound)
+    return _IC_STEP_COST * (fb + _IC_SLACK + targets + 1) / _RHO[i] / _RHO[i] + fb**3 / 3
 
 
 def _factor_bound(p: int) -> int:

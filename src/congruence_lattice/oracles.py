@@ -24,7 +24,7 @@ _GEOM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SIEVE_BOUND = 10**6
 
 # the dlog suite's first primes: p - 1 = 2^8, 2^9 * 3 * 5, 2^16, 37-smooth, and twice a prime
-# above geometry's index-calculus crossover (two safe primes)
+# at which geometry predicts index calculus cheaper than baby-step giant-step (two safe primes)
 _DLOG_PRIMES = (257, 7681, 65537, 29682952539241, 8589935363, 52274027579)
 _DLOG_SCAN_BOUND = 10**4
 
@@ -382,9 +382,11 @@ def _antichain_suite(rng, cases):
 def _dlog_prime(rng, index):
     """The suite's prime for case `index`: the fixed ones first, then by turns a
     prime up to 10^4, one up to 10^7 and one with p - 1 a product of primes <= 47,
-    but every twentieth case a safe prime 2q + 1 with q in 2^31..2^36, whose digit mod
-    q goes by index calculus on a factor-base system of its own (such a case costs
-    about as much as twenty others, half of it certifying q by trial division)."""
+    but every twentieth case a safe prime 2q + 1 with q in 2^24..2^36, whose digit mod
+    q goes by baby-step giant-step below the point near q = 2^27 where geometry's
+    predicted costs cross and by index calculus, on a factor-base system of its own,
+    above it (such a case costs about as much as twenty others, half of it certifying q
+    by trial division)."""
     if index < len(_DLOG_PRIMES):
         return _DLOG_PRIMES[index]
     kind = 3 if index % 20 == 19 else index % 3  # so that 20 cases reach one
@@ -396,7 +398,7 @@ def _dlog_prime(rng, index):
         elif kind == 2:
             p = 2 * prod(rng.choice(_GEOM_PRIMES + (37, 41, 43, 47)) for _ in range(rng.randint(3, 10))) + 1
         else:
-            bits = rng.randint(32, 36)  # log-uniform: certifying q by trial division takes sqrt(q)
+            bits = rng.randint(25, 36)  # log-uniform: certifying q by trial division takes sqrt(q)
             q = rng.randrange(2 ** (bits - 1) + 1, 2**bits, 2)
             p = 2 * q + 1 if primes.is_prime(q) else 0
         if (kind == 0 or p > _DLOG_SCAN_BOUND) and primes.is_prime(p):

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -374,12 +374,14 @@ def test_a_non_member_is_answered_before_any_table_is_built(monkeypatch):
     assert geo.discrete_log(1000003, 4, 2) is None
 
 
-# -- index calculus for a prime of the order above the crossover ----------------------
+# -- index calculus for a prime of the order where its predicted cost is the lower ---------
 
-# a safe prime, p = 2q + 1, with q above the crossover: a base of order q takes its one digit by
-# index calculus; a primitive root takes its digit mod q so and its digit mod 2 by baby-step giant-step
+# a safe prime, p = 2q + 1, where index calculus is predicted cheaper at q: a base of order q takes its
+# one digit by index calculus; a primitive root takes its digit mod q so and its digit mod 2 by
+# baby-step giant-step
 SAFE_P, SAFE_Q = 8589935363, 4294967681
 BIG_P = 52274027579  # a safe prime near the benchmark's largest
+NEAR_1E9 = 1012511999  # a safe prime in the benchmark's band near 10^9, q near 2^29
 
 
 @pytest.fixture(autouse=True)
@@ -399,6 +401,23 @@ def no_baby_giant(*args):
     raise AssertionError("baby-step giant-step was called")
 
 
+def spy_routes(monkeypatch):
+    """Record ("ic", q) for each call of `_index_calculus` and ("bsgs", q, e) for `_baby_giant`."""
+    routes, index_calculus, baby_giant = [], geo._index_calculus, geo._baby_giant
+
+    def ic(p, base, q, *args):
+        routes.append(("ic", q))
+        return index_calculus(p, base, q, *args)
+
+    def bsgs(p, base, q, e, *args):
+        routes.append(("bsgs", q, e))
+        return baby_giant(p, base, q, e, *args)
+
+    monkeypatch.setattr(geo, "_index_calculus", ic)
+    monkeypatch.setattr(geo, "_baby_giant", bsgs)
+    return routes
+
+
 def only_at_2(monkeypatch):
     """Patch `_baby_giant` to fail for any q but 2, so each digit mod q comes from index calculus."""
     baby_giant = geo._baby_giant
@@ -414,11 +433,12 @@ def only_at_2(monkeypatch):
     1, 1447, 1448, 1449, 46339, 46340, 46341, 46342, 47783, 47784, 47785, 240367, SAFE_Q - 1,
 ])
 def test_digits_by_index_calculus_at_a_safe_prime(monkeypatch, k):
+    routes = spy_routes(monkeypatch)
     monkeypatch.setattr(geo, "_baby_giant", no_baby_giant)
-    assert SAFE_Q > geo._IC_CROSSOVER
     x = pow(4, k, SAFE_P)
     got = geo.discrete_log(SAFE_P, 4, x)
     assert got == k and certified_log(SAFE_P, 4, x, SAFE_Q, got)
+    assert routes == [("ic", SAFE_Q)]
 
 
 def test_the_identity_and_a_non_member_at_a_safe_prime():
@@ -428,7 +448,7 @@ def test_the_identity_and_a_non_member_at_a_safe_prime():
     assert geo.discrete_log(SAFE_P, 4, 2) is None
 
 
-def test_offsets_of_30_targets_above_the_crossover_are_certified(monkeypatch):
+def test_offsets_of_30_targets_by_index_calculus_are_certified(monkeypatch):
     only_at_2(monkeypatch)
     p = BIG_P
     g = geo.primitive_root(p)
@@ -468,8 +488,9 @@ def test_index_calculus_falls_back_to_baby_step_giant_step(monkeypatch, fault):
     assert calls == [SAFE_Q, -SAFE_Q, -SAFE_Q, -SAFE_Q]  # one solve for (p, q), then each call's fallback
 
 
-@pytest.mark.parametrize("p", [SAFE_P, BIG_P])
+@pytest.mark.parametrize("p", [NEAR_1E9, SAFE_P, BIG_P])
 def test_bases_other_than_the_reference_share_one_system(monkeypatch, p):
+    # near 10^9 too: q is near 2^29, where one log is predicted cheaper by index calculus
     only_at_2(monkeypatch)
     q, rng = (p - 1) // 2, random.Random(p)
     calls = []
@@ -492,27 +513,66 @@ def test_bases_other_than_the_reference_share_one_system(monkeypatch, p):
 
 
 def test_a_system_that_gave_up_sends_later_calls_straight_to_baby_step_giant_step(monkeypatch):
-    # q just above the crossover in a p - 1 of 44 bits: the relations would not fit in the walk's
-    # budget, so the walk gives up halfway, and the give-up is kept for (p, q)
-    q = 2147484679
-    p = 4144 * q + 1
-    assert p.bit_length() == 44 and factorize(p - 1) == {2: 4, 7: 1, 37: 1, q: 1}
-    g = geo.primitive_root(p)
-    x = pow(g, 123456789012, p)
-    assert certified_log(p, g, x, p - 1, geo.discrete_log(p, g, x))
-    assert geo._ic_system.cache_info().currsize == 1
+    # index calculus is predicted cheaper at SAFE_Q, but a planted walk finds no smooth ratio, runs
+    # out of steps and gives up; the give-up is kept for (p, q)
+    routes = spy_routes(monkeypatch)
+    monkeypatch.setattr(geo, "_ratio", lambda *args: None)
+    x = pow(4, 123456789, SAFE_P)
+    assert certified_log(SAFE_P, 4, x, SAFE_Q, geo.discrete_log(SAFE_P, 4, x))
+    assert routes == [("ic", SAFE_Q), ("bsgs", SAFE_Q, 1)] and geo._ic_system.cache_info().currsize == 1
 
     def no_walk_or_solve(*args):
         raise AssertionError("a walk step or a solve ran")
 
     for name in ("_ratio", "_solve_mod"):
         monkeypatch.setattr(geo, name, no_walk_or_solve)
-    base = pow(g, 2 * 3 * 5, p)  # of order (p - 1) / 2, a multiple of q
-    assert geo.multiplicative_order(p, base) == (p - 1) // 2
-    y = pow(base, 98765432, p)
-    assert certified_log(p, base, y, (p - 1) // 2, geo.discrete_log(p, base, y))
+    g = geo.primitive_root(SAFE_P)
+    y = pow(g, 98765432, SAFE_P)
+    assert certified_log(SAFE_P, g, y, SAFE_P - 1, geo.discrete_log(SAFE_P, g, y))
     info = geo._ic_system.cache_info()
-    assert (info.hits, info.misses) == (1, 1) and geo._ic_system(p, q) is None
+    assert (info.hits, info.misses) == (1, 1) and geo._ic_system(SAFE_P, SAFE_Q) is None
+
+
+def test_a_prime_of_the_order_predicted_cheaper_by_baby_step_giant_step_starts_no_walk(monkeypatch):
+    # q just above 2^31 in a p - 1 of 44 bits: the relations would cost more than a baby-step table,
+    # so the first log goes by baby-step giant-step without a walk step
+    q = 2147484679
+    p = 4144 * q + 1
+    assert p.bit_length() == 44 and factorize(p - 1) == {2: 4, 7: 1, 37: 1, q: 1}
+    g = geo.primitive_root(p)
+
+    def no_walk(*args):
+        raise AssertionError("a walk step ran")
+
+    routes = spy_routes(monkeypatch)
+    monkeypatch.setattr(geo, "_ratio", no_walk)
+    x = pow(g, 123456789012, p)
+    assert certified_log(p, g, x, p - 1, geo.discrete_log(p, g, x))
+    assert ("bsgs", q, 1) in routes and ("ic", q) not in routes
+    assert geo._ic_system.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p", [12583007, 805307963, 51539607599, 13194139536659])
+def test_predicted_steps_per_relation_are_within_2x_of_a_walk(monkeypatch, p):
+    # safe primes of 24, 30, 36 and 44 bits; the 24-bit walk gives up, and its steps count as well
+    q, ratio, counts = (p - 1) // 2, geo._ratio, []
+
+    def counted(*args):
+        v = ratio(*args)
+        counts.append(v is not None)
+        return v
+
+    monkeypatch.setattr(geo, "_ratio", counted)
+    geo._ic_system(p, q)
+    # one more target adds one descent, _IC_STEP_COST for each of the rho(u)^-2 steps a relation takes
+    predicted = (geo._ic_cost(p, 2) - geo._ic_cost(p, 1)) / geo._IC_STEP_COST
+    measured = len(counts) / sum(counts)
+    assert sum(counts) >= 10 and predicted / 2 < measured < 2 * predicted, (measured, predicted)
+
+
+def test_the_predicted_cost_is_inf_where_rho_is_below_the_least_float():
+    # p = 3 * 2^3168 + 1 puts u near 158, where Dickman's rho underflows: the cost still compares
+    assert geo._ic_cost(3 * 2**3168 + 1, 1) == inf > geo._ic_cost(2**199, 1)
 
 
 def test_a_cached_system_at_big_p_retains_under_16_kib():
@@ -528,24 +588,28 @@ def test_a_cached_system_at_big_p_retains_under_16_kib():
     assert retained < 16 * 2**10, retained
 
 
-def test_a_squared_prime_above_the_crossover_takes_baby_step_giant_step(monkeypatch):
-    # q^2 | p - 1, so the relations would not fix logs mod q: both digits by baby-step giant-step
+def test_a_squared_prime_takes_baby_step_giant_step_whatever_its_predicted_cost(monkeypatch):
+    # q^2 | p - 1, so the relations would not fix logs mod q: both digits by baby-step giant-step,
+    # even where index calculus is predicted to cost nothing
     def no_index_calculus(*args):
         raise AssertionError("index calculus was called")
 
+    routes = spy_routes(monkeypatch)
     monkeypatch.setattr(geo, "_index_calculus", no_index_calculus)
+    monkeypatch.setattr(geo, "_ic_cost", lambda p, targets: 0.0)
     q = 2147483659
     p = 36 * q**2 + 1
-    assert q > geo._IC_CROSSOVER and factorize(p - 1) == {2: 2, 3: 2, q: 2}
+    assert factorize(p - 1) == {2: 2, 3: 2, q: 2}
     base = pow(geo.primitive_root(p), 36, p)  # of order q^2
     assert geo.multiplicative_order(p, base) == q**2
     for k in (1, q - 1, q, q + 1, 12345 * q + 678, q**2 - 1):
         x = pow(base, k, p)
         assert certified_log(p, base, x, q**2, geo.discrete_log(p, base, x))
+    assert set(routes) == {("bsgs", q, 2)}
 
 
 @pytest.mark.parametrize("p, q, cofactor", [
-    (100810807, 4099, 6),  # q below the crossover: baby-step giant-step for both digits
+    (100810807, 4099, 6),  # q^2 | p - 1: baby-step giant-step for both digits
     (14401464037211, 1200061, 10),  # and one table for both digits of 30 targets
 ])
 def test_two_digits_of_a_squared_prime_are_certified(p, q, cofactor):
@@ -573,7 +637,7 @@ def test_two_digits_of_a_squared_prime_are_certified(p, q, cofactor):
     assert {pow(g, k, p) for k in ks} == s
 
 
-def test_a_one_target_log_above_the_crossover_peaks_below_a_mebibyte():
+def test_a_one_target_log_by_index_calculus_peaks_below_a_mebibyte():
     # baby-step giant-step would hold about 114,000 powers here, an exact map of about 6.7 MB
     k = 31415926535
     x = pow(2, k, BIG_P)
@@ -583,7 +647,8 @@ def test_a_one_target_log_above_the_crossover_peaks_below_a_mebibyte():
 
 
 def test_many_targets_keep_the_exact_map_within_its_memory():
-    # 2000 targets at the least safe prime above 10^6, below the crossover: one exact map, about 3.4 MiB
+    # 2000 targets at the least safe prime above 10^6, where baby-step giant-step is predicted
+    # cheaper: one exact map, about 3.4 MiB
     p = 1000667
     assert geo.multiplicative_order(p, 4) == (p - 1) // 2
     s = random.Random(3).sample(range(1, p), 2000)
