@@ -217,7 +217,8 @@ _FAILURES = {
 
 
 def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") -> VerificationReport:
-    """Check a prefix against the spec; never raises, failures are reported.
+    """Check a prefix against the spec; failures are reported, but an unknown substitution mode
+    raises `build`'s ValueError and a prefix that is not iterable TypeError.
 
     Checks: strict monotonicity; pairwise non-divisibility; residue
     tracking of every earlier chain prime at its scheduled depth; each

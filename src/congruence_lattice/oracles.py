@@ -24,7 +24,7 @@ _GEOM_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SIEVE_BOUND = 10**6
 
 # the dlog suite's first primes: p - 1 = 2^8, 2^9 * 3 * 5, 2^16, 37-smooth, and twice a prime
-# at which geometry predicts index calculus cheaper than baby-step giant-step (two safe primes)
+# at which `dlog` predicts index calculus cheaper than baby-step giant-step (two safe primes)
 _DLOG_PRIMES = (257, 7681, 65537, 29682952539241, 8589935363, 52274027579)
 _DLOG_SCAN_BOUND = 10**4
 
@@ -383,7 +383,7 @@ def _dlog_prime(rng, index):
     """The suite's prime for case `index`: the fixed ones first, then by turns a
     prime up to 10^4, one up to 10^7 and one with p - 1 a product of primes <= 47,
     but every twentieth case a safe prime 2q + 1 with q in 2^24..2^36, whose digit mod
-    q goes by baby-step giant-step below the point near q = 2^27 where geometry's
+    q goes by baby-step giant-step below the point near q = 2^27 where `dlog`'s
     predicted costs cross and by index calculus, on a factor-base system of its own,
     above it (such a case costs about as much as twenty others, half of it certifying q
     by trial division)."""
@@ -451,6 +451,7 @@ def _dlog_certify(rng, p):
 
 
 def _dlog_suite(rng, cases):
+    """`geometry`'s discrete logs, which `dlog` takes, at the primes of `_dlog_prime`."""
     for index in range(cases):
         p = _dlog_prime(rng, index)
         yield (_dlog_scan if p <= _DLOG_SCAN_BOUND else _dlog_certify)(rng, p)

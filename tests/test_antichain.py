@@ -313,6 +313,16 @@ def test_bad_substitution_mode():
         ac.build(WORKED_SPEC, 1, substitution="loose")
 
 
+def test_verify_refuses_what_it_cannot_check_as_its_docstring_says():
+    with pytest.raises(ValueError) as built:
+        ac.build(WORKED_SPEC, 1, substitution="loose")
+    with pytest.raises(ValueError, match="substitution must be one of") as verified:
+        ac.verify([1, 2], WORKED_SPEC, substitution="loose")
+    assert str(verified.value) == str(built.value)
+    with pytest.raises(TypeError):
+        ac.verify(7, WORKED_SPEC)
+
+
 # -- verification ---------------------------------------------------------------
 
 

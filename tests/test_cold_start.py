@@ -57,9 +57,15 @@ def modules(*short):
     "argv, expected",
     [
         (["crt", "solve", '[{"m":3,"a":2},{"m":5,"a":3}]'], modules("primes", "crt")),
+        # recognition and enumeration take no logarithms: no dlog
         (["geom", "check", "-p", "7", "--set", "1,2,4"], modules("primes", "geometry")),
+        (["geom", "enum", "-p", "7"], modules("primes", "geometry")),
         # Pohlig-Hellman combines its residues itself: no crt
-        (["geom", "dlog", "-p", "29682952539241", "--base", "53", "-x", "123456789"], modules("primes", "geometry")),
+        (
+            ["geom", "dlog", "-p", "29682952539241", "--base", "53", "-x", "123456789"],
+            modules("primes", "geometry", "dlog"),
+        ),
+        (["geom", "offsets", "-p", "7", "--set", "3,5,6"], modules("primes", "geometry", "dlog")),
         (["lattice", "up", "4,6"], modules("primes", "periodic_sets", "lattice")),
         # verify's divisibility cores live in primes: no periodic_sets, no lattice
         (["antichain", "build", "--spec", SPEC, "-n", "1"], modules("primes", "crt", "antichain")),
