@@ -57,8 +57,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(value)]
     return value
 
 

@@ -157,8 +157,9 @@ def sieve_factors(n: int, spf) -> list:
 def periodic_mismatches(got, period: int, top: int, want) -> list:
     """How `got` differs from S = {n >= 0 : want(n)}, given that S is periodic
     with `period` beyond `top`: membership over [0, 2 * period + top], `len`
-    of the residues against a count over one period, and equality, hash and
-    JSON against `make` of S listed explicitly (a frozenset-backed value)."""
+    of the residues against a count over one period, equality and JSON against
+    `make` of S listed explicitly, and the hash against the residue count and
+    sum of the listing itself, so a fault in the sum by CRT shows."""
     hi = 2 * period + top
     truth = [want(n) for n in range(hi + 1)]
     bad = next((n for n in range(hi + 1) if (n in got) != truth[n]), None)
@@ -172,8 +173,12 @@ def periodic_mismatches(got, period: int, top: int, want) -> list:
     added = [n for n in range(top + 1) if truth[n] and not truth[base + n % period]]
     removed = [n for n in range(top + 1) if not truth[n] and truth[base + n % period]]
     listed = periodic_sets.make(period, residues, added, removed)
-    if not (got == listed == got and hash(got) == hash(listed) and got.to_json() == listed.to_json()):
+    if not (got == listed == got and got.to_json() == listed.to_json()):
         found.append(f"differs from the listing {listed}")
+    m = listed.modulus  # make's minimal period
+    own = [x for x in range(m) if truth[base + x]]
+    if hash(got) != hash((m, len(own), sum(own) % m, frozenset(added), frozenset(removed))):
+        found.append(f"hash differs from that of the listing {listed}")
     return found
 
 

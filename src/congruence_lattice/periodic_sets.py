@@ -9,16 +9,17 @@ m, residues R and edits (added, removed):
 
     n in A  <=>  n in added, or (n mod m in R and n not in removed)
 
-R is a frozenset or a `ProductView`: by CRT, residue classes, their
-complements and finite unions of them are products over coprime moduli, or
-complements of one.  A view has parts (m_i, R_i, co_i), nonempty, not
-everything and each at its own minimal period, whose moduli multiply to m,
-and a flag co: x is in it iff co != all((x mod m_i in R_i) != co_i).  `in`
-and `len` cost O(parts); iteration enumerates by CRT one member at a time
-and lists nothing, so the first member comes at once whatever the moduli;
-equality agrees with the frozenset of the same members.  A view is
-unhashable; a PeriodicSet hashes its modulus, residue count, residue sum
-mod the period and edits.
+R is a `ProductView`: by CRT, residue classes, their complements and
+finite unions of them are products over coprime moduli, or complements of
+one.  A view has parts (m_i, R_i, co_i), nonempty, not everything and each
+at its own minimal period, whose moduli multiply to m, and a flag co: x is
+in it iff co != all((x mod m_i in R_i) != co_i).  One part takes co; no
+parts is everything at m = 1, or nothing if co.  `in` and `len` cost
+O(parts); iteration enumerates by CRT one member at a time and lists
+nothing, so the first member comes at once whatever the moduli; equality
+agrees with any set of the same members.  A view is unhashable; a
+PeriodicSet hashes its modulus, residue count, residue sum mod the period
+and edits.
 `~` flips a flag, `&` joins the parts of two products, intersecting
 explicitly only parts whose moduli share a factor (at their lcm), and `|`
 is ~(~A & ~B).  A view is materialised only in those joins and when a
@@ -59,7 +60,7 @@ class ProductView(Set):
         return not self.co
 
     def __bool__(self):
-        return True  # nonempty parts, none everything: neither the product nor its complement is empty
+        return bool(self.parts) or not self.co  # no part is empty or everything: only no parts can be
 
     def __len__(self):
         n = prod(m - len(r) if c else len(r) for m, r, c in self.parts)
@@ -79,7 +80,7 @@ class ProductView(Set):
     def __eq__(self, other):
         if not isinstance(other, Set):
             return NotImplemented
-        if type(other) is ProductView and (self.parts, self.co) == (other.parts, other.co):
+        if isinstance(other, ProductView) and (self.parts, self.co) == (other.parts, other.co):
             return True
         return len(self) == len(other) and all(x in self for x in other)
 
@@ -91,16 +92,16 @@ class ProductView(Set):
         return f"ProductView(moduli={[m for m, _, _ in self.parts]}, co={self.co}, len={len(self)})"
 
 
-def _crt_walk(levels, big, acc=0):
-    """(acc + sum of x_i * e_i) % big for each choice of x_i per level (m, r, keep, e),
-    x_i in r if keep, else in range(m) outside r; lazy, each level walked afresh."""
-    (m, r, keep, e), *rest = levels
-    xs = r if keep else filterfalse(r.__contains__, range(m))
-    if rest:
-        for x in xs:
-            yield from _crt_walk(rest, big, acc + x * e)
-    else:
-        for x in xs:
+def _crt_walk(levels, big):
+    """(sum of x_i * e_i) % big for each choice of x_i per level (m, r, keep, e), x_i in r
+    if keep, else in range(m) outside r; lazy, the last level walked afresh for each sum
+    of the others, so a generator is made per level, not per member."""
+    if not levels:
+        yield 0
+        return
+    *first, (m, r, keep, e) = levels
+    for acc in _crt_walk(first, big):
+        for x in r if keep else filterfalse(r.__contains__, range(m)):
             yield (acc + x * e) % big
 
 
@@ -115,13 +116,10 @@ def _view_sum(view: ProductView) -> int:
     return (big * (big - 1) // 2 - total if view.co else total) % big
 
 
-_ZERO = frozenset((0,))
-
-
 class PeriodicSet(Record):
     __slots__ = _fields = ("modulus", "residues", "added", "removed")
 
-    def __init__(self, modulus: int, residues: frozenset | ProductView, added: frozenset, removed: frozenset):
+    def __init__(self, modulus: int, residues: ProductView, added: frozenset, removed: frozenset):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "added", added)
@@ -129,15 +127,14 @@ class PeriodicSet(Record):
 
     def __hash__(self):
         # what __eq__ compares, the residues by their count and their sum mod the period (equal
-        # sets share both): a view's sum by CRT, in O(parts) beyond summing what its parts store
+        # sets share both): the sum by CRT, in O(parts) beyond summing what the parts store
         r = self.residues
-        total = _view_sum(r) if type(r) is ProductView else sum(r) % self.modulus
-        return hash((self.modulus, len(r), total, self.added, self.removed))
+        return hash((self.modulus, len(r), _view_sum(r), self.added, self.removed))
 
     def __repr__(self):
         # a period can hold ~10^8 residues (tracebacks print this): list 16 at most
         r = self.residues
-        shown = r if type(r) is ProductView else sorted(r) if len(r) <= 16 else f"<{len(r)} residues>"
+        shown = sorted(r) if len(r) <= 16 else r
         edits = f"add={sorted(self.added)}, remove={sorted(self.removed)}"
         return f"PeriodicSet(mod={self.modulus}, residues={shown}, {edits})"
 
@@ -151,7 +148,7 @@ class PeriodicSet(Record):
             return True
         if n in self.removed:
             return False
-        return n % self.modulus in self.residues
+        return n in self.residues  # each part reduces n itself
 
     __contains__ = member
 
@@ -184,9 +181,9 @@ class PeriodicSet(Record):
         return ~(~self & ~other)
 
     def complement(self) -> "PeriodicSet":
-        parts, co = _structure(self)
+        r = self.residues
         # edits stay needed: an added point was outside R, so it is inside ~R
-        return PeriodicSet(*_assemble(parts, not co), self.removed, self.added)
+        return PeriodicSet(self.modulus, _assemble(r.parts, not r.co), self.removed, self.added)
 
     __and__ = intersect
     __or__ = union
@@ -217,27 +214,12 @@ class PeriodicSet(Record):
 # -- product form ----------------------------------------------------------------
 
 
-def _structure(s: PeriodicSet) -> tuple:
-    """(parts, co) of s's periodic part: no parts is everything, or nothing if co."""
-    r = s.residues
-    if type(r) is ProductView:
-        return r.parts, r.co
-    if s.modulus == 1:
-        return (), not r
-    return ((s.modulus, r, False),), False
-
-
-def _assemble(parts, co) -> tuple:
-    """(modulus, residues) of the product of canonical parts, complemented if co."""
-    if len(parts) == 1:  # one part takes co; a plain one is a frozenset
+def _assemble(parts, co) -> ProductView:
+    """The product of canonical parts, complemented if co; one part takes co."""
+    if len(parts) == 1:
         ((m, r, c),) = parts
-        if c == co:
-            return m, r
-        parts, co = ((m, r, True),), False
-    if not parts:
-        return 1, frozenset() if co else _ZERO
-    view = ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
-    return view.modulus, view
+        return ProductView(((m, r, c != co),), False)
+    return ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
 
 
 def _factors(s: PeriodicSet):
@@ -245,7 +227,7 @@ def _factors(s: PeriodicSet):
 
     A complemented product of several parts becomes one part at its modulus
     that stores the smaller side: the product's members, or its own."""
-    parts, co = _structure(s)
+    parts, co = s.residues.parts, s.residues.co
     if not co or not parts:
         return None if co else parts
     inside = ProductView(parts, False)
@@ -310,7 +292,7 @@ def _meet(sets) -> PeriodicSet:
     # only the operands' edited points can differ from the periodic meet
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if all(n in s for s in sets)}
-    return _finish(*_assemble(parts or (), parts is None), inside, edits - inside)
+    return _finish(_assemble(parts or (), parts is None), inside, edits - inside)
 
 
 def _residues_met(s: PeriodicSet, modulus: int) -> set:
@@ -355,8 +337,8 @@ def is_upward_closed(s: PeriodicSet) -> bool:
         )
     if not s.residues:
         return False
-    parts, co = _structure(s)
-    for m, r, c in parts:
+    co = s.residues.co
+    for m, r, c in s.residues.parts:
         t = r if c == co else ProductView(((m, r, True),), False)  # T_i: r or its complement
         if 1 in t:  # the multiples of 1 are everything, which a part never is
             return False
@@ -403,15 +385,17 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
     removed = strict_ints(removed, "removed element", 0)
     if added & removed:
         raise ValueError(f"ambiguous edits: {_shown(sorted(added & removed))} both added and removed")
-    return _finish(*_minimal_period(modulus, residues), added, removed)
+    m, r = _minimal_period(modulus, residues)
+    # one plain part is canonical as it is; at m = 1, r is {0} (everything) or empty
+    return _finish(ProductView(((m, r, False),) if m > 1 else (), not r), added, removed)
 
 
-def _finish(modulus, residues, added, removed) -> PeriodicSet:
+def _finish(residues, added, removed) -> PeriodicSet:
     """A valid description with a canonical periodic part (not checked), with
     redundant edits dropped."""
-    added = frozenset(a for a in added if a % modulus not in residues)
-    removed = frozenset(x for x in removed if x % modulus in residues)
-    return PeriodicSet(modulus, residues, added, removed)
+    added = frozenset(a for a in added if a not in residues)
+    removed = frozenset(x for x in removed if x in residues)
+    return PeriodicSet(residues.modulus, residues, added, removed)
 
 
 def progression(modulus: int, residue: int) -> PeriodicSet:
@@ -432,8 +416,8 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     the complement of the meet of the non-multiples of each divisor."""
     parts = () if divisors[0] > 1 else None
     for n in divisors:
-        parts = _meet_parts(parts, ((n, _ZERO, True),))
-    return _finish(*_assemble(parts or (), parts is not None), (), removed)
+        parts = _meet_parts(parts, ((n, frozenset({0}), True),))
+    return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 
 def non_divisibility(n: int) -> PeriodicSet:

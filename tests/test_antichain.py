@@ -71,6 +71,11 @@ def test_spec_rejects_non_integer_primes_and_residues():
     assert spec == ac.AntichainSpec(chains=((3, (1, 4)),))
 
 
+def test_spec_json_names_a_chain_without_residues():
+    with pytest.raises(ValueError, match='^antichain spec JSON: chain 0 needs "prime" and "residues"$'):
+        ac.AntichainSpec.from_json({"chains": [{"prime": 3}]})
+
+
 def test_spec_json_round_trip():
     data = WORKED_SPEC.to_json()
     assert ac.AntichainSpec.from_json(data) == WORKED_SPEC

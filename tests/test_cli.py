@@ -49,6 +49,12 @@ def test_crt_solve_names_missing_field(capsys):
     assert '"m"' in err
 
 
+def test_crt_solve_refuses_a_congruence_that_is_no_object(capsys):
+    code, out, err = run(capsys, "crt", "solve", "[5]")
+    assert (code, out) == (2, "")
+    assert err == "error: congruence 0: expected an object\n"
+
+
 def test_crt_solve_malformed_json(capsys):
     code, _, err = run(capsys, "crt", "solve", "[{")
     assert code == 2

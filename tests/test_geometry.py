@@ -400,6 +400,12 @@ def test_exponent_offsets_rejects_zero():
         geo.exponent_offsets(7, {0, 3})
 
 
+def test_an_empty_residue_set_is_refused():
+    for refuse in (geo.is_geometric, geo.exponent_offsets):
+        with pytest.raises(ValueError, match="^residue set must be nonempty$"):
+            refuse(7, [])
+
+
 def test_structure_check_examples():
     rep = geo.structure_check(7, {3, 5, 6})
     assert rep.gcd_closed and rep.multiples_closed and rep.arithmetic_progression

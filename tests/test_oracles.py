@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from congruence_lattice import antichain, geometry, oracles
+from congruence_lattice import antichain, filter_lab, geometry, lattice, oracles, periodic_sets
 
 
 @pytest.mark.parametrize("suite", sorted(oracles.SUITES))
@@ -83,3 +83,31 @@ def test_dlog_suite_catches_one_log_off_by_one_in_each_case(monkeypatch):
     assert report["cases_run"] == 20 and report["mismatches"] >= 1
     text = "\n".join(report["mismatch_examples"])
     assert "discrete_log" in text, text
+
+
+def test_periodic_suite_catches_a_residue_sum_off_by_one(monkeypatch):
+    # the hash sums a set's residues by CRT; the suite sums the listing itself
+    view_sum = periodic_sets._view_sum
+    monkeypatch.setattr(periodic_sets, "_view_sum", lambda view: view_sum(view) + 1)
+    report = oracles.run_suite("periodic", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "hash differs" in text, text
+
+
+def test_upward_suite_catches_a_verdict_negated_on_even_moduli(monkeypatch):
+    is_upward_closed = lattice.is_upward_closed
+    monkeypatch.setattr(lattice, "is_upward_closed", lambda s: is_upward_closed(s) != (s.modulus % 2 == 0))
+    report = oracles.run_suite("upward", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "criterion" in text, text
+
+
+def test_fip_suite_catches_a_verdict_negated_for_three_or_more_members(monkeypatch):
+    has_fip = filter_lab.has_fip
+    monkeypatch.setattr(filter_lab, "has_fip", lambda members: has_fip(members) != (len(members) >= 3))
+    report = oracles.run_suite("fip", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "has_fip" in text, text

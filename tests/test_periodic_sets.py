@@ -98,6 +98,11 @@ def test_divisibility_union_residues():
     assert u.enumerate_up_to(30) == [0, 6, 10, 12, 18, 20, 24, 30]
 
 
+def test_divisibility_union_needs_a_divisor():
+    with pytest.raises(ValueError, match="^divisibility_union needs at least one divisor$"):
+        ps.divisibility_union([])
+
+
 def test_non_divisibility():
     assert ps.non_divisibility(2) == ps.progression(2, 1)
     with pytest.raises(ValueError):
@@ -256,7 +261,9 @@ def test_repr_lists_few_residues_and_never_walks_a_view():
         "PeriodicSet(mod=9609573593, residues=ProductView(moduli=[89, 97, 101, 103, 107], "
         "co=True, len=475595993), add=[], remove=[0])"
     )
-    assert repr(ps.make(100, range(50))) == "PeriodicSet(mod=100, residues=<50 residues>, add=[], remove=[])"
+    assert repr(ps.make(100, range(50))) == (
+        "PeriodicSet(mod=100, residues=ProductView(moduli=[100], co=False, len=50), add=[], remove=[])"
+    )
     assert repr(ps.make(10, {3, 1}, {2}, {13})) == "PeriodicSet(mod=10, residues=[1, 3], add=[2], remove=[13])"
 
 
@@ -288,9 +295,6 @@ def test_a_view_and_its_frozenset_hash_equal_and_so_do_their_complements():
     )
     for view, listed in cases:
         co = ps.make(view.modulus, set(range(view.modulus)) - listed.residues, listed.removed, listed.added)
-        assert type(view.residues) is type((~view).residues) is ps.ProductView
-        assert type(listed.residues) is type(co.residues) is frozenset
-        # the complement of a frozenset-backed set is a view of one part
         for a, b in ((view, listed), (~view, co), (~view, ~listed), (~listed, co)):
             assert a == b and hash(a) == hash(b)
 
@@ -316,6 +320,29 @@ def test_views_iterate_by_crt_and_agree_with_frozensets():
         shifted = frozenset((n + 1) % s.modulus for n in listed)  # as many members, not the same
         assert view != shifted and shifted != view
         assert type(view | {0}) is frozenset and view - listed == frozenset()
+
+
+def test_a_view_equals_no_integer():
+    view = ps.progression(6, 1).residues
+    assert (view == 5) is False and view != 5
+
+
+def test_every_set_stores_a_view_and_hashes_its_residue_count_and_sum(monkeypatch):
+    # the sets the periodic oracle suite checks (~, &, |, divisibility_union, up_closure), and
+    # make, progression and non_divisibility at modulus 1 and beyond; sum() walks each view by CRT
+    seen = []
+    monkeypatch.setattr(oracles, "periodic_mismatches", lambda got, *rest: seen.append(got) or [])
+    oracles.run_suite("periodic", cases=200)
+    evens, odds = ps.progression(2, 0), ps.progression(2, 1)
+    nothing, everything = evens & odds, evens | odds
+    made = (ps.make(1), ps.make(1, [0]), ps.make(6, range(6)), ps.make(10, {3, 1}, {2}, {13}), ps.make(36, [1, 5]))
+    named = (ps.progression(1, 0), ps.progression(35, 3), ps.non_divisibility(6), ~ps.make(1), nothing, everything)
+    assert len(seen) == 6 * 200 and (nothing.modulus, everything.modulus) == (1, 1)
+    for s in seen + [*made, *named]:
+        r = s.residues
+        assert type(r) is ps.ProductView and r.modulus == s.modulus, s
+        assert hash(s) == hash((s.modulus, len(r), sum(r) % s.modulus, s.added, s.removed)), s
+    assert not hasattr(ps, "_structure")
 
 
 def test_a_view_yields_members_without_listing_a_part():
@@ -410,3 +437,8 @@ def test_json_accepts_non_canonical_input():
 def test_json_rejects_missing_modulus():
     with pytest.raises(ValueError):
         ps.PeriodicSet.from_json({"residues": [0]})
+
+
+def test_json_rejects_a_field_that_is_no_array():
+    with pytest.raises(ValueError, match='^periodic set JSON: field "residues" must be an array$'):
+        ps.PeriodicSet.from_json({"modulus": 3, "residues": 5})

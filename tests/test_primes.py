@@ -62,6 +62,10 @@ def _product(factors):
     return out
 
 
+def test_no_primes_up_to_one():
+    assert primes_up_to(1) == primes_up_to(0) == []
+
+
 def test_agrees_with_sieve_below_ten_thousand():
     primes = set(primes_up_to(10**4))
     assert [n for n in range(10**4 + 1) if is_prime(n)] == sorted(primes)

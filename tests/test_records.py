@@ -13,7 +13,7 @@ from congruence_lattice.antichain import AntichainSpec, VerificationReport
 from congruence_lattice.crt import Congruence
 from congruence_lattice.filter_lab import DividesReport, DividesStatus, FilterBase
 from congruence_lattice.geometry import ExponentOffsets, GeometricDescriptor, StructureReport
-from congruence_lattice.periodic_sets import PeriodicSet, progression
+from congruence_lattice.periodic_sets import PeriodicSet, make, progression
 from congruence_lattice.primes import Record
 
 E = frozenset()
@@ -36,21 +36,21 @@ CASES = {
     ),
     "FilterBase": (
         FilterBase([progression(2, 0)]),
-        FilterBase((PeriodicSet(2, frozenset({0}), E, E),)),
+        FilterBase((make(2, [0]),)),
         FilterBase([progression(3, 0)]),
         "FilterBase(members=(PeriodicSet(mod=2, residues=[0], add=[], remove=[]),))",
     ),
     "PeriodicSet": (
-        PeriodicSet(6, frozenset({1, 5}), E, E),
-        PeriodicSet(modulus=6, residues=frozenset({5, 1}), added=E, removed=E),
-        PeriodicSet(6, frozenset({1, 5}), frozenset({0}), E),
+        make(6, [1, 5]),
+        PeriodicSet(modulus=6, residues=make(6, [5, 1]).residues, added=E, removed=E),
+        make(6, [1, 5], [0]),
         "PeriodicSet(mod=6, residues=[1, 5], add=[], remove=[])",
     ),
     "PeriodicSet of a view": (
         VIEW,
         progression(3, 1) & progression(2, 0),
         progression(2, 0) & progression(3, 2),
-        "PeriodicSet(mod=6, residues=ProductView(moduli=[2, 3], co=False, len=1), add=[], remove=[])",
+        "PeriodicSet(mod=6, residues=[4], add=[], remove=[])",
     ),
     "ExponentOffsets": (
         ExponentOffsets(1, ()),
