@@ -12,14 +12,14 @@ m, residues R and edits (added, removed):
 R is a `ProductView`: by CRT, residue classes, their complements and
 finite unions of them are products over coprime moduli, or complements of
 one.  A view has parts (m_i, R_i, co_i), nonempty, not everything and each
-at its own minimal period, whose moduli multiply to m, and a flag co: x is
-in it iff co != all((x mod m_i in R_i) != co_i).  One part takes co; no
-parts is everything at m = 1, or nothing if co.  `in` and `len` cost
-O(parts); iteration enumerates by CRT one member at a time and lists
-nothing, so the first member comes at once whatever the moduli; equality
-agrees with any set of the same members.  A view is unhashable; a
-PeriodicSet hashes its modulus, residue count, residue sum mod the period
-and edits.
+at its own minimal period, whose moduli multiply to m, and a flag co: x in
+[0, m) is in it iff co != all((x mod m_i in R_i) != co_i); nothing else is.
+One part takes co; no parts is everything at m = 1, or nothing if co.
+`in` and `len` cost O(parts); iteration enumerates by CRT one member at a
+time and lists nothing, so the first member comes at once whatever the
+moduli; equality agrees with any set of the same members.  A view is
+unhashable; a PeriodicSet hashes its modulus, residue count, residue sum
+mod the period and edits.
 `~` flips a flag, `&` joins the parts of two products, intersecting
 explicitly only parts whose moduli share a factor (at their lcm), and `|`
 is ~(~A & ~B).  A view is materialised only in those joins and when a
@@ -53,7 +53,13 @@ class ProductView(Set):
     def __init__(self, parts: tuple, co: bool):
         self.parts, self.co, self.modulus = parts, co, prod(m for m, _, _ in parts)
 
-    def __contains__(self, x):
+    def __contains__(self, x):  # only residues 0 <= x < M (or values equal to one), as in a frozenset
+        try:
+            return 0 <= x < self.modulus and x % 1 == 0 and self._holds(x)
+        except TypeError:  # no order or remainder against ints: no residue
+            return False
+
+    def _holds(self, x):  # whether the class of any int x is in the view: each part reduces x
         for m, r, c in self.parts:
             if (x % m in r) == c:  # x misses part (m, r, c)
                 return self.co
@@ -80,9 +86,10 @@ class ProductView(Set):
     def __eq__(self, other):
         if not isinstance(other, Set):
             return NotImplemented
-        if isinstance(other, ProductView) and (self.parts, self.co) == (other.parts, other.co):
+        view = isinstance(other, ProductView) and other.modulus == self.modulus  # members in [0, M)
+        if view and (self.parts, self.co) == (other.parts, other.co):
             return True
-        return len(self) == len(other) and all(x in self for x in other)
+        return len(self) == len(other) and all(map(self._holds if view else self.__contains__, other))
 
     @classmethod
     def _from_iterable(cls, it):
@@ -148,7 +155,7 @@ class PeriodicSet(Record):
             return True
         if n in self.removed:
             return False
-        return n in self.residues  # each part reduces n itself
+        return self.residues._holds(n)
 
     __contains__ = member
 
@@ -350,25 +357,22 @@ def is_upward_closed(s: PeriodicSet) -> bool:
 
 
 def _minimal_period(modulus, residues):
-    """Shrink (modulus, residues) until the residues are not a union of
-    full cosets of any proper divisor of the modulus.
+    """(m, R) reduced to the least period of R = `residues` modulo m = `modulus`.
 
-    A union of full cosets modulo m/p holds a multiple of p residues, so
-    only the primes of gcd(m, |R|) are candidates: the modulus itself is
-    never factored, only a number no larger than |R|.
+    The periods of R (the d | m with R closed under +d mod m) are the multiples
+    of the least one, so a prime p that fails once never succeeds later: each p
+    is tried once, and divided out while R stays closed under +m/p.  A union of
+    full cosets modulo m/p holds a multiple of p residues, so only the primes of
+    gcd(m, |R|) are tried, and only that number, no larger than |R|, is factored.
     """
     if not residues:
         return 1, frozenset()
-    while modulus > 1:
-        for p in _factorize(gcd(modulus, len(residues))):
-            d = modulus // p
-            # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
-            if all((r + d) % modulus in residues for r in residues):
-                residues = frozenset(r % d for r in residues)
-                modulus = d
-                break
-        else:
-            break
+    for p in _factorize(gcd(modulus, len(residues))):
+        d = modulus // p
+        # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
+        while modulus % p == 0 and all((r + d) % modulus in residues for r in residues):
+            modulus, d = d, d // p
+            residues = frozenset(r % modulus for r in residues)
     return modulus, frozenset(residues)
 
 
@@ -393,8 +397,8 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
 def _finish(residues, added, removed) -> PeriodicSet:
     """A valid description with a canonical periodic part (not checked), with
     redundant edits dropped."""
-    added = frozenset(a for a in added if a not in residues)
-    removed = frozenset(x for x in removed if x in residues)
+    added = frozenset(a for a in added if not residues._holds(a))
+    removed = frozenset(x for x in removed if residues._holds(x))
     return PeriodicSet(residues.modulus, residues, added, removed)
 
 

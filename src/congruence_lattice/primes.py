@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt, log2
 
 # Miller-Rabin witnesses: the first 13 primes.  psi_k is the least composite
@@ -134,58 +135,44 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _brent(m: int, c: int, steps: int) -> tuple:
-    """Brent's cycle search on x -> x^2 + c (mod m) from x = 2, multiplying
-    the differences of _RHO_BATCH steps before each gcd, within `steps` steps.
-    Returns (g, steps left): g is a divisor > 1 of m (m itself when this c
-    fails), or 0 when the steps run out."""
-    y, r, q, g = 2, 1, 1, 1
-    while g == 1:
-        x = y
-        if steps < r:
-            return 0, 0
-        steps -= r
-        for _ in range(r):
-            y = (y * y + c) % m
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            batch = min(_RHO_BATCH, r - k)
-            if steps < batch:
-                return 0, 0
-            steps -= batch
-            for _ in range(batch):
-                y = (y * y + c) % m
-                q = q * (x - y) % m
-            g = gcd(q, m)
-            k += batch
-        r *= 2
-    if g == m:  # the batch overshot: replay it one gcd at a time
-        while steps:
-            steps -= 1
-            ys = (ys * ys + c) % m
-            g = gcd(x - ys, m)
-            if g > 1:
-                return g, steps
-        return 0, 0
-    return g, steps
-
-
 def _rho(m: int, left: int) -> tuple:
-    """A divisor 1 < g < m of the composite m by Brent's rho with c = 1, 2, ...
-    in turn, and the work units left; g is 0 when the units run out."""
+    """A divisor 1 < g < m of the composite m by Brent's rho (BIT 20, 1980), and the units left;
+    g is 0 when they run out.  For c = 1, 2, ... in turn: Brent's cycle search on x -> x^2 + c
+    (mod m) from x = 2, one gcd per _RHO_BATCH steps; a gcd of m means the batch overshot, so it
+    is replayed one gcd at a time, where a gcd of m again fails this c.  Every c pays from `left`."""
     cost = _RHO_STEP_COST + m.bit_length() // _RHO_STEP_BITS
-    steps = left // cost
-    c = 1
-    while steps > 0:
-        g, rest = _brent(m, c, steps)
-        if g == 0:
-            break
-        left -= (steps - rest) * cost
-        if g != m:
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            if left < r * cost:
+                return 0, 0
+            left -= r * cost
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                if left < batch * cost:
+                    return 0, 0
+                left -= batch * cost
+                for _ in range(batch):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                k += batch
+            r *= 2
+        if g == m:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                if left < cost:
+                    return 0, 0
+                left -= cost
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g < m:
             return g, left
-        steps, c = rest, c + 1
-    return 0, 0
 
 
 def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BUDGET) -> dict[int, int]:

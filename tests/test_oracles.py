@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from congruence_lattice import antichain, filter_lab, geometry, lattice, oracles, periodic_sets
+from congruence_lattice import antichain, filter_lab, geometry, lattice, oracles, periodic_sets, primes
 
 
 @pytest.mark.parametrize("suite", sorted(oracles.SUITES))
@@ -111,3 +111,25 @@ def test_fip_suite_catches_a_verdict_negated_for_three_or_more_members(monkeypat
     assert report["mismatches"] >= 1
     text = "\n".join(report["mismatch_examples"])
     assert "has_fip" in text, text
+
+
+# rho's composites past trial division are odd, so 2 is always a wrong split
+_RHO_FAULTS = {"wrong split": lambda m, left: (2, left), "gives up": lambda m, left: (0, 0)}
+
+
+@pytest.mark.parametrize("fault", sorted(_RHO_FAULTS))
+def test_primes_suite_catches_rho_splitting_wrongly_or_giving_up(monkeypatch, fault):
+    monkeypatch.setattr(primes, "_rho", _RHO_FAULTS[fault])
+    report = oracles.run_suite("primes", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "factorize(" in text, text
+
+
+def test_divisors_suite_catches_rho_splitting_wrongly(monkeypatch):
+    # about half the cases leave a product of two primes above 2^10 to rho
+    monkeypatch.setattr(primes, "_rho", _RHO_FAULTS["wrong split"])
+    report = oracles.run_suite("divisors", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "down_closure(" in text and "vs scan" in text, text

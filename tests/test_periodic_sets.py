@@ -327,6 +327,36 @@ def test_a_view_equals_no_integer():
     assert (view == 5) is False and view != 5
 
 
+def test_a_view_holds_only_its_residues_as_a_frozenset_of_them_does():
+    # Set semantics: a view holds its residues only, so {7} is not the residues {1} mod 6
+    s = ps.make(6, {1})
+    view = s.residues
+    assert view != {7} and (view & {7}) == frozenset() and not view.isdisjoint({1, 7})
+    assert not ps.make(12, {7}).residues <= view and ps.make(12, {1, 7}).residues >= view
+    assert "a" not in view and view != {"a"} and view.isdisjoint({"a"})
+    for t in (s, ~s, ps.make(1, {0}), ps.progression(4, 1) | ps.progression(9, 2)):
+        v, listed = t.residues, frozenset(t.residues)
+        for x in (-5, -1, 0, 1, 7, v.modulus - 1, v.modulus, v.modulus + 1, 1.0, 1.5, "a", None, 1j, (1,)):
+            assert (x in v) == (x in listed), (v, x)
+    # a PeriodicSet reduces n itself, and so do its redundant edits
+    assert 7 in s and s.member(13) and 8 not in s
+    edited = ps.make(6, {1}, added={7, 8}, removed={13, 14})
+    assert edited.added == {8} and edited.removed == {13}
+    assert hash(s) == hash(ps.make(12, {1, 7})) and s.to_json()["residues"] == [1]
+
+
+def test_minimal_period_factors_once_per_call(monkeypatch):
+    # the periods of R are the multiples of its least one, so each prime is tried once
+    calls = []
+    factorize = ps._factorize
+    monkeypatch.setattr(ps, "_factorize", lambda n: calls.append(n) or factorize(n))
+    residues = frozenset(x for x in range(360) if x % 6 in (1, 5))  # lifted from {1, 5} mod 6
+    assert ps._minimal_period(360, residues) == (6, frozenset({1, 5}))
+    assert calls == [120]
+    assert ps._minimal_period(360, frozenset({0, 7})) == (360, frozenset({0, 7})) and calls == [120, 2]
+    assert ps._minimal_period(12, frozenset()) == (1, frozenset()) and len(calls) == 2
+
+
 def test_every_set_stores_a_view_and_hashes_its_residue_count_and_sum(monkeypatch):
     # the sets the periodic oracle suite checks (~, &, |, divisibility_union, up_closure), and
     # make, progression and non_divisibility at modulus 1 and beyond; sum() walks each view by CRT

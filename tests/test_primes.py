@@ -252,6 +252,14 @@ def test_rho_gets_every_unit_trial_division_leaves(monkeypatch):
         factorize(1031 * 1033, isqrt(1031 * 1033))
 
 
+def test_rho_refuses_when_an_overshooting_batch_has_no_unit_left_for_its_replay():
+    # 1003 = 17 * 59: c = 1's batch at r = 4 meets both primes at once (gcd 1003) after its
+    # 14th step, the 112th unit at 8 a step, so its replay has none; with more, the replay
+    # meets both too, c = 1 fails, and c = 2 splits off 17 after 22 steps in all
+    assert primes._rho(1003, 112) == primes._rho(1003, 120) == (0, 0)
+    assert primes._rho(1003, 4000) == (17, 4000 - 22 * 8)
+
+
 def test_factorize_rejects_trial_bound_below_one():
     # a negative bound squared is positive, which once passed 12 off as prime
     for bound in (0, -5):
