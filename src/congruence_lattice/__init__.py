@@ -5,7 +5,7 @@ periodic sets of non-negative integers.  Submodules and the names below load on 
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "crt": "Congruence FeasibilityStream SolutionClass solve_pair solve_system",
+    "crt": "Congruence FeasibilityStream solve_pair solve_system",
     "filter_lab": "FilterBase",
     "geometry": "GeometricDescriptor",
     "periodic_sets": "PeriodicSet divisibility_union make non_divisibility progression",

@@ -29,9 +29,6 @@ class Congruence(Record):
         return x % self.modulus == self.residue
 
 
-SolutionClass = Congruence
-
-
 def _merge(m1: int, r1: int, m2: int, r2: int):
     """Intersect two residue classes; None when they are disjoint."""
     g = gcd(m1, m2)

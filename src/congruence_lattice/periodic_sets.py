@@ -3,9 +3,10 @@
 A set is stored as a periodic part (residues modulo a period) together with
 finitely many explicit additions and removals, with minimal period and edit
 sets, so two values are equal exactly when they contain the same integers.
-`make` checks outside input, then canonicalizes it; the algebra's results
-are canonical by construction and skip the checks.  Membership for period
-m, residues R and edits (added, removed):
+`make` checks outside input, then canonicalizes it.  `progression` and
+`non_divisibility` check their integers, then build one part, canonical by
+construction like the algebra's results, which skip the checks.  Membership
+for period m, residues R and edits (added, removed):
 
     n in A  <=>  n in added, or (n mod m in R and n not in removed)
 
@@ -41,8 +42,11 @@ from collections import Counter
 from collections.abc import Iterable, Set
 from itertools import filterfalse
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
+
+_NO_EDITS = frozenset()  # shared by every set built without edits
 
 
 class ProductView(Set):
@@ -51,7 +55,7 @@ class ProductView(Set):
     __slots__ = ("parts", "co", "modulus")
 
     def __init__(self, parts: tuple, co: bool):
-        self.parts, self.co, self.modulus = parts, co, prod(m for m, _, _ in parts)
+        self.parts, self.co, self.modulus = parts, co, prod(map(itemgetter(0), parts))
 
     def __contains__(self, x):  # only residues 0 <= x < M (or values equal to one), as in a frozenset
         try:
@@ -367,7 +371,8 @@ def _minimal_period(modulus, residues):
     """
     if not residues:
         return 1, frozenset()
-    for p in _factorize(gcd(modulus, len(residues))):
+    g = gcd(modulus, len(residues))
+    for p in _factorize(g) if g > 1 else ():
         d = modulus // p
         # closed under +d (mod m) <=> a union of cosets of the order-p subgroup
         while modulus % p == 0 and all((r + d) % modulus in residues for r in residues):
@@ -397,14 +402,22 @@ def make(modulus: int, residues: Iterable = (), added: Iterable = (), removed: I
 def _finish(residues, added, removed) -> PeriodicSet:
     """A valid description with a canonical periodic part (not checked), with
     redundant edits dropped."""
-    added = frozenset(a for a in added if not residues._holds(a))
-    removed = frozenset(x for x in removed if residues._holds(x))
+    added = frozenset(filterfalse(residues._holds, added)) if added else _NO_EDITS
+    removed = frozenset(filter(residues._holds, removed)) if removed else _NO_EDITS
     return PeriodicSet(residues.modulus, residues, added, removed)
 
 
+def _class(modulus, residue, co) -> PeriodicSet:
+    """The class of a residue modulo m (everything at m = 1), or for m > 1 its complement if co,
+    built directly: one residue is at its least period m, as a union of cosets mod m/p has p | |R|."""
+    parts = ((modulus, frozenset((residue,)), co),) if modulus > 1 else ()
+    return PeriodicSet(modulus, ProductView(parts, False), _NO_EDITS, _NO_EDITS)
+
+
 def progression(modulus: int, residue: int) -> PeriodicSet:
-    """The arithmetic progression {n >= 0 : n = residue (mod modulus)}."""
-    return make(modulus, (residue,))
+    """The arithmetic progression {n >= 0 : n = residue (mod modulus)}, refused as `make` refuses it."""
+    strict_int(modulus, "modulus", 1)
+    return _class(modulus, strict_int(residue, "residue", 0, modulus), False)
 
 
 def divisibility_union(divisors: Iterable) -> PeriodicSet:
@@ -425,5 +438,5 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
 
 
 def non_divisibility(n: int) -> PeriodicSet:
-    """The non-negative integers not divisible by n (n >= 2)."""
-    return ~progression(strict_int(n, "n", 2), 0)
+    """The non-negative integers not divisible by n (n >= 2): one complemented part (n, {0})."""
+    return _class(strict_int(n, "n", 2), 0, True)

@@ -195,12 +195,10 @@ def test_a_table_that_is_not_a_mapping_is_refused():
                 check(table)
 
 
-def test_solution_class_is_the_congruence_type():
-    assert crt.SolutionClass is Congruence
-    assert crt.solve_system([Congruence(3, 2), Congruence(5, 3)]) == crt.SolutionClass(15, 8)
-    # the separate solution type accepted a fractional residue
+def test_a_solved_system_is_a_congruence():
+    assert crt.solve_system([Congruence(3, 2), Congruence(5, 3)]) == Congruence(15, 8)
     with pytest.raises(ValueError, match="residue must be an integer"):
-        crt.SolutionClass(15, 8.5)
+        Congruence(15, 8.5)
 
 
 def test_chain_consistency_accepts_string_keys():

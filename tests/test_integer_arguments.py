@@ -28,6 +28,8 @@ ENTRY_POINTS = {
     "make residue": lambda v: ps.make(5, (v,)),
     "make added": lambda v: ps.make(5, (), (v,)),
     "make removed": lambda v: ps.make(5, (1,), (), (v,)),
+    "progression modulus": lambda v: ps.progression(v, 0),
+    "progression residue": lambda v: ps.progression(5, v),
     "non_divisibility": ps.non_divisibility,
     "divisibility_union": lambda v: ps.divisibility_union([v]),
     "enumerate_up_to": EVENS.enumerate_up_to,
@@ -64,6 +66,8 @@ BOUNDED = {
     "make residue": (lambda v: ps.make(5, (v,)), "residue", 0, 5),
     "make added": (lambda v: ps.make(5, (), (v,)), "added element", 0, None),
     "make removed": (lambda v: ps.make(5, (1,), (), (v,)), "removed element", 0, None),
+    "progression modulus": (lambda v: ps.progression(v, 0), "modulus", 1, None),
+    "progression residue": (lambda v: ps.progression(5, v), "residue", 0, 5),
     "enumerate_up_to": (EVENS.enumerate_up_to, "bound", 0, None),
     "divisibility_union": (lambda v: ps.divisibility_union([v, 3]), "divisor", 1, None),
     "non_divisibility": (ps.non_divisibility, "n", 2, None),

@@ -126,10 +126,14 @@ def test_primes_suite_catches_rho_splitting_wrongly_or_giving_up(monkeypatch, fa
     assert "factorize(" in text, text
 
 
-def test_divisors_suite_catches_rho_splitting_wrongly(monkeypatch):
-    # about half the cases leave a product of two primes above 2^10 to rho
-    monkeypatch.setattr(primes, "_rho", _RHO_FAULTS["wrong split"])
+@pytest.mark.parametrize("fault", sorted(_RHO_FAULTS))
+def test_divisors_suite_catches_rho_splitting_wrongly_or_giving_up(monkeypatch, fault):
+    # about half the cases leave a product of two primes above 2^10 to rho; a refusal is
+    # reported as a mismatch, not raised out of run_suite
+    monkeypatch.setattr(primes, "_rho", _RHO_FAULTS[fault])
     report = oracles.run_suite("divisors", cases=20)
     assert report["mismatches"] >= 1
     text = "\n".join(report["mismatch_examples"])
     assert "down_closure(" in text and "vs scan" in text, text
+    if fault == "gives up":
+        assert "): None vs scan" in text, text

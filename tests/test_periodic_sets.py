@@ -1,6 +1,7 @@
 """Periodic set algebra: canonicalization, membership, boolean operations."""
 
 import random
+import re
 import time
 import tracemalloc
 from itertools import islice
@@ -60,14 +61,34 @@ def test_make_rejects_bad_input():
         ps.make(2, {0}, removed={-2})
 
 
-def test_progression_validation():
-    # progression leaves validation to make, with make's messages
-    with pytest.raises(ValueError, match=r"^residue 3 out of range \[0, 3\)$"):
-        ps.progression(3, 3)
-    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
-        ps.progression(0, 0)
-    with pytest.raises(ValueError, match=r"^residue must be an integer, got 2\.5$"):
-        ps.progression(5, 2.5)
+def _stored(s):
+    r = s.residues
+    return s.modulus, r.parts, r.co, s.added, s.removed, hash(s)
+
+
+# near 10^12: the largest prime below it, a prime above it, 2^12 * 5^12 and a semiprime
+_NEAR_10_12 = (999999999989, 10**12 + 39, 10**12, 999983 * 1000003)
+
+
+@pytest.mark.parametrize("m", [*range(1, 61), *_NEAR_10_12])
+def test_progression_and_non_divisibility_are_built_as_make_builds_them(m):
+    # built in one step, with no period search, yet stored exactly as make stores them
+    for r in range(m) if m <= 60 else (0, 1, m // 2, m - 1):
+        got, want = ps.progression(m, r), ps.make(m, (r,))
+        assert got == want and _stored(got) == _stored(want), (m, r)
+    if m >= 2:
+        got, want = ps.non_divisibility(m), ~ps.make(m, (0,))
+        assert got == want and _stored(got) == _stored(want), m
+
+
+@pytest.mark.parametrize(
+    "m, r", [(True, 0), (3, True), (-1, 0), (3, -1), (3, 3), (0, 0), (2.0, 0), (3, 2.0)], ids=repr
+)
+def test_progression_refuses_as_make_refuses(m, r):
+    with pytest.raises(ValueError) as want:
+        ps.make(m, (r,))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        ps.progression(m, r)
 
 
 # -- membership ----------------------------------------------------------------
