@@ -16,16 +16,18 @@ one.  A view has parts (m_i, R_i, co_i), nonempty, not everything and each
 at its own minimal period, whose moduli multiply to m, and a flag co: x in
 [0, m) is in it iff co != all((x mod m_i in R_i) != co_i); nothing else is.
 One part takes co; no parts is everything at m = 1, or nothing if co.
-`in` and `len` cost O(parts); iteration enumerates by CRT one member at a
-time and lists nothing, so the first member comes at once whatever the
-moduli; equality agrees with any set of the same members.  A view is
-unhashable; a PeriodicSet hashes its modulus, residue count, residue sum
-mod the period and edits.
-`~` flips a flag, `&` joins the parts of two products, intersecting
-explicitly only parts whose moduli share a factor (at their lcm), and `|`
-is ~(~A & ~B).  A view is materialised only in those joins and when a
-complemented product of several parts meets another set: then it lists
-its smaller side, its own members or those of the product it complements.
+`in` and `len` cost O(parts); iteration enumerates by CRT one member at a time
+and lists nothing, so the first member comes at once whatever the moduli.
+Comparisons agree with any set of the same members, by <= and the lengths.
+For views v, w of one modulus M, v <= w if their parts and flags are equal,
+else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
+over both views' parts, a bound on what that meet lists, else by a walk of v.
+A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
+`~` flips a flag, `&` joins the parts of two products, intersecting explicitly
+only parts whose moduli share a factor (at their lcm), and `|` is ~(~A & ~B).
+A view is materialised only in those joins and when a complemented product of
+several parts meets another set or view: then it lists its smaller side, its
+own members or those of the product it complements.
 
 The meet of a family is one routine, `_meet`, which `&` and filter_lab's
 bases both call: it folds the parts of every set, then settles the edited
@@ -60,7 +62,7 @@ class ProductView(Set):
     def __contains__(self, x):  # only residues 0 <= x < M (or values equal to one), as in a frozenset
         try:
             return 0 <= x < self.modulus and x % 1 == 0 and self._holds(x)
-        except TypeError:  # no order or remainder against ints: no residue
+        except (TypeError, ArithmeticError):  # no order or remainder against ints (Decimal NaN): no residue
             return False
 
     def _holds(self, x):  # whether the class of any int x is in the view: each part reduces x
@@ -87,13 +89,16 @@ class ProductView(Set):
             rest = [(n, range(n), True, f) for n, _, _, f in levels[i + 1 :]]
             yield from _crt_walk(levels[:i] + [(m, r, not keep, e)] + rest, big)
 
-    def __eq__(self, other):
-        if not isinstance(other, Set):
-            return NotImplemented
-        view = isinstance(other, ProductView) and other.modulus == self.modulus  # members in [0, M)
-        if view and (self.parts, self.co) == (other.parts, other.co):
-            return True
-        return len(self) == len(other) and all(map(self._holds if view else self.__contains__, other))
+    def __le__(self, other):  # Set's ==, < and > call it; for a view of modulus M see the module docstring
+        if isinstance(other, ProductView) and other.modulus == self.modulus:
+            if (self.parts, self.co) == (other.parts, other.co):
+                return True
+            if len(self) > sum(len(r) * (self.modulus // m) for v in (self, other) for m, r, _ in v.parts):
+                return _core((self, _assemble(other.parts, not other.co))) is None
+        return Set.__le__(self, other)
+
+    def __ge__(self, other):
+        return other.__le__(self) if isinstance(other, ProductView) else Set.__ge__(self, other)
 
     @classmethod
     def _from_iterable(cls, it):
@@ -152,7 +157,15 @@ class PeriodicSet(Record):
     # -- membership ---------------------------------------------------------
 
     def member(self, n: int) -> bool:
-        """True iff n belongs to the set (negative n never does)."""
+        """True iff n belongs to the set (negative n never does), as `in` answers on a frozenset of
+        the members: 3.0 and True stand for 3 and 1, and a value equal to no int (2.5, nan, "a")
+        belongs to none."""
+        if type(n) is not int:
+            try:
+                i = int(n)
+            except (TypeError, ValueError, OverflowError):
+                return False
+            return i == n and self.member(i)
         if n < 0:
             return False
         if n in self.added:
@@ -183,7 +196,7 @@ class PeriodicSet(Record):
     def meets_infinitely(self, *others: "PeriodicSet") -> bool:
         """Whether the meet of self and the others is infinite: edits are
         finite, so whether their periodic parts meet."""
-        return _core((self, *others)) is not None if others else self.is_infinite()
+        return _core([s.residues for s in (self, *others)]) is not None if others else self.is_infinite()
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
         return _meet((self, other))
@@ -233,18 +246,16 @@ def _assemble(parts, co) -> ProductView:
     return ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
 
 
-def _factors(s: PeriodicSet):
-    """s's periodic part as the parts of a product, or None when it is empty.
+def _factors(view: ProductView):
+    """A view as the parts of a product, or None when it is empty.
 
     A complemented product of several parts becomes one part at its modulus
     that stores the smaller side: the product's members, or its own."""
-    parts, co = s.residues.parts, s.residues.co
-    if not co or not parts:
-        return None if co else parts
-    inside = ProductView(parts, False)
-    if 2 * len(inside) < s.modulus:
-        return ((s.modulus, frozenset(inside), True),)
-    return ((s.modulus, frozenset(s.residues), False),)
+    if not view.co or not view.parts:
+        return None if view.co else view.parts
+    inside = ProductView(view.parts, False)
+    small = 2 * len(inside) < view.modulus
+    return ((view.modulus, frozenset(inside if small else view), small),)
 
 
 def _join(p, q):
@@ -282,12 +293,12 @@ def _meet_parts(pa, pb):
     return parts
 
 
-def _core(sets):
-    """Parts of the product form of the meet of the sets' periodic parts
-    (everything when there are none); None once it is empty."""
+def _core(views):
+    """Parts of the product form of the meet of the views (everything when
+    there are none); None once it is empty."""
     parts = ()
-    for s in sets:
-        parts = _meet_parts(parts, _factors(s)) if parts else _factors(s)
+    for v in views:
+        parts = _meet_parts(parts, _factors(v)) if parts else _factors(v)
         if parts is None:
             return None
     return parts
@@ -299,7 +310,7 @@ def _meet(sets) -> PeriodicSet:
     points settled once."""
     if len(sets) == 1:
         return sets[0]
-    parts = _core(sets)
+    parts = _core([s.residues for s in sets])
     # only the operands' edited points can differ from the periodic meet
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if all(n in s for s in sets)}
@@ -316,7 +327,7 @@ def _residues_met(s: PeriodicSet, modulus: int) -> set:
     if not s.is_infinite():
         return {x % modulus for x in s.added}
     out = set(range(modulus))
-    for m, r, c in _factors(s):
+    for m, r, c in _factors(s.residues):
         g = gcd(m, modulus)
         if g > 1:
             counts = Counter(x % g for x in r)

@@ -1,10 +1,10 @@
 """Oracle suite runner: budget, case count and per-suite verdicts."""
 
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from congruence_lattice import antichain, filter_lab, geometry, lattice, oracles, periodic_sets, primes
+from congruence_lattice import antichain, crt, filter_lab, geometry, lattice, oracles, periodic_sets, primes
 
 
 @pytest.mark.parametrize("suite", sorted(oracles.SUITES))
@@ -46,6 +46,47 @@ def test_small_runs_report_no_mismatch(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         oracles.run_suite("bogus")
+
+
+def test_crt_suite_catches_a_merge_to_the_product_of_the_moduli(monkeypatch):
+    # the class is right, but modulo m1 * m2 rather than their lcm when they share a factor
+    merge = crt._merge
+    monkeypatch.setattr(crt, "_merge", lambda m1, r1, m2, r2: (m := merge(m1, r1, m2, r2)) and (m1 * m2, m[1]))
+    report = oracles.run_suite("crt", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "solver" in text and "vs scan" in text, text
+
+
+def test_geom_suite_catches_the_largest_generator_as_the_ratio(monkeypatch):
+    # every generator of H_l recognizes its cosets, so only the descriptor shows the fault
+    least = geometry._least_generator
+
+    def planted(p, l):
+        r = least(p, l)
+        return max(pow(r, k, p) for k in range(1, l + 1) if gcd(k, l) == 1)
+
+    monkeypatch.setattr(geometry, "_least_generator", planted)
+    report = oracles.run_suite("geom", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "descriptor mismatch" in text, text
+
+
+def test_geom_suite_catches_a_coset_accepted_with_one_element_missing(monkeypatch):
+    is_geometric = geometry.is_geometric
+
+    def planted(p, residues):
+        s = frozenset(residues)
+        if (d := is_geometric(p, s)) is not None or 0 in s:
+            return d
+        return next(filter(None, (is_geometric(p, s | {x}) for x in range(1, p) if x not in s)), None)
+
+    monkeypatch.setattr(geometry, "is_geometric", planted)
+    report = oracles.run_suite("geom", cases=20)
+    assert report["mismatches"] >= 1
+    text = "\n".join(report["mismatch_examples"])
+    assert "recognizer vs enumeration" in text, text
 
 
 def test_antichain_suite_catches_an_element_one_period_too_high(monkeypatch):

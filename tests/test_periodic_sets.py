@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from decimal import Decimal
 from itertools import islice
 from math import prod
 
@@ -99,6 +100,22 @@ def test_member_examples():
     assert 7 not in ps.divisibility_union({2, 3})
     assert 5 in ps.progression(2, 0).complement()
     assert -3 not in ps.progression(1, 0)
+
+
+# a NaN Decimal raises InvalidOperation when ordered or reduced, where a frozenset answers False
+_DECIMALS = tuple(map(Decimal, ("NaN", "Infinity", "1", "3.0", "2.5")))
+
+
+def test_membership_answers_as_a_frozenset_of_the_members_does():
+    # 2.5 mod 2 is 0.5, which is not the stored residue 0 of the complemented part
+    odd, everything = ps.non_divisibility(2), ps.progression(1, 0)
+    assert 2.5 not in odd and not odd.member(2.5) and 0.5 not in everything
+    values = (3.0, True, False, 4.0, 7.0, 2.5, 0.5, -1.0, float("nan"), float("inf"), "a", "3", None, 1j)
+    for s in (odd, everything, ps.make(6, {1, 3}, {4}, {7}), lattice.up_closure([2, 3])):
+        listed = frozenset(scan(s, 40))
+        for x in (*values, *_DECIMALS):
+            assert (x in s) == s.member(x) == (x in listed), (s, x)
+    assert 3.0 in odd and True in odd and 4.0 not in odd and False not in odd
 
 
 def test_enumerate_up_to():
@@ -357,13 +374,101 @@ def test_a_view_holds_only_its_residues_as_a_frozenset_of_them_does():
     assert "a" not in view and view != {"a"} and view.isdisjoint({"a"})
     for t in (s, ~s, ps.make(1, {0}), ps.progression(4, 1) | ps.progression(9, 2)):
         v, listed = t.residues, frozenset(t.residues)
-        for x in (-5, -1, 0, 1, 7, v.modulus - 1, v.modulus, v.modulus + 1, 1.0, 1.5, "a", None, 1j, (1,)):
+        edges = (-5, -1, 0, 1, 7, v.modulus - 1, v.modulus, v.modulus + 1, 1.0, 1.5, "a", None, 1j, (1,))
+        for x in (*edges, *_DECIMALS):
             assert (x in v) == (x in listed), (v, x)
     # a PeriodicSet reduces n itself, and so do its redundant edits
     assert 7 in s and s.member(13) and 8 not in s
     edited = ps.make(6, {1}, added={7, 8}, removed={13, 14})
     assert edited.added == {8} and edited.removed == {13}
     assert hash(s) == hash(ps.make(12, {1, 7})) and s.to_json()["residues"] == [1]
+
+
+def _random_expression(rng, depth):
+    """A random ~, & and | expression of depth <= `depth` over one-class sets, up_closure and make."""
+    if depth == 0 or rng.random() < 0.3:
+        m = rng.randint(1, 16)
+        return rng.choice(
+            (
+                lambda: ps.progression(m, rng.randrange(m)),
+                lambda: ps.non_divisibility(max(m, 2)),
+                lambda: lattice.up_closure(rng.sample(range(2, 17), rng.randint(1, 3))),
+                lambda: ps.make(m, {r for r in range(m) if rng.random() < 0.5}),
+            )
+        )()
+    a, op = _random_expression(rng, depth - 1), rng.choice("~&|")
+    if op == "~":
+        return ~a
+    b = _random_expression(rng, depth - 1)
+    return a & b if op == "&" else a | b
+
+
+_COMPARISONS = (
+    lambda a, b: a == b,
+    lambda a, b: a != b,
+    lambda a, b: a < b,
+    lambda a, b: a <= b,
+    lambda a, b: a > b,
+    lambda a, b: a >= b,
+)
+
+
+def test_views_of_one_modulus_compare_as_frozensets_of_their_members(monkeypatch):
+    # each same-modulus pair is decided by the meet or by the walk, chosen by the size rule;
+    # both routes must be taken often, and every answer must be a frozenset's
+    core, calls, routes, equal = ps._core, [], {"meet": 0, "walk": 0}, 0
+    monkeypatch.setattr(ps, "_core", lambda views: calls.append(views) or core(views))
+    rng, by_modulus = random.Random(32), {}
+    while sum(map(len, by_modulus.values())) < 1000:
+        view = _random_expression(rng, 3).residues
+        if view.modulus <= 20000:
+            by_modulus.setdefault(view.modulus, []).append((view, frozenset(view)))
+    for views in by_modulus.values():
+        for (a, fa), (b, fb) in ((x, y) for x in views[:40] for y in views[:40]):
+            if (a.parts, a.co) != (b.parts, b.co):
+                met = len(calls)
+                a <= b
+                routes["meet" if len(calls) > met else "walk"] += 1
+                equal += fa == fb
+            for compare in _COMPARISONS:
+                assert compare(a, b) == compare(fa, fb), (a, b)
+    assert routes["meet"] > 1000 and routes["walk"] > 1000 and equal > 100, (routes, equal)
+
+
+def test_equal_sets_in_different_product_forms_compare_by_the_meet(monkeypatch):
+    # a is one complemented part at pq, b the complement of a product of two classes; a walk
+    # would test pq - 1 members per comparison, and a dict lookup would walk them again
+    p, q = 2999, 3001
+    a, b = ps.non_divisibility(p * q), ~(ps.progression(p, 0) & ps.progression(q, 0))
+    walk, yielded = ps.ProductView.__iter__, []
+
+    def counted(view):
+        for x in walk(view):
+            yielded.append(x)
+            yield x
+
+    monkeypatch.setattr(ps.ProductView, "__iter__", counted)
+    v, w = a.residues, b.residues
+    assert (v.parts, v.co) != (w.parts, w.co)
+    assert a == b and b == a and {a: 1}[b] == 1
+    assert v <= w and v >= w and w <= v and w >= v and not v < w and not w > v
+    # b == a, v >= w and w <= v each meet w first, and _factors lists w's one-member inside
+    assert len(yielded) <= 3, len(yielded)
+
+
+def test_a_small_view_against_large_parts_is_walked_not_met(monkeypatch):
+    # the meet would lift one class of q to pq; the walk tests the one member
+    p, q = 99991, 100003
+    c, d = ps.progression(p, 0) & ps.progression(q, 0), ps.make(p * q, (0,))
+
+    def met(views):
+        raise AssertionError("a meet was taken")
+
+    monkeypatch.setattr(ps, "_core", met)
+    v, w = c.residues, d.residues
+    assert (v.parts, v.co) != (w.parts, w.co)
+    assert c == d and d == c and {c: 1}[d] == 1 and {d: 1}[c] == 1
+    assert v <= w and v >= w and w <= v and w >= v and not v != w
 
 
 def test_minimal_period_factors_once_per_call(monkeypatch):
