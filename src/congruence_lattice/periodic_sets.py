@@ -23,16 +23,14 @@ For views v, w of one modulus M, v <= w if their parts and flags are equal,
 else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
 over both views' parts, a bound on what that meet lists, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
-`~` flips a flag, `&` joins the parts of two products, intersecting explicitly
-only parts whose moduli share a factor (at their lcm), and `|` is ~(~A & ~B).
-A view is materialised only in those joins and when a complemented product of
-several parts meets another set or view: then it lists its smaller side, its
-own members or those of the product it complements.
-
-The meet of a family is one routine, `_meet`, which `&` and filter_lab's
-bases both call: it folds the parts of every set, then settles the edited
-points of all of them once.  `meets_infinitely` runs the fold alone.  The
-closure test `is_upward_closed` lives here too: no other module reads parts.
+`~` flips a flag and `|` is ~(~A & ~B).  Every meet is one fold, `_core`: part by part,
+it joins a part with each part it shares a factor with (at their lcm), keeps the coprime
+ones and stops at the first empty join.  `&` and filter_lab's bases call it through
+`_meet`, which then settles the edited points once; `meets_infinitely`, `<=` and the
+unions of multiples call it alone.  Only the fold materialises parts: in a join, and when
+it takes apart a complemented product of several parts, by its smaller side.  The residues
+a set meets mod m and `is_upward_closed` are read from the parts here too: no other
+module reads parts.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -196,7 +194,7 @@ class PeriodicSet(Record):
     def meets_infinitely(self, *others: "PeriodicSet") -> bool:
         """Whether the meet of self and the others is infinite: edits are
         finite, so whether their periodic parts meet."""
-        return _core([s.residues for s in (self, *others)]) is not None if others else self.is_infinite()
+        return _core(_views((self, *others))) is not None if others else self.is_infinite()
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
         return _meet((self, other))
@@ -209,8 +207,12 @@ class PeriodicSet(Record):
         # edits stay needed: an added point was outside R, so it is inside ~R
         return PeriodicSet(self.modulus, _assemble(r.parts, not r.co), self.removed, self.added)
 
-    __and__ = intersect
-    __or__ = union
+    def __and__(self, other):
+        return _meet((self, other)) if isinstance(other, PeriodicSet) else NotImplemented
+
+    def __or__(self, other):
+        return self.union(other) if isinstance(other, PeriodicSet) else NotImplemented
+
     __invert__ = complement
 
     # -- serialization -------------------------------------------------------
@@ -273,34 +275,25 @@ def _join(p, q):
             (m1, r1), (m2, r2, c2) = (m2, r2), (m1, r1, c1)
         stored = {x for s in r1 for x in range(s, m, m1) if (x % m2 in r2) != c2}
     m, stored = _minimal_period(m, stored)
-    return None if m == 1 and (0 in stored) == c else (m, stored, c)
-
-
-def _meet_parts(pa, pb):
-    """Parts of the meet of two products given by their parts (None: empty)."""
-    if pa is None or pb is None:
-        return None
-    parts = pa
-    for q in pb:
-        rest = []
-        for p in parts:
-            if gcd(p[0], q[0]) == 1:
-                rest.append(p)
-            elif (q := _join(q, p)) is None:
-                return None
-        # parts of one product are coprime, so q stays coprime to the rest
-        parts = rest + [q] if q[0] > 1 else rest
-    return parts
+    return None if m == 1 else (m, stored, c)  # neither part is everything, so neither is their meet
 
 
 def _core(views):
-    """Parts of the product form of the meet of the views (everything when
-    there are none); None once it is empty."""
-    parts = ()
+    """Parts of the meet of the views (everything for none), folded part by part; None once empty."""
+    parts = []
     for v in views:
-        parts = _meet_parts(parts, _factors(v)) if parts else _factors(v)
-        if parts is None:
+        factors = _factors(v)
+        if factors is None:
             return None
+        for q in factors:
+            rest = []
+            for p in parts:
+                if gcd(p[0], q[0]) == 1:
+                    rest.append(p)
+                elif (q := _join(q, p)) is None:
+                    return None
+            # the parts are coprime, so q, joined with each that shares a factor, is coprime to the rest
+            parts = rest + [q]
     return parts
 
 
@@ -310,32 +303,39 @@ def _meet(sets) -> PeriodicSet:
     points settled once."""
     if len(sets) == 1:
         return sets[0]
-    parts = _core([s.residues for s in sets])
+    parts = _core(_views(sets))
     # only the operands' edited points can differ from the periodic meet
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if all(n in s for s in sets)}
     return _finish(_assemble(parts or (), parts is None), inside, edits - inside)
 
 
-def _residues_met(s: PeriodicSet, modulus: int) -> set:
-    """Residues r mod `modulus` whose class meets s infinitely, or for a
-    finite s the residues of its points, its added ones.
+def _views(sets) -> list:
+    """The periodic parts of the sets, refused with TypeError unless each is a PeriodicSet."""
+    for s in sets:
+        if not isinstance(s, PeriodicSet):
+            raise TypeError(f"periodic set operands must be PeriodicSet, got {type(s).__name__}")
+    return [s.residues for s in sets]
 
-    By CRT over the coprime parts of s's periodic part, r qualifies iff for
-    every part (m, R, c), r mod g, g = gcd(m, modulus), is a class mod g
-    that the part meets."""
+
+def _residues_met(s: PeriodicSet, modulus: int) -> set:
+    """Residues r mod `modulus` whose class meets s infinitely (for a finite s, those of its points).
+
+    By CRT over the coprime parts (m, R, c) of s's periodic part, g = gcd(m, modulus): for a
+    product, r qualifies iff every part meets class r mod g; for a complemented product, unless
+    every part holds all of that class."""
     if not s.is_infinite():
         return {x % modulus for x in s.added}
-    out = set(range(modulus))
-    for m, r, c in _factors(s.residues):
+    co, out = s.residues.co, set(range(modulus))
+    for m, r, c in s.residues.parts:
         g = gcd(m, modulus)
-        if g > 1:
-            counts = Counter(x % g for x in r)
-            # a plain part meets the classes of its residues, a complemented
-            # one every class whose m // g lifts are not all stored
-            missed = (t for t in range(g) if (counts[t] == m // g if c else not counts[t]))
-            out.difference_update(*(range(t, modulus, g) for t in missed))
-    return out
+        if g > 1 or co:  # else the part meets the one class mod 1
+            k, counts = m // g, Counter(x % g for x in r)
+            # the part holds h of the k lifts of class t mod g: a product keeps the classes where every
+            # part holds one or more, a complemented one complements those where every part holds all k
+            dropped = (t for t in range(g) if (k - counts[t] if c else counts[t]) < (k if co else 1))
+            out.difference_update(*(range(t, modulus, g) for t in dropped))
+    return set(range(modulus)) - out if co else out
 
 
 def is_upward_closed(s: PeriodicSet) -> bool:
@@ -440,11 +440,10 @@ def divisibility_union(divisors: Iterable) -> PeriodicSet:
 
 
 def _multiples(divisors, removed=()) -> PeriodicSet:
-    """divisibility_union of checked ints >= 1, less the points of `removed`:
-    the complement of the meet of the non-multiples of each divisor."""
-    parts = () if divisors[0] > 1 else None
-    for n in divisors:
-        parts = _meet_parts(parts, ((n, frozenset({0}), True),))
+    """divisibility_union of checked ints >= 1, less the points of `removed`: the
+    complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
+    views = (ProductView(((n, frozenset({0}), True),), False) for n in divisors)
+    parts = _core(views) if divisors[0] > 1 else None
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

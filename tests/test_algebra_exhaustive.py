@@ -1,0 +1,164 @@
+"""Bounded-exhaustive check of the periodic-set algebra against member lists.
+
+Every distinct `make(m, R)` with m <= 6 is met, joined, complemented and
+compared with every other one, and so is every set with m <= 4 under four
+edit patterns.  The expected answers are member lists on [0, 2 * lcm + 4],
+read off each set's own description here: `periodic_sets` only builds the
+sets under test and never computes an answer they are checked against.
+"""
+
+import operator
+from functools import cache
+from itertools import combinations
+from math import gcd, lcm
+
+from congruence_lattice import filter_lab as fl, lattice
+from congruence_lattice import periodic_sets as ps
+
+# (added, removed): none, {0} added, 1 removed, 2 added with 0 removed
+EDITS = (((), ()), ((0,), ()), ((), (1,)), ((2,), (0,)))
+WIDTH = 2 * 60 + 4  # every period here divides 60 and every edit is below 3
+_COMPARISONS = (operator.le, operator.lt, operator.ge, operator.gt, operator.eq, operator.ne)
+
+
+def members(s, width):
+    """The members of s below width, as a bitmask."""
+    return sum(1 << n for n in s.enumerate_up_to(width - 1))
+
+
+def is_period(mask, d):
+    """Whether membership past the edits, which all lie below 3, repeats every d."""
+    return all(mask >> n & 1 == mask >> n + d & 1 for n in range(3, WIDTH - d))
+
+
+def periodic_residues(mask, period):
+    """Residues mod period of the members past the edits, which all lie below 3."""
+    return frozenset(x % period for x in range(3, 3 + period) if mask >> x & 1)
+
+
+def described(m, residues, added=(), removed=()):
+    """(set, period, mask, complement): make(m, residues, added, removed), m, its members below
+    WIDTH as a bitmask read from the description, and the set's complement."""
+    mask = sum(1 << n for n in range(WIDTH) if n in added or (n % m in residues and n not in removed))
+    s = ps.make(m, residues, added, removed)
+    return s, m, mask, ~s
+
+
+@cache
+def plain_sets(max_modulus):
+    """Each distinct make(m, R) with m <= max_modulus, described, at its least m."""
+    found = {}
+    for m in range(1, max_modulus + 1):
+        for bits in range(2**m):
+            case = described(m, {x for x in range(m) if bits >> x & 1})
+            found.setdefault(case[2], case)
+    return tuple(found.values())
+
+
+@cache
+def edited_sets(max_modulus):
+    """Each distinct make(m, R) with m <= max_modulus under each edit pattern, described; some
+    of them are equal sets (the empty set with 1 removed is the empty set)."""
+    return tuple(
+        described(m, {x for x in range(m) if mask >> x & 1}, *edits)
+        for _, m, mask, _ in plain_sets(max_modulus)
+        for edits in EDITS
+    )
+
+
+def check_set(s, period, mask, co):
+    width = 2 * period + 4
+    # the stored modulus is the least period past the edits, and the view holds those residues
+    big = s.modulus
+    assert is_period(mask, big) and not any(is_period(mask, d) for d in range(1, big)), s
+    assert set(s.residues) == periodic_residues(mask, big)
+    assert members(s, width) == mask & (1 << width) - 1
+    assert members(co, width) == ~mask & (1 << width) - 1
+    assert ~co == s and hash(~co) == hash(s)
+
+
+def check_pair(a, b, listed):
+    """Both orders of a pair: each fold order gives the same set, whose members are checked once."""
+    (s, m, x, cs), (t, n, y, ct) = a, b
+    period = lcm(m, n)
+    width = 2 * period + 4
+    meet, join = s & t, s | t
+    assert members(meet, width) == x & y & (1 << width) - 1, (s, t)
+    assert members(join, width) == (x | y) & (1 << width) - 1, (s, t)
+    for got, again in ((meet, t & s), (join, t | s)):
+        assert got == again and hash(got) == hash(again), (s, t)
+    # a result with the members of a listed set is that set, hash included
+    for got, want in ((meet, x & y), (join, x | y)):
+        same = listed.get(want)
+        assert same is None or (got == same and hash(got) == hash(same)), (s, t)
+    for left, right in ((~meet, cs | ct), (~join, cs & ct)):
+        assert left == right and not left != right and hash(left) == hash(right), (s, t)
+    assert (s == t) == (t == s) == (x == y) and (s != t) == (x != y), (s, t)
+    # infinitely many common members iff one lies past the edits within one period
+    meets = bool((x & y) >> 3 & (1 << period) - 1)
+    assert s.meets_infinitely(t) == t.meets_infinitely(s) == meets, (s, t)
+    if s.modulus == t.modulus:
+        v, w = s.residues, t.residues
+        fv, fw = periodic_residues(x, s.modulus), periodic_residues(y, t.modulus)
+        for compare in _COMPARISONS:
+            assert compare(v, w) == compare(fv, fw) and compare(w, v) == compare(fw, fv), (s, t, compare)
+    return join
+
+
+@cache
+def feasible(period, tail, head):
+    """The residues mod k = 2..12 of the members past the edits, whose residues mod period are
+    tail, or of the members head below 3 when there are none past them: class x mod period
+    meets class r mod k iff x = r modulo gcd(period, k)."""
+    if not tail:
+        return [{n % k for n in head} for k in range(2, 13)]
+    return [{r for r in range(k) if r % gcd(period, k) in {x % gcd(period, k) for x in tail}} for k in range(2, 13)]
+
+
+def check_feasible(s, period, mask):
+    want = feasible(period, periodic_residues(mask, period), tuple(n for n in range(3) if mask >> n & 1))
+    for k in range(2, 13):
+        assert fl.feasible_residues([s], k) == want[k - 2], (s, k)
+
+
+def check_all_pairs(sets):
+    """Every set and every ordered pair of them; returns each unordered pair's join, with its
+    period and its members as a bitmask."""
+    listed = {case[2]: case[0] for case in sets + plain_sets(6)}
+    for case in sets:
+        check_set(*case)
+    return [
+        (check_pair(a, b, listed), lcm(a[1], b[1]), a[2] | b[2]) for i, a in enumerate(sets) for b in sets[i:]
+    ]
+
+
+def test_every_pair_of_sets_of_period_at_most_6():
+    assert len(plain_sets(6)) == 106
+    joins = check_all_pairs(plain_sets(6))
+    # feasible_residues of each set, its complement and the union of each pair
+    low = (1 << WIDTH) - 1
+    for s, period, mask, co in plain_sets(6):
+        check_feasible(s, period, mask)
+        check_feasible(co, period, ~mask & low)
+    # joins equal in members and product form take the same route: each is checked once
+    forms = {(mask, join.residues.parts, join.residues.co): (join, period) for join, period, mask in joins}
+    for (mask, _, _), (join, period) in forms.items():
+        check_feasible(join, period, mask)
+
+
+def test_every_pair_of_edited_sets_of_period_at_most_4():
+    assert len(edited_sets(4)) == 88
+    check_all_pairs(edited_sets(4))
+    low = (1 << WIDTH) - 1
+    for s, period, mask, co in edited_sets(4):
+        check_feasible(s, period, mask)
+        check_feasible(co, period, ~mask & low)
+
+
+def test_unions_of_multiples_of_every_subset_of_1_to_6():
+    for size in range(1, 7):
+        for divisors in combinations(range(1, 7), size):
+            width = 2 * lcm(*divisors) + 4
+            want = sum(1 << n for n in range(width) if any(n % d == 0 for d in divisors))
+            assert members(ps.divisibility_union(divisors), width) == want, divisors
+            assert members(lattice.up_closure(divisors), width) == want & ~1, divisors

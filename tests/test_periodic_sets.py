@@ -210,6 +210,22 @@ def test_operators_are_aliases():
     assert ~a == a.complement()
 
 
+@pytest.mark.parametrize("other", [3, {1}, None, 2.5, "a", frozenset({1, 5})])
+def test_an_operand_that_is_no_periodic_set_is_refused_with_type_error(other):
+    s = ps.make(6, [1, 5])
+    for apply in (
+        lambda: s & other,
+        lambda: other & s,
+        lambda: s | other,
+        lambda: other | s,
+        lambda: s.intersect(other),
+        lambda: s.meets_infinitely(other),
+        lambda: s.meets_infinitely(s, other),
+    ):
+        with pytest.raises(TypeError):
+            apply()
+
+
 # -- product form: counts without the lcm period -----------------------------------
 
 
@@ -288,6 +304,24 @@ def test_a_family_of_one_set_lists_nothing(monkeypatch):
         fip = None
     assert fip is True and meets
     assert base.intersection == up
+
+
+def test_the_residues_of_a_complemented_product_list_nothing(monkeypatch):
+    # the meet of this base is a complemented product of five parts; its smaller side
+    # holds about 4.8 * 10^8 residues, and the parts alone answer every modulus
+    base = fl.FilterBase([lattice.up_closure([89, 97, 101, 103, 107])])
+
+    def listed(view):
+        raise LookupError
+
+    monkeypatch.setattr(ps, "_factors", listed)
+    try:
+        residues = {m: fl.feasible_residues(base, m) for m in range(2, 13)}
+        verdict = fl.congruent_mod(base, [ps.progression(2, 1)], 2)
+    except LookupError:  # reported without the traceback, whose arguments' reprs list the set
+        residues = verdict = None
+    assert residues == {m: set(range(m)) for m in range(2, 13)}
+    assert verdict is fl.CongruenceVerdict.UNDETERMINED
 
 
 def test_repr_lists_few_residues_and_never_walks_a_view():
