@@ -23,14 +23,14 @@ For views v, w of one modulus M, v <= w if their parts and flags are equal,
 else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
 over both views' parts, a bound on what that meet lists, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
-`~` flips a flag and `|` is ~(~A & ~B).  Every meet is one fold, `_core`: part by part,
-it joins a part with each part it shares a factor with (at their lcm), keeps the coprime
-ones and stops at the first empty join.  `&` and filter_lab's bases call it through
-`_meet`, which then settles the edited points once; `meets_infinitely`, `<=` and the
-unions of multiples call it alone.  Only the fold materialises parts: in a join, and when
-it takes apart a complemented product of several parts, by its smaller side.  The residues
-a set meets mod m and `is_upward_closed` are read from the parts here too: no other
-module reads parts.
+`~` flips a flag.  Every meet is one fold, `_core`: part by part, it joins a part with each part
+it shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.
+`&`, `|` and filter_lab's bases call it through `_meet`, which for `|` folds the complemented views
+and complements the result (De Morgan, with no complemented set built), then settles the edited
+points once; `meets_infinitely`, `<=` and the unions of multiples call it alone.  Only the fold
+materialises parts: in a join, and when it takes apart a complemented product of several parts,
+by its smaller side.  The residues a set meets mod m and `is_upward_closed` are read from the
+parts here too: no other module reads parts.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -134,10 +134,10 @@ class PeriodicSet(Record):
     __slots__ = _fields = ("modulus", "residues", "added", "removed")
 
     def __init__(self, modulus: int, residues: ProductView, added: frozenset, removed: frozenset):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "removed", removed)
+        _set_modulus(self, modulus)
+        _set_residues(self, residues)
+        _set_added(self, added)
+        _set_removed(self, removed)
 
     def __hash__(self):
         # what __eq__ compares, the residues by their count and their sum mod the period (equal
@@ -200,7 +200,7 @@ class PeriodicSet(Record):
         return _meet((self, other))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
-        return ~(~self & ~other)
+        return _meet((self, other), True)
 
     def complement(self) -> "PeriodicSet":
         r = self.residues
@@ -211,7 +211,7 @@ class PeriodicSet(Record):
         return _meet((self, other)) if isinstance(other, PeriodicSet) else NotImplemented
 
     def __or__(self, other):
-        return self.union(other) if isinstance(other, PeriodicSet) else NotImplemented
+        return _meet((self, other), True) if isinstance(other, PeriodicSet) else NotImplemented
 
     __invert__ = complement
 
@@ -235,6 +235,10 @@ class PeriodicSet(Record):
             fields[key] = [json_int(v, f'periodic set JSON field "{key}"') for v in value]
         modulus = json_int(data["modulus"], 'periodic set JSON field "modulus"')
         return make(modulus, fields["residues"], fields["add"], fields["remove"])
+
+
+# the slots' own setters, fetched once: object.__setattr__ by name costs half again per field
+_set_modulus, _set_residues, _set_added, _set_removed = (vars(PeriodicSet)[n].__set__ for n in PeriodicSet._fields)
 
 
 # -- product form ----------------------------------------------------------------
@@ -297,17 +301,17 @@ def _core(views):
     return parts
 
 
-def _meet(sets) -> PeriodicSet:
-    """The meet of a sequence of sets (everything when there are none, the set
-    itself when there is one): the product of their parts, then their edited
-    points settled once."""
+def _meet(sets, union=False) -> PeriodicSet:
+    """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there
+    are none; the set itself when there is one): the product of their parts, or by De Morgan the
+    complement of the product of their complements' parts, then their edited points settled once."""
     if len(sets) == 1:
         return sets[0]
-    parts = _core(_views(sets))
-    # only the operands' edited points can differ from the periodic meet
+    parts = _core([_assemble(v.parts, not v.co) for v in _views(sets)] if union else _views(sets))
+    # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
-    inside = {n for n in edits if all(n in s for s in sets)}
-    return _finish(_assemble(parts or (), parts is None), inside, edits - inside)
+    inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
+    return _finish(_assemble(parts or (), (parts is None) != union), inside, edits - inside)
 
 
 def _views(sets) -> list:
@@ -330,10 +334,12 @@ def _residues_met(s: PeriodicSet, modulus: int) -> set:
     for m, r, c in s.residues.parts:
         g = gcd(m, modulus)
         if g > 1 or co:  # else the part meets the one class mod 1
-            k, counts = m // g, Counter(x % g for x in r)
-            # the part holds h of the k lifts of class t mod g: a product keeps the classes where every
-            # part holds one or more, a complemented one complements those where every part holds all k
-            dropped = (t for t in range(g) if (k - counts[t] if c else counts[t]) < (k if co else 1))
+            # R hits (holds a lift of) or fills (all k = m / g lifts of) classes t mod g, at k = 1 just R.
+            # A part drops the classes it holds no lift of (in a product) or not all of (complemented):
+            # if c, those R fills (a product) or hits; else those R does not hit (a product) or fill
+            need = m // g if c != co else 1
+            known = r if m == g else {t for t, n in Counter(x % g for x in r).items() if n >= need}
+            dropped = known if c else filterfalse(known.__contains__, range(g))
             out.difference_update(*(range(t, modulus, g) for t in dropped))
     return set(range(modulus)) - out if co else out
 

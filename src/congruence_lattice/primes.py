@@ -355,7 +355,8 @@ def json_int(value, what: str) -> int:
 
 class Record:
     """Base of the validating value types: `__init__` sets the `_fields`, held in `__slots__`, by
-    `object.__setattr__`; equality (same type), hash, repr and pickle read them; none can change."""
+    `object.__setattr__` (`PeriodicSet`, built most, by the slots' own setters); equality (same
+    type), hash, repr and pickle read them; none can change."""
 
     __slots__ = ()
 

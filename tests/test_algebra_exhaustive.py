@@ -2,15 +2,19 @@
 
 Every distinct `make(m, R)` with m <= 6 is met, joined, complemented and
 compared with every other one, and so is every set with m <= 4 under four
-edit patterns.  The expected answers are member lists on [0, 2 * lcm + 4],
-read off each set's own description here: `periodic_sets` only builds the
-sets under test and never computes an answer they are checked against.
+edit patterns; each set also goes through JSON and is tested for upward
+closure.  The expected answers are member lists on [0, 2 * lcm + 4], read
+off each set's own description here: `periodic_sets` only builds the sets
+under test and never computes an answer they are checked against.
 """
 
+import json
 import operator
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
+
+import pytest
 
 from congruence_lattice import filter_lab as fl, lattice
 from congruence_lattice import periodic_sets as ps
@@ -36,12 +40,28 @@ def periodic_residues(mask, period):
     return frozenset(x % period for x in range(3, 3 + period) if mask >> x & 1)
 
 
+def description_members(m, residues, added=(), removed=()):
+    """The members below WIDTH of the set with period m, residues and edits, as a bitmask."""
+    return sum(1 << n for n in range(WIDTH) if n in added or (n % m in residues and n not in removed))
+
+
 def described(m, residues, added=(), removed=()):
     """(set, period, mask, complement): make(m, residues, added, removed), m, its members below
     WIDTH as a bitmask read from the description, and the set's complement."""
-    mask = sum(1 << n for n in range(WIDTH) if n in added or (n % m in residues and n not in removed))
     s = ps.make(m, residues, added, removed)
-    return s, m, mask, ~s
+    return s, m, description_members(m, residues, added, removed), ~s
+
+
+def upward_closed(mask, period):
+    """Whether the set of these members, of this period, is closed under multiples, by the
+    gcd-class criterion: it is nonempty and its residues are the x with gcd(x, period) in an
+    up-set D of the divisors of period.  None when an edit past 0 leaves it undecided."""
+    residues = periodic_residues(mask, period)
+    if any((mask >> n & 1) != (n % period in residues) for n in (1, 2)):
+        return None
+    found = {gcd(x, period) for x in residues}
+    up_set = all(e in found for d in found for e in range(d, period + 1, d) if period % e == 0)
+    return bool(residues) and up_set and residues == {x for x in range(period) if gcd(x, period) in found}
 
 
 @cache
@@ -75,6 +95,16 @@ def check_set(s, period, mask, co):
     assert members(s, width) == mask & (1 << width) - 1
     assert members(co, width) == ~mask & (1 << width) - 1
     assert ~co == s and hash(~co) == hash(s)
+    for t, bits in ((s, mask), (co, ~mask & (1 << WIDTH) - 1)):
+        data = json.loads(json.dumps(t.to_json()))
+        assert description_members(data["modulus"], data["residues"], data["add"], data["remove"]) == bits, t
+        assert ps.PeriodicSet.from_json(data) == t, t
+        closed = upward_closed(bits, period)
+        if closed is None:
+            with pytest.raises(ValueError, match="undecidable under edits"):
+                ps.is_upward_closed(t)
+        else:
+            assert ps.is_upward_closed(t) == closed, t
 
 
 def check_pair(a, b, listed):
@@ -87,6 +117,8 @@ def check_pair(a, b, listed):
     assert members(join, width) == (x | y) & (1 << width) - 1, (s, t)
     for got, again in ((meet, t & s), (join, t | s)):
         assert got == again and hash(got) == hash(again), (s, t)
+    # absorption: a & (a | b) == a and a | (a & b) == a, for either operand as a
+    assert s & join == s and t & join == t and s | meet == s and t | meet == t, (s, t)
     # a result with the members of a listed set is that set, hash included
     for got, want in ((meet, x & y), (join, x | y)):
         same = listed.get(want)
@@ -112,7 +144,12 @@ def feasible(period, tail, head):
     meets class r mod k iff x = r modulo gcd(period, k)."""
     if not tail:
         return [{n % k for n in head} for k in range(2, 13)]
-    return [{r for r in range(k) if r % gcd(period, k) in {x % gcd(period, k) for x in tail}} for k in range(2, 13)]
+    out = []
+    for k in range(2, 13):
+        g = gcd(period, k)
+        hit = {x % g for x in tail}
+        out.append({r for r in range(k) if r % g in hit})
+    return out
 
 
 def check_feasible(s, period, mask):

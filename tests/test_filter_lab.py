@@ -123,6 +123,45 @@ def test_feasible_residues_matches_extension_definition():
         assert fl.feasible_residues(members, m) == want
 
 
+def _fold(mask, width, g):
+    """Bit t (t < g) set iff some bit t + j * g of the width-bit mask is; g divides width."""
+    n = width // g
+    while n > 1:  # OR the upper chunks of g bits onto the lower ones, halving their number
+        h = n // 2
+        mask = mask & (1 << h * g) - 1 | mask >> h * g
+        n -= h
+    return mask
+
+
+def test_feasible_residues_of_unions_and_meets_of_wide_parts_agree_with_a_scan():
+    # parts whose modulus m_i exceeds gcd(m_i, m), so a class mod gcd holds several lifts
+    rng = random.Random(3434)
+    moduli = (4, 8, 9, 12, 16, 18, 25, 27, 49)
+    for _ in range(500):
+        drawn = []
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice(moduli)
+            drawn.append((m, rng.sample(range(m), rng.randint(1, m - 1)), rng.random() < 0.5, rng.random() < 0.5))
+        period = lcm(*(m for m, _, _, _ in drawn))
+        s = mask = None
+        for m, residues, co, join in drawn:
+            t = ps.make(m, residues)
+            # the members on one period, by repeating the m bits of the residues
+            bits = sum(1 << x for x in residues) * (((1 << period) - 1) // ((1 << m) - 1))
+            if co:
+                t, bits = ~t, ~bits & (1 << period) - 1
+            if s is None:
+                s, mask = t, bits
+            else:
+                s, mask = (s | t, mask | bits) if join else (s & t, mask & bits)
+        for k in range(2, 61):
+            # class r mod k meets the periodic set iff a member is r mod gcd(period, k), by CRT
+            g = gcd(period, k)
+            classes = _fold(mask, period, g)
+            want = {r for r in range(k) if classes >> r % g & 1}
+            assert fl.feasible_residues([s], k) == want, (drawn, k)
+
+
 def test_feasible_residues_nonempty_on_valid_bases():
     rng = random.Random(4444)
     from congruence_lattice.oracles import _random_member

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from itertools import islice
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -266,6 +266,42 @@ def test_union_of_coprime_progressions_by_inclusion_exclusion():
     rng = random.Random(8)
     for n in (rng.randrange(10**9) for _ in range(200)):
         assert (n in u) == any(n % m == r for m, r in classes)
+
+
+def test_a_union_builds_no_set_but_its_result(monkeypatch):
+    # (modulus, residues, added, removed): edits added, removed and both, then the classes
+    # of three coprime moduli near 100, whose union has a period near 10^6
+    described = [(6, {1, 2}, {3}, ()), (10, {0, 5, 7}, (), {5}), (4, {1, 3}, {8}, {5}), (15, {0, 3, 11}, {2}, {3})]
+    described += [(97, {3}, (), ()), (101, {5}, (), ()), (103, {7}, (), ())]
+    sets = [ps.make(m, r, a, d) for m, r, a, d in described]
+
+    def holds(n, m, r, added, removed):
+        return n in added or (n % m in r and n not in removed)
+
+    def refuse(self):
+        raise AssertionError("a union built a complement")
+
+    built, init = [], ps.PeriodicSet.__init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(ps.PeriodicSet, "complement", refuse)
+    monkeypatch.setattr(ps.PeriodicSet, "__invert__", refuse)
+    monkeypatch.setattr(ps.PeriodicSet, "__init__", counted)
+    edited, classes = range(4), range(4, 7)
+    for trio in [(i, j, k) for i in edited for j in edited for k in edited if i != j != k != i] + [tuple(classes)]:
+        a, b, c = (sets[i] for i in trio)
+        built.clear()
+        pair, whole = a | b, (a | b) | c
+        assert len(built) == 3  # the pair twice, then the whole
+        width = 2 * lcm(*(described[i][0] for i in trio)) + 9 if trio[0] in edited else 3000
+        for n in range(width):
+            got = [holds(n, *described[i]) for i in trio]
+            assert (n in pair) == (got[0] or got[1]) and (n in whole) == any(got), (trio, n)
+    count = 101 * 103 + 97 * 103 + 97 * 101 - 97 - 101 - 103 + 1
+    assert whole.modulus == 97 * 101 * 103 and len(whole.residues) == count
 
 
 def test_a_complemented_product_meets_other_sets_through_its_smaller_side():
