@@ -60,9 +60,7 @@ class AntichainSpec(Record):
         for p, chain in chains:
             if not any(chain):
                 raise ValueError(f"chain for {_shown(p)} is all zero: first nonzero depth undefined")
-        object.__setattr__(self, "chains", chains)
-        object.__setattr__(self, "divisor_primes", divisors)
-        object.__setattr__(self, "_depths", tuple(chain_support(chain).first_nonzero for _, chain in chains))
+        self._set(chains, divisors, tuple(chain_support(chain).first_nonzero for _, chain in chains))
 
     @property
     def chain_primes(self) -> tuple:

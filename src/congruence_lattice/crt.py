@@ -22,8 +22,7 @@ class Congruence(Record):
     __slots__ = _fields = ("modulus", "residue")
 
     def __init__(self, modulus: int, residue: int):
-        object.__setattr__(self, "modulus", strict_int(modulus, "modulus", 1))
-        object.__setattr__(self, "residue", strict_int(residue, "residue") % modulus)
+        self._set(strict_int(modulus, "modulus", 1), strict_int(residue, "residue") % modulus)
 
     def satisfied_by(self, x: int) -> bool:
         return x % self.modulus == self.residue

@@ -48,13 +48,12 @@ class FilterBase(Record):
 
     def __init__(self, members: tuple = ()):
         members = _checked(members)
-        object.__setattr__(self, "members", members)
         if any(s.is_empty() for s in members):
             raise ValueError("filter base members must be nonempty")
         meet = _meet(members)
         if not meet.is_infinite():
             raise ValueError("every finite intersection of a filter base must be infinite")
-        object.__setattr__(self, "intersection", meet)
+        self._set(members, meet)
 
 
 def has_fip(members: FilterBase | Sequence) -> bool:

@@ -31,9 +31,7 @@ class GeometricDescriptor(Record):
     __slots__ = _fields = ("p", "seed", "ratio")
 
     def __init__(self, p: int, seed: int, ratio: int):
-        object.__setattr__(self, "p", strict_prime(p, "p"))
-        object.__setattr__(self, "seed", strict_int(seed, "seed", 0, p))
-        object.__setattr__(self, "ratio", strict_int(ratio, "ratio", 1, p))
+        self._set(strict_prime(p, "p"), strict_int(seed, "seed", 0, p), strict_int(ratio, "ratio", 1, p))
 
 
 # discrete-log data of a zero-free residue set: its least exponent, and the others less it, ascending

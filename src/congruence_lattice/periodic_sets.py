@@ -23,14 +23,14 @@ For views v, w of one modulus M, v <= w if their parts and flags are equal,
 else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
 over both views' parts, a bound on what that meet lists, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
-`~` flips a flag.  Every meet is one fold, `_core`: part by part, it joins a part with each part
-it shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.
-`&`, `|` and filter_lab's bases call it through `_meet`, which for `|` folds the complemented views
-and complements the result (De Morgan, with no complemented set built), then settles the edited
-points once; `meets_infinitely`, `<=` and the unions of multiples call it alone.  Only the fold
-materialises parts: in a join, and when it takes apart a complemented product of several parts,
-by its smaller side.  The residues a set meets mod m and `is_upward_closed` are read from the
-parts here too: no other module reads parts.
+`~` flips a flag.  Every meet is one fold, `_core`, of (parts, co) pairs: part by part, it joins a
+part with each it shares a factor with (at their lcm), keeps the coprime ones and stops at the first
+empty join.  `&`, `|` and filter_lab's bases call it through `_meet`, which for `|` folds the pairs
+with co flipped and complements the result (De Morgan), then settles the edited points once;
+`meets_infinitely`, `<=` and the unions of multiples call it alone.  It builds a view only to list a
+complemented product of several parts, which it takes apart by its smaller side, and `_meet` one for
+its result.  Only the fold materialises parts, there and in a join.  The residues a set meets mod m
+and `is_upward_closed` are read from the parts here too: no other module reads parts.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -92,7 +92,7 @@ class ProductView(Set):
             if (self.parts, self.co) == (other.parts, other.co):
                 return True
             if len(self) > sum(len(r) * (self.modulus // m) for v in (self, other) for m, r, _ in v.parts):
-                return _core((self, _assemble(other.parts, not other.co))) is None
+                return _core(((self.parts, self.co), (other.parts, not other.co))) is None
         return Set.__le__(self, other)
 
     def __ge__(self, other):
@@ -132,12 +132,6 @@ def _view_sum(view: ProductView) -> int:
 
 class PeriodicSet(Record):
     __slots__ = _fields = ("modulus", "residues", "added", "removed")
-
-    def __init__(self, modulus: int, residues: ProductView, added: frozenset, removed: frozenset):
-        _set_modulus(self, modulus)
-        _set_residues(self, residues)
-        _set_added(self, added)
-        _set_removed(self, removed)
 
     def __hash__(self):
         # what __eq__ compares, the residues by their count and their sum mod the period (equal
@@ -237,10 +231,6 @@ class PeriodicSet(Record):
         return make(modulus, fields["residues"], fields["add"], fields["remove"])
 
 
-# the slots' own setters, fetched once: object.__setattr__ by name costs half again per field
-_set_modulus, _set_residues, _set_added, _set_removed = (vars(PeriodicSet)[n].__set__ for n in PeriodicSet._fields)
-
-
 # -- product form ----------------------------------------------------------------
 
 
@@ -252,16 +242,19 @@ def _assemble(parts, co) -> ProductView:
     return ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
 
 
-def _factors(view: ProductView):
-    """A view as the parts of a product, or None when it is empty.
+def _factors(parts, co):
+    """The product of parts, complemented if co, as the parts of a product, or None when empty.
 
-    A complemented product of several parts becomes one part at its modulus
-    that stores the smaller side: the product's members, or its own."""
-    if not view.co or not view.parts:
-        return None if view.co else view.parts
-    inside = ProductView(view.parts, False)
-    small = 2 * len(inside) < view.modulus
-    return ((view.modulus, frozenset(inside if small else view), small),)
+    One complemented part turns its own flag.  A complemented product of several parts becomes
+    one part at its modulus that stores the smaller side: the product's members, or its own."""
+    if not co or not parts:
+        return None if co else parts
+    if len(parts) == 1:
+        ((m, r, c),) = parts
+        return ((m, r, not c),)
+    inside = ProductView(parts, False)
+    small = 2 * len(inside) < inside.modulus
+    return ((inside.modulus, frozenset(inside if small else ProductView(parts, True)), small),)
 
 
 def _join(p, q):
@@ -282,11 +275,11 @@ def _join(p, q):
     return None if m == 1 else (m, stored, c)  # neither part is everything, so neither is their meet
 
 
-def _core(views):
-    """Parts of the meet of the views (everything for none), folded part by part; None once empty."""
+def _core(pairs):
+    """Parts of the meet of (parts, co) pairs (everything for none), folded part by part; None once empty."""
     parts = []
-    for v in views:
-        factors = _factors(v)
+    for pair in pairs:
+        factors = _factors(*pair)
         if factors is None:
             return None
         for q in factors:
@@ -304,22 +297,23 @@ def _core(views):
 def _meet(sets, union=False) -> PeriodicSet:
     """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there
     are none; the set itself when there is one): the product of their parts, or by De Morgan the
-    complement of the product of their complements' parts, then their edited points settled once."""
+    complement of the product of their parts with co flipped (no complement built), then their
+    edited points settled once.  Only the result is built as a view."""
     if len(sets) == 1:
         return sets[0]
-    parts = _core([_assemble(v.parts, not v.co) for v in _views(sets)] if union else _views(sets))
+    parts = _core(_views(sets, union))
     # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
     return _finish(_assemble(parts or (), (parts is None) != union), inside, edits - inside)
 
 
-def _views(sets) -> list:
-    """The periodic parts of the sets, refused with TypeError unless each is a PeriodicSet."""
+def _views(sets, flip=False) -> list:
+    """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless each is a PeriodicSet."""
     for s in sets:
         if not isinstance(s, PeriodicSet):
             raise TypeError(f"periodic set operands must be PeriodicSet, got {type(s).__name__}")
-    return [s.residues for s in sets]
+    return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
 def _residues_met(s: PeriodicSet, modulus: int) -> set:
@@ -448,8 +442,8 @@ def divisibility_union(divisors: Iterable) -> PeriodicSet:
 def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
-    views = (ProductView(((n, frozenset({0}), True),), False) for n in divisors)
-    parts = _core(views) if divisors[0] > 1 else None
+    pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
+    parts = _core(pairs) if divisors[0] > 1 else None
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

@@ -354,9 +354,10 @@ def json_int(value, what: str) -> int:
 
 
 class Record:
-    """Base of the validating value types: `__init__` sets the `_fields`, held in `__slots__`, by
-    `object.__setattr__` (`PeriodicSet`, built most, by the slots' own setters); equality (same
-    type), hash, repr and pickle read them; none can change."""
+    """Base of the validating value types: each type's generated `_set` stores every slot, the
+    `_fields` first, through the slots' own descriptors, once per value.  It is the `__init__` of a
+    type that defines none (`PeriodicSet`); the others call it once, after their checks.  Equality
+    (same type), hash, repr and pickle read the fields; no slot can change."""
 
     __slots__ = ()
 
@@ -367,6 +368,15 @@ class Record:
         cls.__eq__ = eval(f"lambda self, other: {eq}")
         if "__hash__" not in vars(cls):  # PeriodicSet hashes by its own rule
             cls.__hash__ = eval(f"lambda self: hash(({own}))")
+        # each slot's own setter, fetched once: setting a slot by name costs half again per slot
+        slots = (*cls._fields, *(name for name in cls.__slots__ if name not in cls._fields))
+        setters = {f"set_{name}": vars(cls)[name].__set__ for name in slots}
+        body = "".join(f"\n    set_{name}(self, {name})" for name in slots)
+        exec(f"def _set(self, {', '.join(slots)}):{body}", setters)
+        cls._set = setters["_set"]
+        cls._set.__qualname__ = f"{cls.__qualname__}._set"  # a wrong argument count names the type
+        if "__init__" not in vars(cls):
+            cls.__init__ = cls._set
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"

@@ -304,6 +304,47 @@ def test_a_union_builds_no_set_but_its_result(monkeypatch):
     assert whole.modulus == 97 * 101 * 103 and len(whole.residues) == count
 
 
+def test_the_fold_builds_a_view_only_for_its_result(monkeypatch):
+    # unions and unions of multiples fold their operands' parts as they are stored, so each builds
+    # one view, its result; a comparison v <= w that the meet decides builds none when neither v
+    # nor ~w is a complemented product of several parts, the one product listed through a view
+    a, b, c = ps.progression(97, 3), ps.progression(101, 5), ps.progression(103, 7)
+    pair = a | b
+    builds = {
+        "a | b": lambda: a | b,
+        "(a | b) | c": lambda: pair | c,
+        "divisibility_union, coprime": lambda: ps.divisibility_union([7, 11, 13, 17]),
+        "divisibility_union, shared factors": lambda: ps.divisibility_union([4, 6, 9, 10]),
+        "divisibility_union with 1": lambda: ps.divisibility_union([1, 6]),
+        "up_closure, coprime": lambda: lattice.up_closure([83, 89, 97]),
+        "up_closure, shared factors": lambda: lattice.up_closure([6, 10, 15]),
+    }
+    want = {name: build() for name, build in builds.items()}
+    p, q = 2999, 3001
+    compared = [  # (v, w, v <= w): v is one part or a product, w one part or a complemented product
+        (ps.non_divisibility(15), ps.progression(3, 1) | ps.progression(5, 2), False),
+        (ps.non_divisibility(p * q), ~(ps.progression(p, 0) & ps.progression(q, 0)), True),
+        (ps.non_divisibility(7) & ps.non_divisibility(11), ps.non_divisibility(77), True),
+        (ps.non_divisibility(15), ~ps.progression(15, 4), False),
+    ]
+    built, init, core, met = [], ps.ProductView.__init__, ps._core, []
+
+    def counted(self, parts, co):
+        built.append(self)
+        init(self, parts, co)
+
+    monkeypatch.setattr(ps.ProductView, "__init__", counted)
+    monkeypatch.setattr(ps, "_core", lambda pairs: met.append(pairs) or core(pairs))
+    for name, build in builds.items():
+        built.clear()
+        result = build()
+        assert len(built) == 1 and result.residues is built[0] and result == want[name], name
+    for s, t, below in compared:
+        built.clear()
+        met.clear()
+        assert (s.residues <= t.residues) == below and met and not built, (s, t)
+
+
 def test_a_complemented_product_meets_other_sets_through_its_smaller_side():
     # up_closure and a union of classes are complements of products with about
     # 7 * 10^5 and 10^6 members; meeting them must list their own 2-3 * 10^4

@@ -6,9 +6,11 @@ are `collections.namedtuple`s, so they compare as tuples do."""
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
+import congruence_lattice
 from congruence_lattice.antichain import AntichainSpec, VerificationReport
 from congruence_lattice.crt import Congruence
 from congruence_lattice.filter_lab import DividesReport, DividesStatus, FilterBase
@@ -141,3 +143,33 @@ def test_a_round_trip_rebuilds_what_is_not_a_field():
     # pickle and copy call the constructor, which derives the meet and the depths again
     assert pickle.loads(pickle.dumps(CASES["FilterBase"][0])).intersection == progression(2, 0)
     assert copy.copy(CASES["AntichainSpec"][0])._depths == (1,)
+
+
+def test_no_module_sets_a_slot_by_name():
+    # every record stores its slots through its type's generated setter, never by name
+    package = Path(congruence_lattice.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "object.__setattr__" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_every_record_type_is_covered_and_sets_every_slot():
+    covered = {type(case[0]) for case in CASES.values()}
+    assert set(Record.__subclasses__()) <= covered
+    for name, (record, twin, other, _) in CASES.items():
+        if isinstance(record, Record):
+            slots = type(record).__slots__
+            assert set(record._fields) <= set(slots), name
+            for built in (record, twin, other, pickle.loads(pickle.dumps(record))):
+                assert all(hasattr(built, slot) for slot in slots), (name, slots)
+    # the slots that are no fields are derived by the constructor
+    assert CASES["FilterBase"][0].intersection == progression(2, 0)
+    assert CASES["AntichainSpec"][0]._depths == (1,)
+
+
+def test_a_periodic_set_takes_its_fields_by_position_and_by_keyword():
+    r = progression(6, 1).residues
+    by_position, by_keyword = PeriodicSet(6, r, E, E), PeriodicSet(removed=E, added=E, residues=r, modulus=6)
+    assert by_position == by_keyword == progression(6, 1) and by_keyword.residues is r
+    for args, kwargs in (((6, r, E), {}), ((6, r, E, E, E), {}), ((), {}), ((6, r, E), {"removal": E})):
+        with pytest.raises(TypeError, match="^PeriodicSet._set"):
+            PeriodicSet(*args, **kwargs)
