@@ -34,8 +34,7 @@ def _checked(members: Iterable) -> tuple:
     """The members as a tuple, refused unless every one is a PeriodicSet."""
     members = tuple(members)
     for s in members:
-        if not isinstance(s, PeriodicSet):
-            raise TypeError(f"filter base members must be PeriodicSet, got {type(s).__name__}")
+        PeriodicSet._check(s, "filter base members")
     return members
 
 
@@ -73,6 +72,7 @@ def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:
     """Base with s appended when that preserves the intersection property,
     else None."""
     _checked((s,))
+    FilterBase._check(base, "base")
     return FilterBase(base.members + (s,)) if base.intersection.meets_infinitely(s) else None
 
 
@@ -134,6 +134,8 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
     upward-closed member.  This checks only the upward-closed sets the
     base exhibits, so a pass is never a completeness claim.
     """
+    for base in (base_f, base_g):
+        FilterBase._check(base, "divides_check bases")
     found = False
     for member in base_f.members:
         try:

@@ -278,8 +278,8 @@ def _join(p, q):
 def _core(pairs):
     """Parts of the meet of (parts, co) pairs (everything for none), folded part by part; None once empty."""
     parts = []
-    for pair in pairs:
-        factors = _factors(*pair)
+    for stored, co in pairs:
+        factors = _factors(stored, co)
         if factors is None:
             return None
         for q in factors:
@@ -311,8 +311,7 @@ def _meet(sets, union=False) -> PeriodicSet:
 def _views(sets, flip=False) -> list:
     """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless each is a PeriodicSet."""
     for s in sets:
-        if not isinstance(s, PeriodicSet):
-            raise TypeError(f"periodic set operands must be PeriodicSet, got {type(s).__name__}")
+        PeriodicSet._check(s, "periodic set operands")
     return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
@@ -351,6 +350,7 @@ def is_upward_closed(s: PeriodicSet) -> bool:
     By CRT a product of sets T_i modulo coprime m_i, and the union of the
     classes they select, are closed iff every T_i is, so parts are decided alone.
     """
+    PeriodicSet._check(s, "is_upward_closed operand")
     edits = (s.added | s.removed) - {0}
     if edits:
         raise ValueError(

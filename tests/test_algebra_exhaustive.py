@@ -2,8 +2,9 @@
 
 Every distinct `make(m, R)` with m <= 6 is met, joined, complemented and
 compared with every other one, and so is every set with m <= 4 under four
-edit patterns; each set also goes through JSON and is tested for upward
-closure.  The expected answers are member lists on [0, 2 * lcm + 4], read
+edit patterns, and every set with m <= 3 under each of the 16 edit patterns
+over {0, 1, 2, 3} (each point toggled or left); each set also goes through
+JSON and is tested for upward closure.  The expected answers are member lists on [0, 2 * lcm + 4], read
 off each set's own description here: `periodic_sets` only builds the sets
 under test and never computes an answer they are checked against.
 """
@@ -21,7 +22,8 @@ from congruence_lattice import periodic_sets as ps
 
 # (added, removed): none, {0} added, 1 removed, 2 added with 0 removed
 EDITS = (((), ()), ((0,), ()), ((), (1,)), ((2,), (0,)))
-WIDTH = 2 * 60 + 4  # every period here divides 60 and every edit is below 3
+EDGE = 4  # every edit here lies below it
+WIDTH = 2 * 60 + EDGE  # every period here divides 60
 _COMPARISONS = (operator.le, operator.lt, operator.ge, operator.gt, operator.eq, operator.ne)
 
 
@@ -31,13 +33,13 @@ def members(s, width):
 
 
 def is_period(mask, d):
-    """Whether membership past the edits, which all lie below 3, repeats every d."""
-    return all(mask >> n & 1 == mask >> n + d & 1 for n in range(3, WIDTH - d))
+    """Whether membership past the edits, which all lie below EDGE, repeats every d."""
+    return all(mask >> n & 1 == mask >> n + d & 1 for n in range(EDGE, WIDTH - d))
 
 
 def periodic_residues(mask, period):
-    """Residues mod period of the members past the edits, which all lie below 3."""
-    return frozenset(x % period for x in range(3, 3 + period) if mask >> x & 1)
+    """Residues mod period of the members past the edits, which all lie below EDGE."""
+    return frozenset(x % period for x in range(EDGE, EDGE + period) if mask >> x & 1)
 
 
 def description_members(m, residues, added=(), removed=()):
@@ -57,7 +59,7 @@ def upward_closed(mask, period):
     gcd-class criterion: it is nonempty and its residues are the x with gcd(x, period) in an
     up-set D of the divisors of period.  None when an edit past 0 leaves it undecided."""
     residues = periodic_residues(mask, period)
-    if any((mask >> n & 1) != (n % period in residues) for n in (1, 2)):
+    if any((mask >> n & 1) != (n % period in residues) for n in range(1, EDGE)):
         return None
     found = {gcd(x, period) for x in residues}
     up_set = all(e in found for d in found for e in range(d, period + 1, d) if period % e == 0)
@@ -86,8 +88,22 @@ def edited_sets(max_modulus):
     )
 
 
+@cache
+def toggled_sets(max_modulus):
+    """Each distinct make(m, R) with m <= max_modulus under each edit pattern over range(EDGE),
+    described: each point of the pattern toggled, added if the set misses it, else removed."""
+    out = []
+    for _, m, mask, _ in plain_sets(max_modulus):
+        residues = {x for x in range(m) if mask >> x & 1}
+        for pattern in range(2**EDGE):
+            toggled = [n for n in range(EDGE) if pattern >> n & 1]
+            added = [n for n in toggled if n % m not in residues]
+            out.append(described(m, residues, added, [n for n in toggled if n % m in residues]))
+    return tuple(out)
+
+
 def check_set(s, period, mask, co):
-    width = 2 * period + 4
+    width = 2 * period + EDGE
     # the stored modulus is the least period past the edits, and the view holds those residues
     big = s.modulus
     assert is_period(mask, big) and not any(is_period(mask, d) for d in range(1, big)), s
@@ -107,28 +123,40 @@ def check_set(s, period, mask, co):
             assert ps.is_upward_closed(t) == closed, t
 
 
-def check_pair(a, b, listed):
-    """Both orders of a pair: each fold order gives the same set, whose members are checked once."""
+def check_operations(a, b, listed):
+    """&, |, ~, ==, != and meets_infinitely of a pair in both orders: each fold order gives the
+    same set, whose members are checked once; returns the meet and the join."""
     (s, m, x, cs), (t, n, y, ct) = a, b
     period = lcm(m, n)
-    width = 2 * period + 4
+    width = 2 * period + EDGE
     meet, join = s & t, s | t
     assert members(meet, width) == x & y & (1 << width) - 1, (s, t)
     assert members(join, width) == (x | y) & (1 << width) - 1, (s, t)
     for got, again in ((meet, t & s), (join, t | s)):
         assert got == again and hash(got) == hash(again), (s, t)
-    # absorption: a & (a | b) == a and a | (a & b) == a, for either operand as a
-    assert s & join == s and t & join == t and s | meet == s and t | meet == t, (s, t)
     # a result with the members of a listed set is that set, hash included
     for got, want in ((meet, x & y), (join, x | y)):
         same = listed.get(want)
         assert same is None or (got == same and hash(got) == hash(same)), (s, t)
-    for left, right in ((~meet, cs | ct), (~join, cs & ct)):
-        assert left == right and not left != right and hash(left) == hash(right), (s, t)
+    left, right = ~meet, cs | ct
+    assert left == right and not left != right and hash(left) == hash(right), (s, t)
     assert (s == t) == (t == s) == (x == y) and (s != t) == (x != y), (s, t)
+    assert x != y or hash(s) == hash(t), (s, t)
     # infinitely many common members iff one lies past the edits within one period
-    meets = bool((x & y) >> 3 & (1 << period) - 1)
+    meets = bool((x & y) >> EDGE & (1 << period) - 1)
     assert s.meets_infinitely(t) == t.meets_infinitely(s) == meets, (s, t)
+    return meet, join
+
+
+def check_pair(a, b, listed):
+    """check_operations, absorption, the other De Morgan law and the comparisons of views of one
+    modulus; returns the join."""
+    (s, _, x, cs), (t, _, y, ct) = a, b
+    meet, join = check_operations(a, b, listed)
+    # absorption: a & (a | b) == a and a | (a & b) == a, for either operand as a
+    assert s & join == s and t & join == t and s | meet == s and t | meet == t, (s, t)
+    left, right = ~join, cs & ct
+    assert left == right and not left != right and hash(left) == hash(right), (s, t)
     if s.modulus == t.modulus:
         v, w = s.residues, t.residues
         fv, fw = periodic_residues(x, s.modulus), periodic_residues(y, t.modulus)
@@ -140,7 +168,7 @@ def check_pair(a, b, listed):
 @cache
 def feasible(period, tail, head):
     """The residues mod k = 2..12 of the members past the edits, whose residues mod period are
-    tail, or of the members head below 3 when there are none past them: class x mod period
+    tail, or of the members head below EDGE when there are none past them: class x mod period
     meets class r mod k iff x = r modulo gcd(period, k)."""
     if not tail:
         return [{n % k for n in head} for k in range(2, 13)]
@@ -153,7 +181,7 @@ def feasible(period, tail, head):
 
 
 def check_feasible(s, period, mask):
-    want = feasible(period, periodic_residues(mask, period), tuple(n for n in range(3) if mask >> n & 1))
+    want = feasible(period, periodic_residues(mask, period), tuple(n for n in range(EDGE) if mask >> n & 1))
     for k in range(2, 13):
         assert fl.feasible_residues([s], k) == want[k - 2], (s, k)
 
@@ -199,3 +227,19 @@ def test_unions_of_multiples_of_every_subset_of_1_to_6():
             want = sum(1 << n for n in range(width) if any(n % d == 0 for d in divisors))
             assert members(ps.divisibility_union(divisors), width) == want, divisors
             assert members(lattice.up_closure(divisors), width) == want & ~1, divisors
+
+
+def test_every_pair_of_sets_of_period_at_most_3_under_every_toggle_below_4():
+    # union's edit rule keeps a point that either operand holds: every way of holding a point
+    # below EDGE, against every other, in both orders
+    sets = toggled_sets(3)
+    assert len(plain_sets(3)) == 10 and len(sets) == 160 and len({mask for _, _, mask, _ in sets}) == 160
+    listed = {case[2]: case[0] for case in sets + plain_sets(6)}
+    for i, a in enumerate(sets):
+        check_set(*a)
+        for b in sets[i:]:
+            check_operations(a, b, listed)
+    low = (1 << WIDTH) - 1
+    for s, period, mask, co in sets:
+        check_feasible(s, period, mask)
+        check_feasible(co, period, ~mask & low)

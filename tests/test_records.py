@@ -1,21 +1,26 @@
 """Value semantics of the library's records: equality by type and fields, a hash that
 agrees with it, immutability, the dataclass-style repr, and pickle and copy round trips.
+Every validating type stores its slots through its one generated setter, and an argument
+of another type where one is expected is refused by the one `Record._check` TypeError.
 
 The validating types (`primes.Record` subclasses) are no tuples; the result records
 are `collections.namedtuple`s, so they compare as tuples do."""
 
 import copy
 import pickle
+import re
 from pathlib import Path
 
 import pytest
 
 import congruence_lattice
+from congruence_lattice import antichain, crt, geometry, lattice
+from congruence_lattice import filter_lab as fl
 from congruence_lattice.antichain import AntichainSpec, VerificationReport
 from congruence_lattice.crt import Congruence
 from congruence_lattice.filter_lab import DividesReport, DividesStatus, FilterBase
 from congruence_lattice.geometry import ExponentOffsets, GeometricDescriptor, StructureReport
-from congruence_lattice.periodic_sets import PeriodicSet, make, progression
+from congruence_lattice.periodic_sets import PeriodicSet, is_upward_closed, make, progression
 from congruence_lattice.primes import Record
 
 E = frozenset()
@@ -173,3 +178,61 @@ def test_a_periodic_set_takes_its_fields_by_position_and_by_keyword():
     for args, kwargs in (((6, r, E), {}), ((6, r, E, E, E), {}), ((), {}), ((6, r, E), {"removal": E})):
         with pytest.raises(TypeError, match="^PeriodicSet._set"):
             PeriodicSet(*args, **kwargs)
+
+
+def _infeasible_stream():
+    stream = crt.FeasibilityStream()
+    for c in (Congruence(2, 0), Congruence(2, 1)):
+        stream.push(c)
+    return stream
+
+
+EVENS, SPEC = progression(2, 0), AntichainSpec([(3, [1, 4, 13])], [2])
+# entry point -> (a call that passes a value of another type where a record is expected, the refusal)
+WRONG_TYPES = {
+    "solve_system": (lambda: crt.solve_system([Congruence(3, 1), 5]), "congruence must be Congruence, got int"),
+    "solve_pair first": (lambda: crt.solve_pair((5, 2), Congruence(3, 1)), "congruence must be Congruence, got tuple"),
+    "solve_pair second": (lambda: crt.solve_pair(Congruence(3, 1), (5, 2)), "congruence must be Congruence, got tuple"),
+    "push": (lambda: crt.FeasibilityStream().push((5, 2)), "congruence must be Congruence, got tuple"),
+    "push when infeasible": (lambda: _infeasible_stream().push((5, 2)), "congruence must be Congruence, got tuple"),
+    "expand": (lambda: geometry.expand((7, 1, 3)), "descriptor must be GeometricDescriptor, got tuple"),
+    "divides_check left": (
+        lambda: fl.divides_check([EVENS], FilterBase([EVENS])),
+        "divides_check bases must be FilterBase, got list",
+    ),
+    "divides_check right": (
+        lambda: fl.divides_check(FilterBase([EVENS]), [EVENS]),
+        "divides_check bases must be FilterBase, got list",
+    ),
+    "extend": (lambda: fl.extend([EVENS], EVENS), "base must be FilterBase, got list"),
+    "FilterBase": (lambda: FilterBase([EVENS, (2, 0)]), "filter base members must be PeriodicSet, got tuple"),
+    "has_fip": (lambda: fl.has_fip([EVENS, 2]), "filter base members must be PeriodicSet, got int"),
+    "feasible_residues": (
+        lambda: fl.feasible_residues([None], 5),
+        "filter base members must be PeriodicSet, got NoneType",
+    ),
+    "build": (lambda: antichain.build({"chains": [(3, [1])]}, 2), "spec must be AntichainSpec, got dict"),
+    "verify": (lambda: antichain.verify([1, 2], None), "spec must be AntichainSpec, got NoneType"),
+    "first_nonzero_depths": (
+        lambda: antichain.first_nonzero_depths(None),
+        "spec must be AntichainSpec, got NoneType",
+    ),
+    "step_congruences": (lambda: antichain.step_congruences((3, 1), 1), "spec must be AntichainSpec, got tuple"),
+    "is_upward_closed": (lambda: is_upward_closed(3), "is_upward_closed operand must be PeriodicSet, got int"),
+    "lattice.is_upward_closed": (
+        lambda: lattice.is_upward_closed(frozenset({2})),
+        "is_upward_closed operand must be PeriodicSet, got frozenset",
+    ),
+    "meets_infinitely": (
+        lambda: EVENS.meets_infinitely(EVENS, 3),
+        "periodic set operands must be PeriodicSet, got int",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_an_argument_that_is_no_record_is_refused_with_one_type_error(name):
+    # not an AttributeError on a missing field deeper down
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
