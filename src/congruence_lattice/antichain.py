@@ -89,7 +89,8 @@ class AntichainSpec(Record):
 
 def first_nonzero_depths(spec: AntichainSpec) -> list:
     """Least depth with a nonzero residue, per chain prime."""
-    return list(AntichainSpec._check(spec, "spec")._depths)
+    AntichainSpec._check((spec,), "spec")
+    return list(spec._depths)
 
 
 def _check_mode(substitution: str):
@@ -141,7 +142,7 @@ def _requirements(spec: AntichainSpec, n: int, substitution: str) -> list:
 
 def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe") -> list:
     """The congruence system pinning element number `index` (index >= 1)."""
-    AntichainSpec._check(spec, "spec")
+    AntichainSpec._check((spec,), "spec")
     _check_mode(substitution)
     index = strict_int(index, "index", 1)
     return [Congruence(p**e, r) for p, e, r in _requirements(spec, index, substitution)]
@@ -160,7 +161,7 @@ def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
     the primes, and r += m*t, m *= P.  The new m / p^(e+1) is the old m / p^e times P/p, so k is
     multiplied by P/p mod p.  A divisor prime first required later is merged; its power multiplies each k.
     """
-    AntichainSpec._check(spec, "spec")
+    AntichainSpec._check((spec,), "spec")
     _check_mode(substitution)
     strict_int(last, "last", 0)
     chains, divisors = spec.chains, spec.divisor_primes
@@ -229,7 +230,7 @@ def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") ->
     for an element missing a divisor power: q_j^n | a for every j < min(n,
     len(divisors)) already gives the n * min(n, len(divisors)) factors.
     """
-    AntichainSpec._check(spec, "spec")
+    AntichainSpec._check((spec,), "spec")
     _check_mode(substitution)
     failures = []
     vals = list(values)

@@ -40,8 +40,7 @@ def _merge(m1: int, r1: int, m2: int, r2: int):
 
 def solve_pair(c1, c2) -> Congruence | None:
     """Merge two congruences into the class modulo lcm, or None if disjoint."""
-    for c in (c1, c2):
-        Congruence._check(c, "congruence")
+    Congruence._check((c1, c2), "congruence")
     merged = _merge(c1.modulus, c1.residue, c2.modulus, c2.residue)
     return None if merged is None else Congruence(*merged)
 
@@ -49,7 +48,7 @@ def solve_pair(c1, c2) -> Congruence | None:
 def solve_system(congruences: Iterable) -> Congruence | None:
     """Left-fold of solve_pair; the empty system solves to everything (1, 0)."""
     state = (1, 0)
-    for c in [Congruence._check(c, "congruence") for c in congruences]:
+    for c in Congruence._check(list(congruences), "congruence"):
         state = _merge(state[0], state[1], c.modulus, c.residue)
         if state is None:
             return None
@@ -67,7 +66,7 @@ class FeasibilityStream:
         self._state: Congruence | None = Congruence(1, 0)
 
     def push(self, congruence: Congruence) -> Congruence | None:
-        Congruence._check(congruence, "congruence")  # refused after infeasibility too
+        Congruence._check((congruence,), "congruence")  # refused after infeasibility too
         if self._state is not None:
             self._state = solve_pair(self._state, congruence)
         return self._state

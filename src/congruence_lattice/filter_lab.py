@@ -32,10 +32,7 @@ class NoWitnessSourceError(ValueError):
 
 def _checked(members: Iterable) -> tuple:
     """The members as a tuple, refused unless every one is a PeriodicSet."""
-    members = tuple(members)
-    for s in members:
-        PeriodicSet._check(s, "filter base members")
-    return members
+    return PeriodicSet._check(tuple(members), "filter base members")
 
 
 class FilterBase(Record):
@@ -72,7 +69,7 @@ def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:
     """Base with s appended when that preserves the intersection property,
     else None."""
     _checked((s,))
-    FilterBase._check(base, "base")
+    FilterBase._check((base,), "base")
     return FilterBase(base.members + (s,)) if base.intersection.meets_infinitely(s) else None
 
 
@@ -134,8 +131,7 @@ def divides_check(base_f: FilterBase, base_g: FilterBase) -> DividesReport:
     upward-closed member.  This checks only the upward-closed sets the
     base exhibits, so a pass is never a completeness claim.
     """
-    for base in (base_f, base_g):
-        FilterBase._check(base, "divides_check bases")
+    FilterBase._check((base_f, base_g), "divides_check bases")
     found = False
     for member in base_f.members:
         try:

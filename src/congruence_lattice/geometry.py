@@ -52,7 +52,7 @@ def expand(descriptor: GeometricDescriptor) -> frozenset:
     For seed != 0 this equals the coset seed * <ratio> and contains the
     seed itself; for seed 0 it is {0}.
     """
-    GeometricDescriptor._check(descriptor, "descriptor")
+    GeometricDescriptor._check((descriptor,), "descriptor")
     p, ratio = descriptor.p, descriptor.ratio
     out = set()
     x = descriptor.seed * ratio % p

@@ -309,9 +309,8 @@ def _meet(sets, union=False) -> PeriodicSet:
 
 
 def _views(sets, flip=False) -> list:
-    """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless each is a PeriodicSet."""
-    for s in sets:
-        PeriodicSet._check(s, "periodic set operands")
+    """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless all are PeriodicSets."""
+    PeriodicSet._check(sets, "periodic set operands")
     return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
@@ -350,7 +349,7 @@ def is_upward_closed(s: PeriodicSet) -> bool:
     By CRT a product of sets T_i modulo coprime m_i, and the union of the
     classes they select, are closed iff every T_i is, so parts are decided alone.
     """
-    PeriodicSet._check(s, "is_upward_closed operand")
+    PeriodicSet._check((s,), "is_upward_closed operand")
     edits = (s.added | s.removed) - {0}
     if edits:
         raise ValueError(

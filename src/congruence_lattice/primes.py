@@ -379,12 +379,13 @@ class Record:
             cls.__init__ = cls._set
 
     @classmethod
-    def _check(cls, value, what: str):
-        """value, refused with TypeError unless it is one of this type: the one check of a
-        record argument, so a tuple or a dict never fails deeper down on a missing field."""
-        if not isinstance(value, cls):
-            raise TypeError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
-        return value
+    def _check(cls, values, what: str):
+        """The values, refused with TypeError unless each is one of this type: the one check of
+        record arguments, so a tuple or a dict never fails deeper down on a missing field."""
+        for value in values:
+            if not isinstance(value, cls):
+                raise TypeError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+        return values
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
