@@ -66,9 +66,9 @@ class FeasibilityStream:
         self._state: Congruence | None = Congruence(1, 0)
 
     def push(self, congruence: Congruence) -> Congruence | None:
-        Congruence._check((congruence,), "congruence")  # refused after infeasibility too
-        if self._state is not None:
-            self._state = solve_pair(self._state, congruence)
+        if self._state is None:  # refused after infeasibility too; solve_pair checks it before that
+            Congruence._check((congruence,), "congruence")
+        self._state = self._state and solve_pair(self._state, congruence)  # a Congruence is never falsy
         return self._state
 
     @property

@@ -22,7 +22,7 @@ from enum import Enum
 from math import gcd, lcm, prod
 
 from .crt import _merge
-from .periodic_sets import PeriodicSet, _meet, _residues_met, is_upward_closed
+from .periodic_sets import PeriodicSet, _core, _meet, _residues_met, _views, is_upward_closed
 from .primes import Record, _check_coprime, _shown, json_int, strict_int, strict_ints
 
 
@@ -61,8 +61,7 @@ def has_fip(members: FilterBase | Sequence) -> bool:
     """
     if isinstance(members, FilterBase):
         return True
-    members = _checked(members)
-    return not members or members[0].meets_infinitely(*members[1:])
+    return _core(_views(tuple(members), False, "filter base members")) is not None  # checked once
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:

@@ -21,16 +21,16 @@ and lists nothing, so the first member comes at once whatever the moduli.
 Comparisons agree with any set of the same members, by <= and the lengths.
 For views v, w of one modulus M, v <= w if their parts and flags are equal,
 else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
-over both views' parts, a bound on what that meet lists, else by a walk of v.
+over both views' parts, a bound on what that meet lifts, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
-`~` flips a flag.  Every meet is one fold, `_core`, of (parts, co) pairs: part by part, it joins a
-part with each it shares a factor with (at their lcm), keeps the coprime ones and stops at the first
-empty join.  `&`, `|` and filter_lab's bases call it through `_meet`, which for `|` folds the pairs
-with co flipped and complements the result (De Morgan), then settles the edited points once;
-`meets_infinitely`, `<=` and the unions of multiples call it alone.  It builds a view only to list a
-complemented product of several parts, which it takes apart by its smaller side, and `_meet` one for
-its result.  Only the fold materialises parts, there and in a join.  The residues a set meets mod m
-and `is_upward_closed` are read from the parts here too: no other module reads parts.
+`~` flips a flag.  Every meet is one fold of (parts, co) pairs: part by part, it joins a part with each it
+shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.  A complemented
+part turns its flag; a complemented product of k > 1 parts is the union of its parts turned.  `_core` decides
+(`meets_infinitely`, `<=`, `has_fip`): it tries them in turn, depth first with the fold so far, while width * k
+(width: the tries open) is at most the product's smaller side, else lists that side.  `_meet` (`&`, `|`, bases)
+and `_multiples` always list it, as a result is one product; `|` folds the pairs with co flipped and complements
+the result (De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a
+join.  The residues a set meets mod m and `is_upward_closed` read the parts here too: no other module does.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Set
-from itertools import filterfalse
-from math import gcd, lcm, prod
+from itertools import chain, filterfalse
+from math import gcd, inf, lcm, prod
 from operator import itemgetter
 
 from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
@@ -186,9 +186,9 @@ class PeriodicSet(Record):
     # -- boolean algebra -----------------------------------------------------
 
     def meets_infinitely(self, *others: "PeriodicSet") -> bool:
-        """Whether the meet of self and the others is infinite: edits are
-        finite, so whether their periodic parts meet."""
-        return _core(_views((self, *others))) is not None if others else self.is_infinite()
+        """Whether the meet of self and the others (self alone for none) is infinite: edits are finite,
+        so whether their periodic parts meet, which `_core` decides without building the meet."""
+        return _core(_views((self, *others))) is not None
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
         return _meet((self, other))
@@ -242,19 +242,10 @@ def _assemble(parts, co) -> ProductView:
     return ProductView(tuple(sorted(parts)), co)  # coprime moduli > 1 differ, so they decide
 
 
-def _factors(parts, co):
-    """The product of parts, complemented if co, as the parts of a product, or None when empty.
-
-    One complemented part turns its own flag.  A complemented product of several parts becomes
-    one part at its modulus that stores the smaller side: the product's members, or its own."""
-    if not co or not parts:
-        return None if co else parts
-    if len(parts) == 1:
-        ((m, r, c),) = parts
-        return ((m, r, not c),)
-    inside = ProductView(parts, False)
+def _factors(inside: ProductView) -> tuple:
+    """The complement of a product view of several parts as one part storing the smaller side."""
     small = 2 * len(inside) < inside.modulus
-    return ((inside.modulus, frozenset(inside if small else ProductView(parts, True)), small),)
+    return ((inside.modulus, frozenset(inside if small else ProductView(inside.parts, True)), small),)
 
 
 def _join(p, q):
@@ -276,13 +267,24 @@ def _join(p, q):
 
 
 def _core(pairs):
-    """Parts of the meet of (parts, co) pairs (everything for none), folded part by part; None once empty."""
-    parts = []
+    """Parts of a nonempty product inside the meet of (parts, co) pairs, or None when it is empty."""
+    return _fold(iter(pairs), [], 1)
+
+
+def _fold(pairs, parts, width):
+    """_core of the pairs left, met with `parts`, the fold so far, in one of `width` open tries."""
     for stored, co in pairs:
-        factors = _factors(stored, co)
-        if factors is None:
-            return None
-        for q in factors:
+        if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
+            inside, wide = ProductView(stored, False), width * len(stored)
+            if not stored or wide <= min(n := len(inside), inside.modulus - n):
+                left = list(pairs)  # each part turned is tried with the fold so far and the pairs left
+                tries = (_fold(chain([(((m, r, not c),), False)], left), parts, wide) for m, r, c in stored)
+                return next(filter(None, tries), None)  # a try holds its part, so it is None or nonempty
+            stored = _factors(inside)  # else the smaller side, listed
+        elif co:
+            ((m, r, c),) = stored
+            stored = ((m, r, not c),)
+        for q in stored:
             rest = []
             for p in parts:
                 if gcd(p[0], q[0]) == 1:
@@ -295,22 +297,21 @@ def _core(pairs):
 
 
 def _meet(sets, union=False) -> PeriodicSet:
-    """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there
-    are none; the set itself when there is one): the product of their parts, or by De Morgan the
-    complement of the product of their parts with co flipped (no complement built), then their
-    edited points settled once.  Only the result is built as a view."""
+    """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there are none;
+    the set itself when there is one): the product of their parts, or by De Morgan the complement of the
+    product of their parts with co flipped (no complement built), then their edited points settled once."""
     if len(sets) == 1:
         return sets[0]
-    parts = _core(_views(sets, union))
+    parts = _fold(iter(_views(sets, union)), [], inf)  # a result is one product: list, never branch
     # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
     return _finish(_assemble(parts or (), (parts is None) != union), inside, edits - inside)
 
 
-def _views(sets, flip=False) -> list:
+def _views(sets, flip=False, what="periodic set operands") -> list:
     """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless all are PeriodicSets."""
-    PeriodicSet._check(sets, "periodic set operands")
+    PeriodicSet._check(sets, what)
     return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
@@ -442,7 +443,7 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
     pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
-    parts = _core(pairs) if divisors[0] > 1 else None
+    parts = _fold(pairs, [], inf) if divisors[0] > 1 else None  # a result, as in _meet
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

@@ -3,7 +3,9 @@
 Every distinct `make(m, R)` with m <= 6 is met, joined, complemented and
 compared with every other one, and so is every set with m <= 4 under four
 edit patterns, and every set with m <= 3 under each of the 16 edit patterns
-over {0, 1, 2, 3} (each point toggled or left); each set also goes through
+over {0, 1, 2, 3} (each point toggled or left), and every one of 30 products of
+two or three parts and its complement, a complemented product, against each
+other and the sets of least period 6; each set also goes through
 JSON and is tested for upward closure.  The expected answers are member lists on [0, 2 * lcm + 4], read
 off each set's own description here: `periodic_sets` only builds the sets
 under test and never computes an answer they are checked against.
@@ -99,6 +101,30 @@ def toggled_sets(max_modulus):
             toggled = [n for n in range(EDGE) if pattern >> n & 1]
             added = [n for n in toggled if n % m not in residues]
             out.append(described(m, residues, added, [n for n in toggled if n % m in residues]))
+    return tuple(out)
+
+
+# each a product of classes (m, R), R at its least period m, over coprime moduli whose product divides 60
+PRODUCTS = (
+    *(((2, {a}), (3, r)) for a in (0, 1) for r in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2})),
+    *(((2, {a}), (5, r)) for a, r in ((0, {0}), (1, {1, 4}), (0, {0, 2, 3}), (1, {1, 2, 3, 4}))),
+    *(((3, a), (4, r)) for a in ({0}, {1, 2}) for r in ({0}, {1, 2}, {0, 1, 3})),
+    *(((2, {1}), (3, a), (5, r)) for a in ({0}, {1, 2}) for r in ({0}, {2, 3}, {0, 1, 4}, {1, 2, 3, 4})),
+)
+
+
+@cache
+def product_sets():
+    """Each of PRODUCTS met from its classes, a product of two or three parts, and its complement, a
+    complemented product, described: the complemented one first, then the product itself."""
+    out = []
+    for classes in PRODUCTS:
+        s = ps.make(1, {0})
+        for m, r in classes:
+            s &= ps.make(m, r)
+        period = lcm(*(m for m, _ in classes))
+        mask = sum(1 << n for n in range(WIDTH) if all(n % m in r for m, r in classes))
+        out += [(~s, period, ~mask & (1 << WIDTH) - 1, s), (s, period, mask, ~s)]
     return tuple(out)
 
 
@@ -227,6 +253,22 @@ def test_unions_of_multiples_of_every_subset_of_1_to_6():
             want = sum(1 << n for n in range(width) if any(n % d == 0 for d in divisors))
             assert members(ps.divisibility_union(divisors), width) == want, divisors
             assert members(lattice.up_closure(divisors), width) == want & ~1, divisors
+
+
+def test_every_pair_with_a_complemented_product_of_two_or_three_parts():
+    # the fold tries such a product part by part, or lists its smaller side when that holds fewer
+    # residues than it has parts: at period 6 and 30 both happen, and in comparisons of one modulus
+    sets = product_sets()
+    assert len(sets) == 60
+    for (s, _, _, t), classes in zip(sets[::2], PRODUCTS):
+        assert len(s.residues.parts) == len(t.residues.parts) == len(classes) > 1, s
+        assert s.residues.co and not t.residues.co, s
+    others = tuple(case for case in plain_sets(6) if case[0].modulus == 6)  # one part each
+    listed = {case[2]: case[0] for case in sets + plain_sets(6)}
+    for i, a in enumerate(sets):
+        check_set(*a)
+        for b in sets[i:] + (others if a[0].modulus == 6 else ()):
+            check_pair(a, b, listed)
 
 
 def test_every_pair_of_sets_of_period_at_most_3_under_every_toggle_below_4():

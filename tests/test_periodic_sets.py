@@ -383,6 +383,50 @@ def test_a_family_of_one_set_lists_nothing(monkeypatch):
     assert base.intersection == up
 
 
+def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small_side(monkeypatch):
+    # up_closure of k primes from 89 is the complement of a product of k parts, and its complement
+    # that product; each side holds 10^5 residues or more, so every decision on them tries the
+    # parts one at a time, and listing or walking either would raise
+    def listed(*args):
+        raise LookupError
+
+    primes, answers = (89, 97, 101, 103, 107, 109, 113, 127), {}
+    for k in range(2, 9):
+        up, even = lattice.up_closure(primes[:k]), ps.progression(2, 0)
+        rest = ~up  # the non-multiples of every prime
+        p, q = primes[:2]  # the same set with its first two parts as one at pq
+        merged = ~ps.make(p * q, {x for x in range(p * q) if x % p == 0 or x % q == 0})
+        for r in primes[2:k]:
+            merged &= ps.non_divisibility(r)
+        fewer = ~(up | ps.progression(primes[k - 1], 1))  # rest less one class of the last prime
+        v, w, x = rest.residues, merged.residues, fewer.residues
+        assert len(v.parts) == k and len(w.parts) == k - 1 and len(x.parts) == k and not v.co
+        with monkeypatch.context() as patch:
+            patch.setattr(ps, "_factors", listed)
+            patch.setattr(ps.ProductView, "__iter__", listed)
+            try:
+                answers[k] = (
+                    up.meets_infinitely(even),
+                    up.meets_infinitely(),
+                    not up.meets_infinitely(rest),
+                    up.meets_infinitely(ps.progression(3, 1), up, even),
+                    fl.has_fip([up, even]) and fl.has_fip([rest, up, ps.progression(5, 2)]) is False,
+                    fl.divides_check(fl.FilterBase([up]), fl.FilterBase([even])).status is fl.DividesStatus.PASSES,
+                    fl.divides_check(fl.FilterBase([up]), fl.FilterBase([rest])) == (fl.DividesStatus.FAILS, up),
+                    v == w and w == v and v <= w and w >= v and not v != w,
+                    x <= v and x < v and not v <= x and v > x and v != x,
+                )
+            except LookupError:  # reported without the traceback, whose arguments' reprs list the set
+                answers[k] = None
+    assert answers == {k: (True,) * 9 for k in range(2, 9)}
+    # thirty complemented classes mod 30 leave nothing; each lists its one-member smaller side,
+    # where trying the parts of each in turn would open 3^30 tries
+    factors, sides = ps._factors, []
+    monkeypatch.setattr(ps, "_factors", lambda inside: sides.append(len(inside)) or factors(inside))
+    family = [~(ps.progression(2, x % 2) & ps.progression(3, x % 3) & ps.progression(5, x % 5)) for x in range(30)]
+    assert fl.has_fip(family) is False and sides == [1] * 30
+
+
 def test_the_residues_of_a_complemented_product_list_nothing(monkeypatch):
     # the meet of this base is a complemented product of five parts; its smaller side
     # holds about 4.8 * 10^8 residues, and the parts alone answer every modulus
