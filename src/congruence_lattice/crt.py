@@ -68,7 +68,8 @@ class FeasibilityStream:
     def push(self, congruence: Congruence) -> Congruence | None:
         if self._state is None:  # refused after infeasibility too; solve_pair checks it before that
             Congruence._check((congruence,), "congruence")
-        self._state = self._state and solve_pair(self._state, congruence)  # a Congruence is never falsy
+        else:
+            self._state = solve_pair(self._state, congruence)
         return self._state
 
     @property

@@ -61,7 +61,7 @@ def has_fip(members: FilterBase | Sequence) -> bool:
     """
     if isinstance(members, FilterBase):
         return True
-    return _core(_views(tuple(members), False, "filter base members")) is not None  # checked once
+    return _core(_views(_checked(members))) is not None
 
 
 def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:

@@ -26,11 +26,11 @@ A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
 `~` flips a flag.  Every meet is one fold of (parts, co) pairs: part by part, it joins a part with each it
 shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.  A complemented
 part turns its flag; a complemented product of k > 1 parts is the union of its parts turned.  `_core` decides
-(`meets_infinitely`, `<=`, `has_fip`): it tries them in turn, depth first with the fold so far, while width * k
-(width: the tries open) is at most the product's smaller side, else lists that side.  `_meet` (`&`, `|`, bases)
-and `_multiples` always list it, as a result is one product; `|` folds the pairs with co flipped and complements
-the result (De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a
-join.  The residues a set meets mod m and `is_upward_closed` read the parts here too: no other module does.
+(`meets_infinitely`, `<=`, `has_fip`): after the other pairs, it tries those parts depth first if the product
+of every such k is at most each product's smaller side, else lists each smaller side once, as `_meet` (`&`, `|`,
+bases) always does, a result being one product; `|` folds the pairs with co flipped and complements the result
+(De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a join.  The
+residues a set meets mod m and `is_upward_closed` read the parts here too: no other module does.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Set
 from itertools import chain, filterfalse
-from math import gcd, inf, lcm, prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
@@ -268,19 +268,24 @@ def _join(p, q):
 
 def _core(pairs):
     """Parts of a nonempty product inside the meet of (parts, co) pairs, or None when it is empty."""
-    return _fold(iter(pairs), [], 1)
+    return _fold(iter(pairs), [], None)
 
 
-def _fold(pairs, parts, width):
-    """_core of the pairs left, met with `parts`, the fold so far, in one of `width` open tries."""
+def _fold(pairs, parts, branch):
+    """_core of the pairs left met with `parts`, the fold so far: if `branch`, the parts of each complemented
+    product of several parts are tried, else it is listed; None decides at the first such product."""
     for stored, co in pairs:
         if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
-            inside, wide = ProductView(stored, False), width * len(stored)
-            if not stored or wide <= min(n := len(inside), inside.modulus - n):
+            if branch is None:  # decided once, for this product and those left, so no try lists one
+                left = sorted([(stored, co), *pairs], key=lambda pair: pair[1] and len(pair[0]) > 1)
+                insides = [ProductView(s, False) for s, c in left if c and len(s) > 1]  # sorted last
+                width = prod(len(v.parts) for v in insides)  # the tries opened, against each side listed
+                return _fold(iter(left), parts, all(width <= min(n := len(v), v.modulus - n) for v in insides))
+            if branch or not stored:
                 left = list(pairs)  # each part turned is tried with the fold so far and the pairs left
-                tries = (_fold(chain([(((m, r, not c),), False)], left), parts, wide) for m, r, c in stored)
+                tries = (_fold(chain([(((m, r, not c),), False)], left), parts, True) for m, r, c in stored)
                 return next(filter(None, tries), None)  # a try holds its part, so it is None or nonempty
-            stored = _factors(inside)  # else the smaller side, listed
+            stored = _factors(ProductView(stored, False))  # else the smaller side, listed
         elif co:
             ((m, r, c),) = stored
             stored = ((m, r, not c),)
@@ -302,16 +307,16 @@ def _meet(sets, union=False) -> PeriodicSet:
     product of their parts with co flipped (no complement built), then their edited points settled once."""
     if len(sets) == 1:
         return sets[0]
-    parts = _fold(iter(_views(sets, union)), [], inf)  # a result is one product: list, never branch
+    parts = _fold(iter(_views(sets, union)), [], False)  # a result is one product: list, never try
     # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
     return _finish(_assemble(parts or (), (parts is None) != union), inside, edits - inside)
 
 
-def _views(sets, flip=False, what="periodic set operands") -> list:
+def _views(sets, flip=False) -> list:
     """(parts, co) of each set's periodic part, co flipped if `flip`; TypeError unless all are PeriodicSets."""
-    PeriodicSet._check(sets, what)
+    PeriodicSet._check(sets, "periodic set operands")
     return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
@@ -443,7 +448,7 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
     pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
-    parts = _fold(pairs, [], inf) if divisors[0] > 1 else None  # a result, as in _meet
+    parts = _core(pairs) if divisors[0] > 1 else None
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

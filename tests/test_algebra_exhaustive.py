@@ -256,8 +256,8 @@ def test_unions_of_multiples_of_every_subset_of_1_to_6():
 
 
 def test_every_pair_with_a_complemented_product_of_two_or_three_parts():
-    # the fold tries such a product part by part, or lists its smaller side when that holds fewer
-    # residues than it has parts: at period 6 and 30 both happen, and in comparisons of one modulus
+    # the fold tries such products part by part, or lists each one's smaller side when one holds fewer
+    # residues than the product of their part counts: both happen, and in comparisons of one modulus
     sets = product_sets()
     assert len(sets) == 60
     for (s, _, _, t), classes in zip(sets[::2], PRODUCTS):

@@ -427,6 +427,30 @@ def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small
     assert fl.has_fip(family) is False and sides == [1] * 30
 
 
+def test_a_fold_tries_every_complemented_product_or_lists_each_once(monkeypatch):
+    # u = up_closure([7, 11, 13]) is the complement of a product of 3 parts, whose smaller side holds
+    # 281 residues mod 1001; x, the complement of a product of 3 classes mod 30, holds 1.  Five copies
+    # of u open 3^5 = 243 tries, six 729: then, or with x, each product is listed, once at most
+    u, even = lattice.up_closure([7, 11, 13]), ps.progression(2, 0)
+    x = ~(ps.progression(2, 0) & ps.progression(3, 0) & ps.progression(5, 0))
+    factors, join, sides, joins = ps._factors, ps._join, [], []
+    monkeypatch.setattr(ps, "_factors", lambda inside: sides.append(len(inside)) or factors(inside))
+    monkeypatch.setattr(ps, "_join", lambda p, q: joins.append(p) or join(p, q))
+    got = []
+    for family in ([u] * 5 + [~u], [u] * 6 + [~u], [u] * 5 + [x, ~u], [u] * 5 + [x, even], [even, u, u]):
+        sides.clear()
+        joins.clear()
+        got.append((fl.has_fip(family), sides[:], len(joins)))
+    assert [(fip, sides) for fip, sides, _ in got] == [
+        (False, []),  # tried: ~u is met first, so each of the first copy's 3 tries fails at its one join
+        (False, [720]),  # listed: the first copy met with ~u is empty
+        (False, [720]),
+        (True, [720] * 5 + [1]),
+        (True, []),
+    ]
+    assert got[0][2] == 3, got
+
+
 def test_the_residues_of_a_complemented_product_list_nothing(monkeypatch):
     # the meet of this base is a complemented product of five parts; its smaller side
     # holds about 4.8 * 10^8 residues, and the parts alone answer every modulus
