@@ -26,11 +26,11 @@ A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
 `~` flips a flag.  Every meet is one fold of (parts, co) pairs: part by part, it joins a part with each it
 shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.  A complemented
 part turns its flag; a complemented product of k > 1 parts is the union of its parts turned.  `_core` decides
-(`meets_infinitely`, `<=`, `has_fip`): after the other pairs, it tries those parts depth first if the product
-of every such k is at most each product's smaller side, else lists each smaller side once, as `_meet` (`&`, `|`,
-bases) always does, a result being one product; `|` folds the pairs with co flipped and complements the result
-(De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a join.  The
-residues a set meets mod m and `is_upward_closed` read the parts here too: no other module does.
+(`meets_infinitely`, `<=`, filter bases): it lists their smaller sides, least first, while each is below the
+product of the k left, then tries the rest's parts depth first, after the other pairs.  `_meet` (`&`, `|`,
+`feasible_residues`) lists all, a result being one product; `|` folds the pairs with co flipped and complements
+the result (De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a
+join.  The residues a set meets mod m and `is_upward_closed` read the parts here: no other module does.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -273,14 +273,20 @@ def _core(pairs):
 
 def _fold(pairs, parts, branch):
     """_core of the pairs left met with `parts`, the fold so far: if `branch`, the parts of each complemented
-    product of several parts are tried, else it is listed; None decides at the first such product."""
+    product of several parts are tried, else it is listed; None decides per product, at the first one."""
     for stored, co in pairs:
         if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
             if branch is None:  # decided once, for this product and those left, so no try lists one
-                left = sorted([(stored, co), *pairs], key=lambda pair: pair[1] and len(pair[0]) > 1)
-                insides = [ProductView(s, False) for s, c in left if c and len(s) > 1]  # sorted last
-                width = prod(len(v.parts) for v in insides)  # the tries opened, against each side listed
-                return _fold(iter(left), parts, all(width <= min(n := len(v), v.modulus - n) for v in insides))
+                left = [(stored, co), *pairs]
+                insides = [ProductView(s, False) for s, c in left if c and len(s) > 1]
+                sides = sorted(((min(n := len(v), v.modulus - n), v) for v in insides), key=itemgetter(0))
+                width, listed = prod(len(v.parts) for v in insides), 0  # the tries the products left open
+                while listed < len(sides) and width > sides[listed][0]:  # the least side left is listed
+                    width //= len(sides[listed][1].parts)
+                    listed += 1
+                plain = (pair for pair in left if not pair[1] or len(pair[0]) < 2)
+                lists = ((_factors(v), False) for _, v in sides[:listed])  # each listed once, before any try
+                return _fold(chain(plain, lists, ((v.parts, True) for _, v in sides[listed:])), parts, True)
             if branch or not stored:
                 left = list(pairs)  # each part turned is tried with the fold so far and the pairs left
                 tries = (_fold(chain([(((m, r, not c),), False)], left), parts, True) for m, r, c in stored)

@@ -47,8 +47,12 @@ def test_members_that_are_not_sets_get_one_type_error():
 
 
 def test_empty_base_is_valid():
+    # the meet of no members is everything: every infinite set extends it, and every residue is feasible
     base = FilterBase(())
-    assert base.intersection == ps.progression(1, 0)
+    assert base.members == () and fl.has_fip(base)
+    assert fl.extend(base, ps.progression(5, 3)) == FilterBase([ps.progression(5, 3)])
+    assert fl.extend(base, ps.make(1, (), {4}, ())) is None
+    assert fl.feasible_residues(base, 6) == set(range(6))
 
 
 # -- has_fip ------------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_a_family_of_one_set_lists_nothing(monkeypatch):
     except LookupError:  # reported without the traceback, whose arguments' reprs list the set
         fip = None
     assert fip is True and meets
-    assert base.intersection == up
+    assert base.members == (up,)
 
 
 def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small_side(monkeypatch):
@@ -415,10 +415,15 @@ def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small
                     fl.divides_check(fl.FilterBase([up]), fl.FilterBase([rest])) == (fl.DividesStatus.FAILS, up),
                     v == w and w == v and v <= w and w >= v and not v != w,
                     x <= v and x < v and not v <= x and v > x and v != x,
+                    fl.FilterBase([up, even]).members == (up, even),
+                    fl.extend(fl.FilterBase([even]), up) == fl.FilterBase([even, up]),
+                    fl.divides_check(fl.FilterBase([up]), fl.FilterBase([even, up]))
+                    == (fl.DividesStatus.PASSES, None),
+                    fl.extend(fl.FilterBase([even, up]), rest) is None,
                 )
             except LookupError:  # reported without the traceback, whose arguments' reprs list the set
                 answers[k] = None
-    assert answers == {k: (True,) * 9 for k in range(2, 9)}
+    assert answers == {k: (True,) * 13 for k in range(2, 9)}
     # thirty complemented classes mod 30 leave nothing; each lists its one-member smaller side,
     # where trying the parts of each in turn would open 3^30 tries
     factors, sides = ps._factors, []
@@ -430,23 +435,26 @@ def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small
 def test_a_fold_tries_every_complemented_product_or_lists_each_once(monkeypatch):
     # u = up_closure([7, 11, 13]) is the complement of a product of 3 parts, whose smaller side holds
     # 281 residues mod 1001; x, the complement of a product of 3 classes mod 30, holds 1.  Five copies
-    # of u open 3^5 = 243 tries, six 729: then, or with x, each product is listed, once at most
+    # of u open 3^5 = 243 tries, six 729: then one copy is listed and five are tried.  With x, whose
+    # side is the smallest, x is listed and the copies are tried; a product is listed once at most
     u, even = lattice.up_closure([7, 11, 13]), ps.progression(2, 0)
     x = ~(ps.progression(2, 0) & ps.progression(3, 0) & ps.progression(5, 0))
     factors, join, sides, joins = ps._factors, ps._join, [], []
     monkeypatch.setattr(ps, "_factors", lambda inside: sides.append(len(inside)) or factors(inside))
     monkeypatch.setattr(ps, "_join", lambda p, q: joins.append(p) or join(p, q))
     got = []
-    for family in ([u] * 5 + [~u], [u] * 6 + [~u], [u] * 5 + [x, ~u], [u] * 5 + [x, even], [even, u, u]):
+    families = ([u] * 5 + [~u], [u] * 6 + [~u], [u] * 5 + [x, ~u], [u] * 5 + [x, even])
+    for family in families + ([even, u, u], [u, x, even]):
         sides.clear()
         joins.clear()
         got.append((fl.has_fip(family), sides[:], len(joins)))
     assert [(fip, sides) for fip, sides, _ in got] == [
         (False, []),  # tried: ~u is met first, so each of the first copy's 3 tries fails at its one join
         (False, [720]),  # listed: the first copy met with ~u is empty
-        (False, [720]),
-        (True, [720] * 5 + [1]),
+        (False, [1]),  # x listed, then each copy's tries fail
+        (True, [1]),
         (True, []),
+        (True, [1]),
     ]
     assert got[0][2] == 3, got
 

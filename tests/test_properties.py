@@ -5,6 +5,7 @@ against a meet folded pairwise with `PeriodicSet.intersect`."""
 from functools import reduce
 from math import gcd, lcm
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from congruence_lattice import filter_lab as fl, lattice, oracles, periodic_sets as ps
@@ -132,23 +133,23 @@ def test_extend_matches_the_materialised_meet(base_members, s, modulus):
     assume(pairwise_meet(base_members).is_infinite())
     base = FilterBase(tuple(base_members))
     extended = fl.extend(base, s)
-    if not base.intersection.meets_infinitely(s):
+    if not pairwise_meet([*base_members, s]).is_infinite():
         assert extended is None
         return
     assert extended == FilterBase(base.members + (s,))
     assert hash(extended) == hash(FilterBase(base.members + (s,)))
     assert fl.has_fip(extended)
     assert fl.feasible_residues(extended, modulus) == materialised_feasible(extended.members, modulus)
-    assert extended.intersection == pairwise_meet(extended.members)
 
 
 @SETTINGS
 @given(st.lists(periodic_members(), max_size=5))
-def test_intersection_is_the_meet(base_members):
-    assume(pairwise_meet(base_members).is_infinite())
-    base = FilterBase(tuple(base_members))
-    assert base.intersection == pairwise_meet(base_members)
-    assert base.intersection is base.intersection
+def test_a_base_is_accepted_iff_its_meet_is_infinite(base_members):
+    if pairwise_meet(base_members).is_infinite():
+        assert FilterBase(tuple(base_members)).members == tuple(base_members)
+        return
+    with pytest.raises(ValueError, match="^every finite intersection of a filter base must be infinite$"):
+        FilterBase(tuple(base_members))
 
 
 def test_semiprime_progression_is_not_factored():
