@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from math import gcd
 
-from .primes import Record, _shown, json_int, strict_int, strict_prime
+from .primes import Record, _int_value, _shown, json_int, strict_int, strict_prime
 
 
 class Congruence(Record):
@@ -25,7 +25,8 @@ class Congruence(Record):
         self._set(strict_int(modulus, "modulus", 1), strict_int(residue, "residue") % modulus)
 
     def satisfied_by(self, x: int) -> bool:
-        return x % self.modulus == self.residue
+        """Whether the int x equals (3.0 is 3) lies in the class over Z; a value equal to no int does not."""
+        return (type(x) is int or (x := _int_value(x)) is not None) and x % self.modulus == self.residue
 
 
 def _merge(m1: int, r1: int, m2: int, r2: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from math import gcd, lcm, prod
+from math import gcd
 
 from .crt import _merge
 from .periodic_sets import PeriodicSet, _core, _meet, _residues_met, _views, is_upward_closed
@@ -64,9 +64,11 @@ def has_fip(members: FilterBase | Sequence) -> bool:
 def extend(base: FilterBase, s: PeriodicSet) -> FilterBase | None:
     """Base with s appended when that preserves the intersection property,
     else None."""
-    _checked((s,))
     FilterBase._check((base,), "base")
-    return FilterBase(base.members + (s,)) if s.meets_infinitely(*base.members) else None
+    try:  # one fold, the constructor's; it refuses an s that is no PeriodicSet with TypeError
+        return FilterBase(base.members + (s,))
+    except ValueError:  # s is empty, or meets the members finitely
+        return None
 
 
 def feasible_residues(base: FilterBase | Sequence, modulus: int) -> set:
@@ -145,10 +147,8 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
     """Least x with x = residue (mod modulus), a | x for the chosen pool
     element a, and n does not divide x for every forbidden n.
 
-    The source a is the least pool element coprime to the modulus and to
-    every forbidden divisor; with such an a the three conditions are
-    always simultaneously satisfiable, and the least solution appears
-    within one period lcm(modulus, a, product of forbidden).
+    The source a is the least pool element coprime to the modulus and to every forbidden divisor.  Only
+    an n prime to the modulus can divide x, and the step modulus * a is prime to those: by CRT the walk ends.
     """
     strict_int(modulus, "modulus", 2)
     strict_int(residue, "residue", 1, modulus)
@@ -165,9 +165,6 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
             f"no pool element is coprime to {_shown(modulus)} and to all of {_shown(forbidden)}"
         )
     step, x = _merge(modulus, residue, source, 0)  # coprime moduli: never None
-    cap = lcm(modulus, source, prod(forbidden, start=1))
-    while x <= cap:
-        if all(x % n != 0 for n in forbidden):
-            return x
+    while any(x % n == 0 for n in forbidden):
         x += step
-    raise RuntimeError("witness search exhausted its period window")
+    return x

@@ -44,7 +44,7 @@ from itertools import chain, filterfalse
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from .primes import Record, _factorize, _shown, json_int, strict_int, strict_ints
+from .primes import Record, _factorize, _int_value, _shown, json_int, strict_int, strict_ints
 
 _NO_EDITS = frozenset()  # shared by every set built without edits
 
@@ -58,10 +58,9 @@ class ProductView(Set):
         self.parts, self.co, self.modulus = parts, co, prod(map(itemgetter(0), parts))
 
     def __contains__(self, x):  # only residues 0 <= x < M (or values equal to one), as in a frozenset
-        try:
-            return 0 <= x < self.modulus and x % 1 == 0 and self._holds(x)
-        except (TypeError, ArithmeticError):  # no order or remainder against ints (Decimal NaN): no residue
+        if type(x) is not int and (x := _int_value(x)) is None:
             return False
+        return 0 <= x < self.modulus and self._holds(x)
 
     def _holds(self, x):  # whether the class of any int x is in the view: each part reduces x
         for m, r, c in self.parts:
@@ -149,16 +148,8 @@ class PeriodicSet(Record):
     # -- membership ---------------------------------------------------------
 
     def member(self, n: int) -> bool:
-        """True iff n belongs to the set (negative n never does), as `in` answers on a frozenset of
-        the members: 3.0 and True stand for 3 and 1, and a value equal to no int (2.5, nan, "a")
-        belongs to none."""
-        if type(n) is not int:
-            try:
-                i = int(n)
-            except (TypeError, ValueError, OverflowError):
-                return False
-            return i == n and self.member(i)
-        if n < 0:
+        """True iff n, as the int it equals (3.0 is 3; 2.5 and "3" equal none), belongs; no negative n does."""
+        if (type(n) is not int and (n := _int_value(n)) is None) or n < 0:
             return False
         if n in self.added:
             return True
@@ -375,10 +366,12 @@ def is_upward_closed(s: PeriodicSet) -> bool:
         t = r if c == co else ProductView(((m, r, True),), False)  # T_i: r or its complement
         if 1 in t:  # the multiples of 1 are everything, which a part never is
             return False
-        # distinct gcds only: all residues with the same gcd demand the same classes
-        for d in {gcd(x, m) for x in t}:
-            if any(x not in t for x in range(0, m, d)):
-                return False
+        seen = set()  # distinct gcds only, t walked lazily: the first unit of t (d = 1) fails at x = 1
+        for x in t:
+            if (d := gcd(x, m)) not in seen:
+                seen.add(d)
+                if any(y not in t for y in range(0, m, d)):
+                    return False
     return True
 
 

@@ -6,7 +6,7 @@ included, `strict_ints` the one check on a collection of them and
 `strict_prime` the one check on a prime: every public entry point of the
 library refuses through them, with one wording per failure, and every
 refusal shows an outside value by `_shown`.  `json_int` is the one coercer
-of integers that arrive as JSON or as command-line text.
+of integers that arrive as JSON or as command-line text, and `_int_value` the one membership rule.
 """
 
 from __future__ import annotations
@@ -351,6 +351,15 @@ def json_int(value, what: str) -> int:
             except ValueError:  # beyond the interpreter's digit limit
                 pass
     raise ValueError(f"{what}: expected an integer, got {_shown(value)}")
+
+
+def _int_value(value):
+    """The int that value equals (3.0 and True: 3 and 1), or None (2.5, nan, "3"): what `in` tests."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == value else None
 
 
 class Record:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -62,6 +63,31 @@ def test_substitution_property():
             continue
         for x in (sol.residue, sol.residue + sol.modulus):
             assert all(c.satisfied_by(x) for c in cs)
+
+
+def test_satisfied_by_tests_the_int_a_value_equals():
+    # a float past 2^53 is tested as the int it equals, not by a float remainder that rounds the modulus
+    cases = (
+        (Congruence(2**53 + 1, 0), float(2**53), False),
+        (Congruence(2**53 + 1, 0), float(2**54), False),
+        (Congruence(2**53 + 1, 2**53 - 1), float(2**54), True),
+        (Congruence(2**53 + 1, 0), Decimal(2**53 + 1), True),
+        (Congruence(5, 3), "3", False),
+        (Congruence(5, 3), None, False),
+        (Congruence(5, 3), 2.5, False),
+        (Congruence(1, 0), 2.5, False),
+        (Congruence(5, 3), Decimal("NaN"), False),
+        (Congruence(5, 3), float("nan"), False),
+        (Congruence(5, 3), float("inf"), False),
+        (Congruence(5, 3), 3.0, True),
+        (Congruence(5, 3), -2.0, True),
+        (Congruence(5, 3), -7, True),
+        (Congruence(5, 1), True, True),
+        (Congruence(5, 0), False, True),
+        (Congruence(5, 3), 4, False),
+    )
+    for c, x, want in cases:
+        assert c.satisfied_by(x) is want, (c, x)
 
 
 def test_oracle_equivalence_small_systems():

@@ -87,6 +87,31 @@ def test_extend_examples():
     assert fl.extend(FilterBase(()), ps.progression(3, 1)).members == (ps.progression(3, 1),)
 
 
+def test_extend_runs_the_fold_once(monkeypatch):
+    # the constructor's check is the one decision: a base returned or None, one fold each
+    calls, core = [], ps._core
+
+    def counted(pairs):
+        calls.append(pairs)
+        return core(pairs)
+
+    monkeypatch.setattr(ps, "_core", counted)
+    monkeypatch.setattr(fl, "_core", counted)
+    base = FilterBase([ps.non_divisibility(n) for n in (2, 3, 5, 7, 11)])
+    odd_up = lattice.up_closure([89, 97, 101, 103])
+    for b, s, extends in (
+        (base, ps.progression(3, 1), True),
+        (base, ps.progression(2, 0), False),
+        (FilterBase([ps.progression(2, 0)]), odd_up, True),
+        (FilterBase([ps.progression(2, 1)]), lattice.up_closure([2]), False),
+        (base, ps.make(1, (), {4}), False),
+    ):
+        calls.clear()
+        got, folds = fl.extend(b, s), len(calls)
+        assert folds == 1, (b, s, folds)
+        assert got == FilterBase(b.members + (s,)) if extends else got is None, (b, s)
+
+
 def test_extend_never_enlarges_feasible_residues():
     rng = random.Random(2222)
     for _ in range(200):
@@ -275,6 +300,20 @@ def test_nmax_witness_requires_usable_pool():
         fl.nmax_witness(4, 1, [3], [6, 9, 8])
     with pytest.raises(ValueError):
         fl.nmax_witness(4, 1, [], [])
+
+
+def test_nmax_witness_is_the_least_of_a_scan_of_one_period():
+    # every forbidden set of at most two divisors in [2, 8], every unit residue mod 2..7
+    pool, divisors = range(2, 14), range(2, 9)
+    forbiddens = [[], *([n] for n in divisors), *([a, b] for a in divisors for b in divisors if a < b)]
+    for m in range(2, 8):
+        for r in (r for r in range(1, m) if gcd(r, m) == 1):
+            for forbidden in forbiddens:
+                a = next(a for a in pool if gcd(a, m) == 1 and all(gcd(a, n) == 1 for n in forbidden))
+                period = lcm(m, a, *forbidden)
+                fits = (x for x in range(1, period + 1) if x % m == r and x % a == 0)
+                want = next(x for x in fits if all(x % n for n in forbidden))
+                assert fl.nmax_witness(m, r, forbidden, pool) == want, (m, r, forbidden)
 
 
 def test_nmax_witness_random_inputs_verify():

@@ -234,6 +234,16 @@ def test_is_upward_closed_ignores_edits_at_zero():
     assert lattice.is_upward_closed(lattice.up_closure([4]))
 
 
+def test_is_upward_closed_stops_at_the_first_failing_gcd_class(monkeypatch):
+    # a complemented part is walked lazily: its first unit gives gcd 1, which fails at x = 1
+    calls = []
+    gcd = ps.gcd
+    monkeypatch.setattr(ps, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+    assert not lattice.is_upward_closed(~ps.progression(10**6 + 3, 1))
+    assert len(calls) < 10, len(calls)
+    assert not lattice.is_upward_closed(~ps.progression(10**12 + 39, 1))
+
+
 def test_empty_set_is_not_upward_closed():
     assert not lattice.is_upward_closed(ps.make(1, ()))
 

@@ -111,9 +111,13 @@ def test_membership_answers_as_a_frozenset_of_the_members_does():
     odd, everything = ps.non_divisibility(2), ps.progression(1, 0)
     assert 2.5 not in odd and not odd.member(2.5) and 0.5 not in everything
     values = (3.0, True, False, 4.0, 7.0, 2.5, 0.5, -1.0, float("nan"), float("inf"), "a", "3", None, 1j)
-    for s in (odd, everything, ps.make(6, {1, 3}, {4}, {7}), lattice.up_closure([2, 3])):
-        listed = frozenset(scan(s, 40))
-        for x in (*values, *_DECIMALS):
+    # past 2^53 a float rounds the modulus: each value must answer as the int it equals
+    big = (float(2**53), Decimal(2**53), float(2**54), Decimal(2**53 + 1), Decimal(2**53) + Decimal("0.5"), 2**53 + 1)
+    near = range(2**53 - 2, 2**53 + 3)
+    sets = (odd, everything, ps.make(6, {1, 3}, {4}, {7}), lattice.up_closure([2, 3]))
+    for s in (*sets, ps.progression(2**53 + 1, 0), ps.progression(2**53 + 1, 2**53), ~ps.progression(2**53 + 1, 0)):
+        listed = frozenset(scan(s, 40)) | {n for n in (*near, 2**54) if n in s}
+        for x in (*values, *_DECIMALS, *big):
             assert (x in s) == s.member(x) == (x in listed), (s, x)
     assert 3.0 in odd and True in odd and 4.0 not in odd and False not in odd
 
@@ -559,11 +563,15 @@ def test_a_view_holds_only_its_residues_as_a_frozenset_of_them_does():
     assert view != {7} and (view & {7}) == frozenset() and not view.isdisjoint({1, 7})
     assert not ps.make(12, {7}).residues <= view and ps.make(12, {1, 7}).residues >= view
     assert "a" not in view and view != {"a"} and view.isdisjoint({"a"})
-    for t in (s, ~s, ps.make(1, {0}), ps.progression(4, 1) | ps.progression(9, 2)):
+    # past 2^53, float(2**53) % float(2**53 + 1) is 0.0: a view answers as the int the value equals
+    wide = (ps.progression(2**53 + 1, 0), ps.progression(2**53 + 1, 2**53), ps.progression(2**64 + 13, 2**53 + 1))
+    big = (float(2**53), Decimal(2**53), float(2**53 + 2), Decimal(2**53 + 1), Decimal(2**53) + Decimal("0.5"), 2**53)
+    for t in (s, ~s, ps.make(1, {0}), ps.progression(4, 1) | ps.progression(9, 2), *wide):
         v, listed = t.residues, frozenset(t.residues)
         edges = (-5, -1, 0, 1, 7, v.modulus - 1, v.modulus, v.modulus + 1, 1.0, 1.5, "a", None, 1j, (1,))
-        for x in (*edges, *_DECIMALS):
+        for x in (*edges, *_DECIMALS, *big):
             assert (x in v) == (x in listed), (v, x)
+    assert float(2**53) not in wide[0].residues and 2**53 not in wide[0].residues
     # a PeriodicSet reduces n itself, and so do its redundant edits
     assert 7 in s and s.member(13) and 8 not in s
     edited = ps.make(6, {1}, added={7, 8}, removed={13, 14})
