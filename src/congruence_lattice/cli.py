@@ -1,8 +1,9 @@
 """Command-line front end: thin JSON adapters over the library operations.
 
-Each subcommand is one COMMANDS entry; the argparse tree and DISPATCH are built from it.  An
-entry names its operation by module ("crt.solve_system"), which is imported on dispatch, and
-only the group the command line names gets its subcommands built.
+Each subcommand is one COMMANDS entry; the command-line reader, the argparse tree and DISPATCH are
+built from it.  An entry names its operation by module ("crt.solve_system"), which is imported on
+dispatch.  A plain command line is read from the table alone; argparse is imported only to print
+help or to refuse a command line, and only the group the command line names gets its subcommands built.
 
 Output is deterministic: keys sorted, set-valued results sorted, integers
 beyond 2^53-1 rendered as exact decimal strings of any length: Python's int-string
@@ -13,12 +14,12 @@ Exit codes: 0 success, 1 for flagged domain negatives (e.g. --fail-on-infeasible
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .primes import DEFAULT_TRIAL_BUDGET, json_int
 
@@ -70,14 +71,14 @@ def _int(text):
     try:
         return json_int(text, "argument")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
 def _seconds(text):
     """Seconds as ASCII digits with an optional fraction (5, 0.5); `run_suite` refuses an infinite one."""
     if re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
         return float(text)
-    raise argparse.ArgumentTypeError(f"expected seconds such as 5 or 0.5, got {text!r}")
+    raise ValueError(f"expected seconds such as 5 or 0.5, got {text!r}")
 
 
 def _int_list(text):
@@ -244,6 +245,7 @@ _BASE = _arg("--base", required=True, help="JSON array of periodic sets (inline 
 _LEFT = _arg("--left", required=True)
 _RIGHT = _arg("--right", required=True)
 
+OUTPUTS = ("json", "pretty")
 GROUPS = {
     "crt": "congruence systems",
     "geom": "geometric residue sets",
@@ -383,13 +385,68 @@ COMMANDS = (
 DISPATCH = {(c.group, c.name): c.op for c in COMMANDS}
 
 
+def _read(argv):
+    """The namespace argparse builds for a plain command line, read from COMMANDS alone: [--output O]
+    GROUP COMMAND, then positionals and flags, each flag spelled in full, given once, its value next.
+    None for anything else (help, an abbreviation, a token or value starting with "-", an argument
+    missing or left over, a failed conversion or choice), which argparse explains or refuses."""
+    output = "json"
+    if argv[:1] == ["--output"] and argv[1:2] and argv[1] in OUTPUTS:
+        output, argv = argv[1], argv[2:]
+    command = next((c for c in COMMANDS if [c.group, c.name] == argv[:2]), None)
+    if command is None:
+        return None
+    args, texts, free, tokens = dict(command.args), {}, [], iter(argv[2:])
+    named = {flag: flags for flags in args for flag in flags if flag[0] == "-"}
+    for token in tokens:
+        flags = named.get(token)
+        if flags is None and token[:1] != "-":
+            free.append(token)
+            continue
+        text = "" if flags and args[flags].get("action") else next(tokens, "-")  # store_true takes none
+        if flags is None or flags in texts or text[:1] == "-":
+            return None
+        texts[flags] = text
+    positionals = [flags for flags in args if flags[0][0] != "-"]
+    if len(free) != len(positionals):
+        return None
+    texts.update(zip(positionals, free))
+    namespace = SimpleNamespace(output=output, group=command.group, command=command.name, entry=command)
+    for flags, options in args.items():
+        value = texts.get(flags, options.get("default"))
+        if options.get("action"):
+            value = flags in texts
+        elif flags not in texts and options.get("required"):
+            return None
+        elif isinstance(value, str):  # argparse converts a default given as text too
+            try:
+                value = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in options and value not in options["choices"]():
+                return None
+        long = [flag for flag in flags if flag[:2] == "--"]  # argparse's dest: the first long flag's, if any
+        setattr(namespace, (long or flags)[0].lstrip("-").replace("-", "_"), value)
+    return namespace
+
+
 def _build_parser(argv):
     """Every group, with subcommands only for the first group that argv names."""
+    import argparse
+
+    def typed(convert):  # argparse prints an ArgumentTypeError's own message
+        def argument(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return argument
+
     parser = argparse.ArgumentParser(
         prog="conlat",
         description="Exact congruence, residue-geometry, divisibility and filter-base tools",
     )
-    parser.add_argument("--output", choices=("json", "pretty"), default="json")
+    parser.add_argument("--output", choices=OUTPUTS, default="json")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
     named = next((token for token in argv if token in GROUPS), None)
     for name, text in GROUPS.items():
@@ -402,6 +459,8 @@ def _build_parser(argv):
         for flags, options in command.args:
             if callable(options.get("choices")):  # read from the library only now
                 options = {**options, "choices": options["choices"]()}
+            if "type" in options:
+                options = {**options, "type": typed(options["type"])}
             sub.add_argument(*flags, **options)
         sub.set_defaults(entry=command)
     return parser
@@ -409,12 +468,14 @@ def _build_parser(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    args = parser.parse_args(argv)
-    command = getattr(args, "entry", None)
-    if command is None:
-        parser.print_help(sys.stderr)
-        return 2
+    args = _read(argv)
+    if args is None:
+        parser = _build_parser(argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "entry", None) is None:
+            parser.print_help(sys.stderr)
+            return 2
+    command = args.entry
     try:
         payload = command.run(_lib(command.op), args)
     except ValueError as exc:

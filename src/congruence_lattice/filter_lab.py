@@ -20,7 +20,6 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from math import gcd
 
-from .crt import _merge
 from .periodic_sets import PeriodicSet, _core, _meet, _residues_met, _views, is_upward_closed
 from .primes import Record, _check_coprime, _shown, json_int, strict_int, strict_ints
 
@@ -164,6 +163,7 @@ def nmax_witness(modulus: int, residue: int, forbidden: Iterable, pool: Iterable
         raise NoWitnessSourceError(
             f"no pool element is coprime to {_shown(modulus)} and to all of {_shown(forbidden)}"
         )
+    from .crt import _merge  # on first use, so that the other filter commands load no crt
     step, x = _merge(modulus, residue, source, 0)  # coprime moduli: never None
     while any(x % n == 0 for n in forbidden):
         x += step

@@ -1,6 +1,7 @@
 """What one `conlat` start loads and builds: the lazy package, the modules a
 command imports (and no `dataclasses`, `inspect` or `typing` of the standard
-library), and a parser with subcommands for the named group only.
+library, nor argparse for a plain command line), and, for help or a refusal, a
+parser with subcommands for the named group only.
 
 The module sets are read from `python -S -X importtime` in a fresh interpreter,
 so they count imports and take no timings.  `-S` skips `site`, which may import
@@ -27,15 +28,17 @@ SPEC = '{"chains":[{"prime":3,"residues":[1,4,13]},{"prime":5,"residues":[2,7,57
 # dataclasses imports inspect, which imports dis, ast, tokenize and linecache: about 12 ms a start;
 # typing, 4-6 ms
 SLOW_STDLIB = {"dataclasses", "inspect", "typing"}
+# argparse and what it imports itself, which only help and refusals need
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-def imported(*args):
+def imported(*args, code=0):
     """Names of every module, the standard library's too, that `python -S -X importtime *args` imports."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == code, proc.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
@@ -71,12 +74,12 @@ def modules(*short):
         (["antichain", "build", "--spec", SPEC, "-n", "1"], modules("primes", "crt", "antichain")),
         (
             ["filter", "fip", "--base", '[{"modulus":2,"residues":[0]}]'],
-            modules("primes", "crt", "periodic_sets", "filter_lab"),
+            modules("primes", "periodic_sets", "filter_lab"),
         ),
-        # divides_check decides upward closure, which periodic_sets owns: no lattice
+        # divides_check decides upward closure, which periodic_sets owns: no lattice; only nmax reads crt
         (
             ["filter", "divides", "--left", '[{"modulus":2,"residues":[0]}]', "--right", '[{"modulus":4,"residues":[0]}]'],
-            modules("primes", "crt", "periodic_sets", "filter_lab"),
+            modules("primes", "periodic_sets", "filter_lab"),
         ),
     ],
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else "",
@@ -92,6 +95,40 @@ def test_console_script_entry_loads_cli_and_the_command_module():
     names = imported("-c", entry, "crt", "solve", '[{"m":3,"a":2}]')
     assert ours(names) == modules("cli", "primes", "crt")
     assert not names & SLOW_STDLIB
+
+
+# the benchmark's cli_cold queries, one a group
+COLD = [
+    ["crt", "solve", '[{"m":3,"a":2},{"m":5,"a":3}]'],
+    ["geom", "check", "-p", "7", "--set", "1,2,4"],
+    ["lattice", "up", "4,6"],
+    ["antichain", "build", "--spec", SPEC, "-n", "1"],
+    ["filter", "fip", "--base", '[{"modulus":2,"residues":[0]}]'],
+]
+
+
+@pytest.mark.parametrize("argv", COLD, ids=lambda v: " ".join(v[:2]))
+def test_a_plain_command_line_imports_no_argparse(argv):
+    assert not imported("-m", "congruence_lattice.cli", *argv) & ARGPARSE
+
+
+def test_the_console_script_entry_imports_no_argparse():
+    entry = "import sys; from congruence_lattice.cli import main; sys.exit(main())"
+    assert not imported("-c", entry, "--output", "pretty", *COLD[0]) & ARGPARSE
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["geom", "check", "--help"], 0),
+        (["crt", "solve"], 2),
+        (["geom", "check", "-p", "x"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_help_and_refusals_still_import_argparse(argv, code):
+    assert ARGPARSE <= imported("-m", "congruence_lattice.cli", *argv, code=code)
 
 
 def test_oracle_command_loads_oracles():
