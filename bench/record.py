@@ -4,8 +4,9 @@
 
 For every workload in BENCHMARK.json it runs perfbench/run.py twice, at --trace 0
 (the end-to-end metrics) and at --trace 1 (the per-layer metrics), at seed 1 and
-BENCHMARK.json's run_seconds, and then perfbench/ladder.py (the scaling ladders),
-each as a subprocess from the root of the checkout.  It writes one JSON object:
+BENCHMARK.json's run_seconds, then perfbench/ladder.py (the scaling ladders) and
+bench/opcount.py (instructions executed per layer), each as a subprocess from the
+root of the checkout.  It writes one JSON object:
 
   commit     `git rev-parse HEAD`, and the paths `git status --porcelain` lists
              (the point was taken on that commit plus those edits)
@@ -15,6 +16,7 @@ each as a subprocess from the root of the checkout.  It writes one JSON object:
   e2e        {workload: the last line of run.py --trace 0}
   per_layer  {workload: the last line of run.py --trace 1}
   ladders    ladder.py's output
+  opcodes    opcount.py's output: {workload: {layer: instructions}} for one cycle
 
 Standard library only; it imports neither perfbench nor the library.  It takes
 about five minutes.
@@ -64,6 +66,8 @@ def main(argv=None) -> int:
             results[workload] = json.loads(out.strip().splitlines()[-1])
     print("ladders", file=sys.stderr)
     ladders = json.loads(run("perfbench/ladder.py"))
+    print("opcodes", file=sys.stderr)
+    opcodes = json.loads(run("bench/opcount.py"))
 
     point = {
         "commit": commit,
@@ -76,6 +80,7 @@ def main(argv=None) -> int:
         "e2e": layers[0],
         "per_layer": layers[1],
         "ladders": ladders,
+        "opcodes": opcodes,
     }
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(point, indent=1, sort_keys=True) + "\n", encoding="utf-8")

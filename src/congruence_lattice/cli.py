@@ -1,7 +1,7 @@
 """Command-line front end: thin JSON adapters over the library operations.
 
-Each subcommand is one COMMANDS entry; the command-line reader, the argparse tree and DISPATCH are
-built from it.  An entry names its operation by module ("crt.solve_system"), which is imported on
+Each subcommand is one COMMANDS entry; the command-line reader and the argparse tree are built
+from it.  An entry names its operation by module ("crt.solve_system"), which is imported on
 dispatch.  A plain command line is read from the table alone; argparse is imported only to print
 help or to refuse a command line, and only the group the command line names gets its subcommands built.
 
@@ -24,10 +24,6 @@ from types import SimpleNamespace
 from .primes import DEFAULT_TRIAL_BUDGET, json_int
 
 JSON_INT_MAX = 2**53 - 1
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _lib(dotted):
@@ -93,24 +89,24 @@ def _load_json(source, what):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"{what}: cannot read {source!r} ({exc})") from None
+            raise ValueError(f"{what}: cannot read {source!r} ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{what}: invalid JSON ({exc})") from None
+        raise ValueError(f"{what}: invalid JSON ({exc})") from None
 
 
 def _parse_congruences(text):
     data = _load_json(text, "congruence list")
     if not isinstance(data, list):
-        raise UsageError("congruence list: expected a JSON array")
+        raise ValueError("congruence list: expected a JSON array")
     congruence, out = _lib("crt.Congruence"), []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
-            raise UsageError(f"congruence {i}: expected an object")
+            raise ValueError(f"congruence {i}: expected an object")
         for key in ("m", "a"):
             if key not in item:
-                raise UsageError(f'congruence {i}: missing field "{key}"')
+                raise ValueError(f'congruence {i}: missing field "{key}"')
         m = json_int(item["m"], f'congruence {i}: field "m"')
         a = json_int(item["a"], f'congruence {i}: field "a"')
         out.append(_named(f'congruence {i}: field "m"', lambda m: congruence(m, a), m))
@@ -122,13 +118,13 @@ def _named(what, build, data):
     try:
         return build(data)
     except ValueError as exc:
-        raise UsageError(f"{what}: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _parse_base(source, what):
     data = _load_json(source, what)
     if not isinstance(data, list):
-        raise UsageError(f"{what}: expected a JSON array of periodic sets")
+        raise ValueError(f"{what}: expected a JSON array of periodic sets")
     from_json = _lib("periodic_sets.PeriodicSet").from_json
     return [_named(f"{what}[{i}]", from_json, item) for i, item in enumerate(data)]
 
@@ -193,7 +189,7 @@ def _antichain_verify(verify, args):
     spec = _parse_spec(args.spec)
     data = _load_json(args.prefix, "--prefix")
     if not isinstance(data, list):
-        raise UsageError("--prefix: expected a JSON array of integers")
+        raise ValueError("--prefix: expected a JSON array of integers")
     values = [json_int(v, f"--prefix[{i}]") for i, v in enumerate(data)]
     return verify(values, spec, substitution=args.substitution).to_json()
 
@@ -382,9 +378,6 @@ COMMANDS = (
     ),
 )
 
-DISPATCH = {(c.group, c.name): c.op for c in COMMANDS}
-
-
 def _read(argv):
     """The namespace argparse builds for a plain command line, read from COMMANDS alone: [--output O]
     GROUP COMMAND, then positionals and flags, each flag spelled in full, given once, its value next.
@@ -472,8 +465,10 @@ def main(argv=None) -> int:
     if args is None:
         parser = _build_parser(argv)
         args = parser.parse_args(argv)
-        if getattr(args, "entry", None) is None:
-            parser.print_help(sys.stderr)
+        if getattr(args, "entry", None) is None:  # no command: the help of the group named, else of conlat
+            from contextlib import redirect_stdout, suppress
+            with redirect_stdout(sys.stderr), suppress(SystemExit):  # argparse prints help, then exits
+                parser.parse_args([args.group, "-h"] if args.group else ["-h"])
             return 2
     command = args.entry
     try:

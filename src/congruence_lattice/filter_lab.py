@@ -8,9 +8,9 @@ the single condition that the meet of all members is infinite.
 
 Everything here is exact.  A base holds its members alone; edits are finite, so
 their meet is infinite iff their periodic parts meet, which `periodic_sets`' fold
-decides without building it.  Only `feasible_residues` builds the meet, in
-CRT-product form (pairwise coprime moduli), so no lcm of the family is listed;
-residues and upward closure are asked of `periodic_sets`, which alone reads parts.
+decides without building it.  No function here builds the meet: `feasible_residues`
+reads the products that fold yields (pairwise coprime moduli), so no lcm of the family
+is listed; residues and upward closure are asked of `periodic_sets`, which alone reads parts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from math import gcd
 
-from .periodic_sets import PeriodicSet, _core, _meet, _residues_met, _views, is_upward_closed
+from .periodic_sets import PeriodicSet, _core, _residues_met, _views, is_upward_closed
 from .primes import Record, _check_coprime, _shown, json_int, strict_int, strict_ints
 
 
@@ -75,15 +75,15 @@ def feasible_residues(base: FilterBase | Sequence, modulus: int) -> set:
 
     These are exactly the r for which extend(base, progression(modulus, r))
     would succeed; every ultrafilter extending the base has its residue in
-    this set.  By CRT, r is feasible iff r mod g_i is hit by part i of the
-    meet for every part, where g_i = gcd(part modulus, modulus).  A
-    degenerate base whose meet is finite (a principal carrier) falls back
-    to the residues of the meet's own points, its added ones.  Time and memory
-    are linear in `modulus`, with no budget: 0.14 s and 67 MiB at 10^6.
+    this set.  By CRT, r is feasible iff for some product of the meet, as the fold
+    yields them unbuilt, r mod g_i is hit by its part i for every part, where
+    g_i = gcd(part modulus, modulus).  A degenerate base whose meet is finite (a
+    principal carrier) falls back to the residues of the points every member holds.
+    Time and memory are linear in `modulus` per product read, with no budget: 0.14 s and 67 MiB at 10^6.
     """
     strict_int(modulus, "modulus", 2)
     members = base.members if isinstance(base, FilterBase) else _checked(base)
-    return _residues_met(_meet(members), modulus)
+    return _residues_met(members, modulus)
 
 
 class CongruenceVerdict(Enum):

@@ -24,13 +24,14 @@ else iff v meets ~w nowhere: by `_core` when len(v) > sum(len(R_i) * M // m_i)
 over both views' parts, a bound on what that meet lifts, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
 `~` flips a flag.  Every meet is one fold of (parts, co) pairs: part by part, it joins a part with each it
-shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join.  A complemented
-part turns its flag; a complemented product of k > 1 parts is the union of its parts turned.  `_core` decides
-(`meets_infinitely`, `<=`, filter bases): it lists their smaller sides, least first, while each is below the
-product of the k left, then tries the rest's parts depth first, after the other pairs.  `_meet` (`&`, `|`,
-`feasible_residues`) lists all, a result being one product; `|` folds the pairs with co flipped and complements
-the result (De Morgan), then settles the edited points once.  Only the fold materialises parts, there and in a
-join.  The residues a set meets mod m and `is_upward_closed` read the parts here: no other module does.
+shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join; it yields
+products whose union is the meet.  A complemented part turns its flag; a complemented product of k > 1 parts
+is the union of its parts turned.  One priced rule: at the first such product, the pairs left are met once
+each and their complemented products listed by smaller side, least first, while the product of the k left
+times the price of a try exceeds the side; the rest's parts are tried depth first, after the other pairs.  A
+decision (`_core`) pays 1 a try, a read mod m pays m, and `_meet` (`&`, `|`) never tries; `|` folds the pairs
+with co flipped and complements its product (De Morgan), then settles the edited points once.  Only the fold
+materialises parts, there and in a join; residues mod m and `is_upward_closed` read parts here, nowhere else.
 
 The universe is the non-negative integers; callers that work over the
 positive integers (divisibility, filter bases) simply never consult 0.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Set
 from itertools import chain, filterfalse
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import itemgetter
 
 from .primes import Record, _factorize, _int_value, _shown, json_int, strict_int, strict_ints
@@ -259,30 +260,31 @@ def _join(p, q):
 
 def _core(pairs):
     """Parts of a nonempty product inside the meet of (parts, co) pairs, or None when it is empty."""
-    return _fold(iter(pairs), [], None)
+    return next(_fold(iter(pairs), [], 1), None)
 
 
-def _fold(pairs, parts, branch):
-    """_core of the pairs left met with `parts`, the fold so far: if `branch`, the parts of each complemented
-    product of several parts are tried, else it is listed; None decides per product, at the first one."""
+def _fold(pairs, parts, price):
+    """Products whose union is the meet of the pairs left with `parts`, the fold so far, by the module
+    docstring's one priced rule; `price` is what one try costs the caller: 0 inside a try, 1 for a decision
+    (`_core`), m for a read mod m (`_residues_met`), inf for a result (`_meet`, `_multiples`)."""
     for stored, co in pairs:
         if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
-            if branch is None:  # decided once, for this product and those left, so no try lists one
-                left = [(stored, co), *pairs]
+            if price:  # decided once, for this product and those left, so no try lists one
+                left = list(dict.fromkeys([(stored, co), *pairs]))  # equal products met once
                 insides = [ProductView(s, False) for s, c in left if c and len(s) > 1]
                 sides = sorted(((min(n := len(v), v.modulus - n), v) for v in insides), key=itemgetter(0))
                 width, listed = prod(len(v.parts) for v in insides), 0  # the tries the products left open
-                while listed < len(sides) and width > sides[listed][0]:  # the least side left is listed
+                while listed < len(sides) and width * price > sides[listed][0]:  # the least side is listed
                     width //= len(sides[listed][1].parts)
                     listed += 1
                 plain = (pair for pair in left if not pair[1] or len(pair[0]) < 2)
                 lists = ((_factors(v), False) for _, v in sides[:listed])  # each listed once, before any try
-                return _fold(chain(plain, lists, ((v.parts, True) for _, v in sides[listed:])), parts, True)
-            if branch or not stored:
-                left = list(pairs)  # each part turned is tried with the fold so far and the pairs left
-                tries = (_fold(chain([(((m, r, not c),), False)], left), parts, True) for m, r, c in stored)
-                return next(filter(None, tries), None)  # a try holds its part, so it is None or nonempty
-            stored = _factors(ProductView(stored, False))  # else the smaller side, listed
+                yield from _fold(chain(plain, lists, ((v.parts, True) for _, v in sides[listed:])), parts, 0)
+                return
+            left = list(pairs)  # each part turned is tried with the fold so far and the pairs left
+            for m, r, c in stored:
+                yield from _fold(chain([(((m, r, not c),), False)], left), parts, 0)
+            return
         elif co:
             ((m, r, c),) = stored
             stored = ((m, r, not c),)
@@ -292,19 +294,17 @@ def _fold(pairs, parts, branch):
                 if gcd(p[0], q[0]) == 1:
                     rest.append(p)
                 elif (q := _join(q, p)) is None:
-                    return None
+                    return
             # the parts are coprime, so q, joined with each that shares a factor, is coprime to the rest
             parts = rest + [q]
-    return parts
+    yield parts
 
 
 def _meet(sets, union=False) -> PeriodicSet:
-    """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there are none;
-    the set itself when there is one): the product of their parts, or by De Morgan the complement of the
-    product of their parts with co flipped (no complement built), then their edited points settled once."""
-    if len(sets) == 1:
-        return sets[0]
-    parts = _fold(iter(_views(sets, union)), [], False)  # a result is one product: list, never try
+    """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there are none):
+    the product of their parts, or by De Morgan the complement of the product of their parts with co flipped
+    (no complement built), then their edited points settled once."""
+    parts = next(_fold(iter(_views(sets, union)), [], inf), None)  # a result is one product: list, never try
     # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
@@ -317,26 +317,31 @@ def _views(sets, flip=False) -> list:
     return [(s.residues.parts, s.residues.co != flip) for s in sets]
 
 
-def _residues_met(s: PeriodicSet, modulus: int) -> set:
-    """Residues r mod `modulus` whose class meets s infinitely (for a finite s, those of its points).
+def _residues_met(sets, modulus: int) -> set:
+    """Residues r mod `modulus` whose class meets the meet of `sets` infinitely (for a finite meet, those of
+    the points every set holds): one set is read from its parts, several as the union of the reads of the
+    products their fold yields at `modulus` a try, so tries read no more than listing would have.
 
-    By CRT over the coprime parts (m, R, c) of s's periodic part, g = gcd(m, modulus): for a
-    product, r qualifies iff every part meets class r mod g; for a complemented product, unless
-    every part holds all of that class."""
-    if not s.is_infinite():
-        return {x % modulus for x in s.added}
-    co, out = s.residues.co, set(range(modulus))
-    for m, r, c in s.residues.parts:
-        g = gcd(m, modulus)
-        if g > 1 or co:  # else the part meets the one class mod 1
-            # R hits (holds a lift of) or fills (all k = m / g lifts of) classes t mod g, at k = 1 just R.
-            # A part drops the classes it holds no lift of (in a product) or not all of (complemented):
-            # if c, those R fills (a product) or hits; else those R does not hit (a product) or fill
-            need = m // g if c != co else 1
-            known = r if m == g else {t for t, n in Counter(x % g for x in r).items() if n >= need}
-            dropped = known if c else filterfalse(known.__contains__, range(g))
-            out.difference_update(*(range(t, modulus, g) for t in dropped))
-    return set(range(modulus)) - out if co else out
+    By CRT over the coprime parts (m, R, c) of a product, g = gcd(m, modulus): r qualifies iff every
+    part meets class r mod g; for a complemented product, unless every part holds all of that class."""
+    one = len(sets) == 1 and sets[0].residues  # an empty one is folded, which yields nothing
+    products = [(one.parts, one.co)] if one else ((p, False) for p in _fold(iter(_views(sets)), [], modulus))
+    met = ()
+    for parts, co in products:
+        out = set(range(modulus))
+        for m, r, c in parts:
+            g = gcd(m, modulus)
+            if g > 1 or co:  # else the part meets the one class mod 1
+                # R hits (holds a lift of) or fills (all k = m / g lifts of) classes t mod g, at k = 1 just R.
+                # A part drops the classes it holds no lift of (in a product) or not all of (complemented):
+                # if c, those R fills (a product) or hits; else those R does not hit (a product) or fill
+                need = m // g if c != co else 1
+                known = r if m == g else {t for t, n in Counter(x % g for x in r).items() if n >= need}
+                dropped = known if c else filterfalse(known.__contains__, range(g))
+                out.difference_update(*(range(t, modulus, g) for t in dropped))
+        read = set(range(modulus)) - out if co else out
+        met = met | read if met else read  # the first read kept, not copied
+    return met or {x % modulus for s in sets for x in s.added if all(x in t for t in sets)}
 
 
 def is_upward_closed(s: PeriodicSet) -> bool:
@@ -447,7 +452,7 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
     pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
-    parts = _core(pairs) if divisors[0] > 1 else None
+    parts = next(_fold(pairs, [], inf), None) if divisors[0] > 1 else None
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

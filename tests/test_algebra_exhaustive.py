@@ -258,9 +258,7 @@ def test_unions_of_multiples_of_every_subset_of_1_to_6():
 
 def test_every_pair_with_a_complemented_product_of_two_or_three_parts(monkeypatch):
     # the fold lists such a product's smaller side, the smallest first, while it holds fewer residues
-    # than the product of the part counts of those left, and tries the parts of the rest: of the 465
-    # pairs of the 30 complemented products, 8 are only tried, 84 only listed, and 373 list one and
-    # try the other
+    # than the product of the part counts of those left, and tries the parts of the rest
     sets = product_sets()
     assert len(sets) == 60
     for (s, _, _, t), classes in zip(sets[::2], PRODUCTS):
@@ -280,8 +278,15 @@ def test_every_pair_with_a_complemented_product_of_two_or_three_parts(monkeypatc
         for t in products[i:]:
             calls.clear()
             s.meets_infinitely(t)  # its answer is checked above
-            routes[calls["listed"] > 0, calls[True] > 1] += 1  # one fold with branch True, then a try each
-    assert routes == {(False, True): 8, (True, False): 84, (True, True): 373}
+            # one fold at price 0 once the decision is taken, then one for each try
+            routes[s is t, calls["listed"] > 0, calls[0] > 1] += 1
+    # keyed (s is t, listed, tried): of the 435 pairs of distinct products, 5 are only tried, 73 only
+    # listed and 357 list one and try the other; a product met with itself is met once, so of those 30
+    # pairs 19 are only tried and 11 only listed, none both
+    assert routes == {
+        (False, False, True): 5, (False, True, False): 73, (False, True, True): 357,
+        (True, False, True): 19, (True, True, False): 11,
+    }
 
 
 def test_every_pair_of_sets_of_period_at_most_3_under_every_toggle_below_4():

@@ -7,6 +7,8 @@ import pytest
 
 from congruence_lattice import cli
 
+DISPATCH = {(c.group, c.name): c.op for c in cli.COMMANDS}  # each subcommand's operation
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -388,10 +390,18 @@ def test_no_command_prints_help(capsys):
     assert cli.main([]) == 2
 
 
+def test_a_group_without_a_command_prints_its_own_help(capsys):
+    # the group's commands, not the list of groups
+    assert cli.main(["crt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: conlat crt") and "{solve,stream,classify}" in err
+    assert "antichain" not in err and "GROUP" not in err
+
+
 def test_dispatch_table_covers_each_operation_once():
-    ops = list(cli.DISPATCH.values())
+    ops = list(DISPATCH.values())
     assert len(ops) == len(set(ops)), "an operation is reachable from two subcommands"
-    groups = {group for group, _ in cli.DISPATCH}
+    groups = {group for group, _ in DISPATCH}
     assert groups == {"crt", "geom", "lattice", "antichain", "filter", "oracle"}
     required = {
         ("crt", "solve"),
@@ -407,12 +417,12 @@ def test_dispatch_table_covers_each_operation_once():
         ("filter", "nmax"),
         ("oracle", "run"),
     }
-    assert required <= set(cli.DISPATCH)
+    assert required <= set(DISPATCH)
 
 
 def test_dispatch_targets_exist():
     import congruence_lattice
 
-    for dotted in cli.DISPATCH.values():
+    for dotted in DISPATCH.values():
         module_name, attr = dotted.split(".")
         assert hasattr(getattr(congruence_lattice, module_name), attr), dotted

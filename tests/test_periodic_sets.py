@@ -438,9 +438,9 @@ def test_decisions_try_the_parts_of_a_complemented_product_and_list_only_a_small
 
 def test_a_fold_tries_every_complemented_product_or_lists_each_once(monkeypatch):
     # u = up_closure([7, 11, 13]) is the complement of a product of 3 parts, whose smaller side holds
-    # 281 residues mod 1001; x, the complement of a product of 3 classes mod 30, holds 1.  Five copies
-    # of u open 3^5 = 243 tries, six 729: then one copy is listed and five are tried.  With x, whose
-    # side is the smallest, x is listed and the copies are tried; a product is listed once at most
+    # 281 residues mod 1001; x, the complement of a product of 3 classes mod 30, holds 1.  Equal products
+    # are met once, so five or six copies of u open 3 tries, not 3^5 = 243 or 729, and u is tried.  With
+    # x, whose side is the smallest, x is listed and u is tried; a product is listed once at most
     u, even = lattice.up_closure([7, 11, 13]), ps.progression(2, 0)
     x = ~(ps.progression(2, 0) & ps.progression(3, 0) & ps.progression(5, 0))
     factors, join, sides, joins = ps._factors, ps._join, [], []
@@ -454,13 +454,13 @@ def test_a_fold_tries_every_complemented_product_or_lists_each_once(monkeypatch)
         got.append((fl.has_fip(family), sides[:], len(joins)))
     assert [(fip, sides) for fip, sides, _ in got] == [
         (False, []),  # tried: ~u is met first, so each of the first copy's 3 tries fails at its one join
-        (False, [720]),  # listed: the first copy met with ~u is empty
+        (False, []),  # tried: the six copies are met once, as one copy is
         (False, [1]),  # x listed, then each copy's tries fail
         (True, [1]),
         (True, []),
         (True, [1]),
     ]
-    assert got[0][2] == 3, got
+    assert got[0][2] == got[1][2] == 3, got
 
 
 def test_the_residues_of_a_complemented_product_list_nothing(monkeypatch):
@@ -479,6 +479,47 @@ def test_the_residues_of_a_complemented_product_list_nothing(monkeypatch):
         residues = verdict = None
     assert residues == {m: set(range(m)) for m in range(2, 13)}
     assert verdict is fl.CongruenceVerdict.UNDETERMINED
+
+
+def test_reads_and_decisions_on_up_closures_near_100_try_their_parts(monkeypatch):
+    # a base of up_closure(primes) and a class is read by trying the up-closure's parts, one read mod m
+    # a try, where its meet lists the smaller side (3.6 * 10^6 residues at four primes); eleven copies of
+    # u4 are met once, so against its complement they open 4 tries, not 4^11
+    def listed(*args):
+        raise LookupError
+
+    u4, even, verdict = lattice.up_closure([89, 97, 101, 103]), ps.progression(2, 0), fl.CongruenceVerdict
+    primes = (89, 97, 101, 103, 107, 109, 113, 127)
+    with monkeypatch.context() as patch:
+        patch.setattr(ps, "_factors", listed)
+        patch.setattr(ps.ProductView, "__iter__", listed)
+        try:
+            got = [not fl.has_fip([u4] * 11 + [~u4]), fl.FilterBase([u4] * 11 + [even]).members[-1] is even]
+            for k in range(2, 9):
+                up, four = lattice.up_closure(primes[:k]), ps.progression(30, 4)
+                base = fl.FilterBase([up, even])
+                got += [
+                    fl.feasible_residues(base, 6) == {0, 2, 4},
+                    fl.feasible_residues([even, up], 30) == set(range(0, 30, 2)),
+                    fl.congruent_mod(base, [up, ps.progression(3, 1)], 6) is verdict.UNDETERMINED,
+                    fl.congruent_mod(base, [ps.progression(2, 1), up], 30) is verdict.NOT_CONGRUENT,
+                    fl.congruent_mod([up, four], fl.FilterBase([four, up, up]), 30) is verdict.CONGRUENT,
+                ]
+        except LookupError:  # reported without the traceback, whose arguments' reprs list the set
+            got = None
+    assert got == [True] * 37
+
+
+def test_a_read_lists_where_its_tries_would_cost_more(monkeypatch):
+    # each product holds 8 residues of about 10^3 and 10^4, so a read mod 99484 lists both (16 residues)
+    # rather than run 9 reads of range(99484); the answer is that of the meet read as one set
+    big = 7 * 11 * 17 * 19 * 4
+    dense = [~(ps.make(7, {0, 1}) & ps.make(11, {0, 1}) & ps.make(13, {0, 1})),
+             ~(ps.make(17, {0, 1}) & ps.make(19, {0, 1}) & ps.make(23, {0, 1}))]
+    want = ps._residues_met([dense[0] & dense[1]], big)
+    factors, sides = ps._factors, []
+    monkeypatch.setattr(ps, "_factors", lambda inside: sides.append(len(inside)) or factors(inside))
+    assert fl.feasible_residues(dense, big) == want and sides == [8, 8]
 
 
 def test_repr_lists_few_residues_and_never_walks_a_view():
