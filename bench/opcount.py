@@ -1,11 +1,11 @@
 """Count the bytecode instructions that one benchmark cycle executes in each library module.
 
-    python3 bench/opcount.py [--workload W ...]
+    python3 bench/opcount.py
 
 A count of executed instructions does not move with the host's speed or load, so it
 compares two trees where a timing of one cycle would not. For each workload
-(default: small_mixed, lcm_algebra and big_numbers; cli_cold runs its queries in
-child processes, which a trace of this one does not see) it starts a fresh
+(small_mixed, lcm_algebra and big_numbers; cli_cold runs its queries in child
+processes, which a trace of this one does not see) it starts a fresh
 interpreter with PYTHONHASHSEED=0, whatever the caller's, so set order and hence
 the instructions taken do not depend on it. That interpreter builds the queries at
 seed 1 with perfbench's own generators, runs the warm-up as perfbench/worker.py
@@ -80,7 +80,6 @@ def count_one(name: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default: all three")
     parser.add_argument("--one", choices=WORKLOADS, help=argparse.SUPPRESS)  # the child's own workload
     args = parser.parse_args(argv)
     if args.one:
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
         return 0
     env = dict(os.environ, PYTHONHASHSEED="0")
     out = {}
-    for name in args.workload or WORKLOADS:
+    for name in WORKLOADS:
         proc = subprocess.run([sys.executable, __file__, "--one", name], cwd=ROOT, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:

@@ -266,7 +266,7 @@ def _core(pairs):
 def _fold(pairs, parts, price):
     """Products whose union is the meet of the pairs left with `parts`, the fold so far, by the module
     docstring's one priced rule; `price` is what one try costs the caller: 0 inside a try, 1 for a decision
-    (`_core`), m for a read mod m (`_residues_met`), inf for a result (`_meet`, `_multiples`)."""
+    (`_core`), m for a read mod m (`_residues_met`), inf for a result (`_meet`)."""
     for stored, co in pairs:
         if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
             if price:  # decided once, for this product and those left, so no try lists one
@@ -452,7 +452,7 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
     pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
-    parts = next(_fold(pairs, [], inf), None) if divisors[0] > 1 else None
+    parts = _core(pairs) if divisors[0] > 1 else None
     return _finish(_assemble(parts or (), parts is not None), (), removed)
 
 

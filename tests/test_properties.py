@@ -30,20 +30,22 @@ def residue_sets(draw, max_modulus=60):
 
 @st.composite
 def periodic_members(draw, allow_empty=False):
-    # a listed set with edits, a union of two classes or an up-closure: the last two are complemented
+    # a listed set, a union of two classes or an up-closure, each with edits: the last two are complemented
     # products of several parts when their moduli are coprime, which the fold tries or lists
     kind = draw(st.sampled_from(("listed", "union", "up")))
-    if kind == "union":
-        m, n = draw(st.sampled_from(MODULI)), draw(st.sampled_from(MODULI))
-        s = ps.progression(m, draw(st.integers(0, m - 1))) | ps.progression(n, draw(st.integers(0, n - 1)))
-    elif kind == "up":
-        s = lattice.up_closure(draw(st.sets(st.sampled_from(MODULI[1:]), min_size=1, max_size=3)))
-    else:
+    added = draw(st.sets(st.integers(0, 80), max_size=3))
+    removed = draw(st.sets(st.integers(0, 80), max_size=3)) - added
+    if kind == "listed":
         m = draw(st.sampled_from(MODULI))
         residues = draw(st.sets(st.integers(0, m - 1), min_size=0 if allow_empty else 1))
-        added = draw(st.sets(st.integers(0, 80), max_size=3))
-        removed = draw(st.sets(st.integers(0, 80), max_size=3)) - added
         s = ps.make(m, residues, added, removed)
+    else:
+        if kind == "union":
+            m, n = draw(st.sampled_from(MODULI)), draw(st.sampled_from(MODULI))
+            s = ps.progression(m, draw(st.integers(0, m - 1))) | ps.progression(n, draw(st.integers(0, n - 1)))
+        else:
+            s = lattice.up_closure(draw(st.sets(st.sampled_from(MODULI[1:]), min_size=1, max_size=3)))
+        s = (s | ps.make(1, (), added)) & ~ps.make(1, (), removed)
     if draw(st.booleans()):  # complemented sets give product-form values
         s = ~s
     assume(allow_empty or not s.is_empty())
