@@ -30,7 +30,8 @@ from itertools import repeat
 from math import gcd, prod
 
 from .crt import Congruence, _checked_chain, _merge, chain_support
-from .primes import Record, _is_antichain, _shown, _valuations, json_int, strict_int, strict_prime
+from .primes import Record, _is_antichain, _shown, _valuations, json_array, json_int, json_object, strict_int
+from .primes import strict_prime
 
 SUBSTITUTION_MODES = ("strict", "safe")
 
@@ -73,18 +74,13 @@ class AntichainSpec(Record):
         }
 
     @staticmethod
-    def from_json(data: dict) -> "AntichainSpec":
-        if not isinstance(data, dict) or not isinstance(data.get("chains"), list):
-            raise ValueError('antichain spec JSON: needs a "chains" array')
-        chains = []
-        for i, entry in enumerate(data["chains"]):
-            if not isinstance(entry, dict) or "prime" not in entry or "residues" not in entry:
-                raise ValueError(f'antichain spec JSON: chain {i} needs "prime" and "residues"')
-            chains.append((entry["prime"], entry["residues"]))
-        divisors = data.get("divisors", [])
-        if not isinstance(divisors, list):
-            raise ValueError('antichain spec JSON: field "divisors" must be an array')
-        return AntichainSpec(tuple(chains), tuple(divisors))
+    def from_json(data) -> "AntichainSpec":
+        """The spec of `to_json`'s object; "divisors" may be left out, and an int may be a decimal string."""
+        what = "antichain spec JSON"
+        entries = json_array(json_object(data, what, "chains")["chains"], f'{what} field "chains"')
+        chains = [json_object(e, f"{what} chain {i}", "prime", "residues") for i, e in enumerate(entries)]
+        divisors = json_array(data.get("divisors", ()), f'{what} field "divisors"')
+        return AntichainSpec(tuple((e["prime"], e["residues"]) for e in chains), tuple(divisors))
 
 
 def first_nonzero_depths(spec: AntichainSpec) -> list:
@@ -149,7 +145,7 @@ def step_congruences(spec: AntichainSpec, index: int, substitution: str = "safe"
 
 
 def build(spec: AntichainSpec, last: int, substitution: str = "safe") -> list:
-    """Elements 0..last, strictly increasing least solutions; verify checks the antichain.
+    """Build elements 0..last, each the least solution above the one before; `verify` checks the antichain.
 
     Element 0 is the first nonzero power of the first chain prime; element n (n >= 1) is the least
     solution of step_congruences(spec, n) above element n-1.  In safe mode with one chain these
@@ -218,8 +214,8 @@ _FAILURES = {
 
 
 def verify(values: Sequence, spec: AntichainSpec, substitution: str = "safe") -> VerificationReport:
-    """Check a prefix against the spec; failures are reported, but an unknown substitution mode
-    raises `build`'s ValueError and a prefix that is not iterable TypeError.
+    """Check a prefix against the spec and report its failures.  An unknown substitution mode
+    raises `build`'s ValueError, and a prefix that is not iterable TypeError.
 
     Checks: strict monotonicity; pairwise non-divisibility; residue
     tracking of every earlier chain prime at its scheduled depth; each

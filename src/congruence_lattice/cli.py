@@ -21,7 +21,7 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .primes import DEFAULT_TRIAL_BUDGET, json_int
+from .primes import DEFAULT_TRIAL_BUDGET, json_array, json_int
 
 JSON_INT_MAX = 2**53 - 1
 
@@ -96,23 +96,6 @@ def _load_json(source, what):
         raise ValueError(f"{what}: invalid JSON ({exc})") from None
 
 
-def _parse_congruences(text):
-    data = _load_json(text, "congruence list")
-    if not isinstance(data, list):
-        raise ValueError("congruence list: expected a JSON array")
-    congruence, out = _lib("crt.Congruence"), []
-    for i, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise ValueError(f"congruence {i}: expected an object")
-        for key in ("m", "a"):
-            if key not in item:
-                raise ValueError(f'congruence {i}: missing field "{key}"')
-        m = json_int(item["m"], f'congruence {i}: field "m"')
-        a = json_int(item["a"], f'congruence {i}: field "a"')
-        out.append(_named(f'congruence {i}: field "m"', lambda m: congruence(m, a), m))
-    return out
-
-
 def _named(what, build, data):
     """build(data), naming `what` in the message of any ValueError it raises."""
     try:
@@ -121,12 +104,14 @@ def _named(what, build, data):
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _items(source, what, read):
+    """read(item) for each item of the JSON array that source holds, naming a refused one what[i]."""
+    items = json_array(_load_json(source, what), what)
+    return [_named(f"{what}[{i}]", read, item) for i, item in enumerate(items)]
+
+
 def _parse_base(source, what):
-    data = _load_json(source, what)
-    if not isinstance(data, list):
-        raise ValueError(f"{what}: expected a JSON array of periodic sets")
-    from_json = _lib("periodic_sets.PeriodicSet").from_json
-    return [_named(f"{what}[{i}]", from_json, item) for i, item in enumerate(data)]
+    return _items(source, what, _lib("periodic_sets.PeriodicSet").from_json)
 
 
 def _filter_base(source, what):
@@ -151,7 +136,8 @@ def _set(args):
 
 def _crt_stream(stream_type, args):
     stream = stream_type()
-    states = [_class_json(stream.push(c)) for c in _parse_congruences(args.system)]
+    system = _items(args.system, "system", _lib("crt.Congruence").from_json)
+    states = [_class_json(stream.push(c)) for c in system]
     return {"states": states, "final": _class_json(stream.state)}
 
 
@@ -187,10 +173,8 @@ def _antichain_depths(depths, args):
 
 def _antichain_verify(verify, args):
     spec = _parse_spec(args.spec)
-    data = _load_json(args.prefix, "--prefix")
-    if not isinstance(data, list):
-        raise ValueError("--prefix: expected a JSON array of integers")
-    values = [json_int(v, f"--prefix[{i}]") for i, v in enumerate(data)]
+    prefix = json_array(_load_json(args.prefix, "--prefix"), "--prefix")
+    values = [json_int(v, f"--prefix[{i}]") for i, v in enumerate(prefix)]
     return verify(values, spec, substitution=args.substitution).to_json()
 
 
@@ -218,8 +202,8 @@ def _oracle_run(run_suite, args):
 
 # op: "module.attr", the one library operation the subcommand exposes; args: (flags, add_argument options)
 # pairs, choices given as a function read at build; run: (op, parsed arguments) -> JSON payload;
-# exit_code: (parsed arguments, payload) -> exit code, 0 when None
-Command = namedtuple("Command", "group name op args run help exit_code", defaults=(None, None))
+# exit_code: (parsed arguments, payload) -> exit code, 0 when None. The help is the op's first doc sentence
+Command = namedtuple("Command", "group name op args run exit_code", defaults=(None,))
 
 
 def _arg(*flags, **options):
@@ -255,18 +239,13 @@ COMMANDS = (
     Command(
         "crt", "solve", "crt.solve_system",
         (_SYSTEM, _arg("--fail-on-infeasible", action="store_true")),
-        lambda f, a: _class_json(f(_parse_congruences(a.system))),
-        help="solve a congruence system",
+        lambda f, a: _class_json(f(_items(a.system, "system", _lib("crt.Congruence").from_json))),
         exit_code=lambda a, out: int(a.fail_on_infeasible and "infeasible" in out),
     ),
-    Command(
-        "crt", "stream", "crt.FeasibilityStream", (_SYSTEM,), _crt_stream,
-        help="push congruences one at a time",
-    ),
+    Command("crt", "stream", "crt.FeasibilityStream", (_SYSTEM,), _crt_stream),
     Command(
         "crt", "classify", "crt.classify_prime_support",
         (_arg("table", help='JSON object like {"2":[0,0,0],"3":[1,4,13]}'),), _crt_classify,
-        help="classify primes of a residue chain table",
     ),
     Command(
         "geom", "expand", "geometry.expand", (_P, _S, _R),
@@ -447,8 +426,8 @@ def _build_parser(argv):
         if name == named:
             subcommands = group.add_subparsers(dest="command")
     for command in (c for c in COMMANDS if c.group == named):
-        # a help entry, even an empty one, would list the subcommand in its group's help
-        sub = subcommands.add_parser(command.name, **({"help": command.help} if command.help else {}))
+        doc = _lib(command.op).__doc__ or ""  # python -OO strips docstrings
+        sub = subcommands.add_parser(command.name, help=" ".join(doc.split()).split(". ")[0].rstrip("."))
         for flags, options in command.args:
             if callable(options.get("choices")):  # read from the library only now
                 options = {**options, "choices": options["choices"]()}

@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from math import gcd
 
-from .primes import Record, _int_value, _shown, json_int, strict_int, strict_prime
+from .primes import Record, _int_value, _shown, json_array, json_int, json_object, strict_int, strict_prime
 
 
 class Congruence(Record):
@@ -23,6 +23,13 @@ class Congruence(Record):
 
     def __init__(self, modulus: int, residue: int):
         self._set(strict_int(modulus, "modulus", 1), strict_int(residue, "residue") % modulus)
+
+    @staticmethod
+    def from_json(data) -> "Congruence":
+        """The congruence of a JSON object {"m": modulus, "a": residue}; an int may be a decimal string."""
+        data = json_object(data, "congruence JSON", "m", "a")
+        m, a = (json_int(data[key], f'congruence JSON field "{key}"') for key in ("m", "a"))
+        return Congruence(strict_int(m, 'congruence JSON field "m"', 1), a)
 
     def satisfied_by(self, x: int) -> bool:
         """Whether the int x equals (3.0 is 3) lies in the class over Z; a value equal to no int does not."""
@@ -47,7 +54,7 @@ def solve_pair(c1, c2) -> Congruence | None:
 
 
 def solve_system(congruences: Iterable) -> Congruence | None:
-    """Left-fold of solve_pair; the empty system solves to everything (1, 0)."""
+    """Solve a congruence system: one class modulo the lcm, or None; the empty system gives (1, 0)."""
     state = (1, 0)
     for c in Congruence._check(list(congruences), "congruence"):
         state = _merge(state[0], state[1], c.modulus, c.residue)
@@ -57,7 +64,7 @@ def solve_system(congruences: Iterable) -> Congruence | None:
 
 
 class FeasibilityStream:
-    """Accumulates congruences one at a time; infeasibility is sticky.
+    """Solve a congruence system pushed one congruence at a time; infeasibility is sticky.
 
     Single-owner mutable state: after k pushes the state equals
     solve_system of those k congruences, in any push order.
@@ -93,10 +100,8 @@ def validate_chain_table(table: Mapping) -> dict:
     consecutive entries must be congruent (each entry refines the previous
     one p-adically).  Returns a normalized {prime: tuple} dict.
     """
-    if not isinstance(table, Mapping):
-        raise ValueError(f"residue-chain table must be a mapping, got {type(table).__name__}")
     out = {}
-    for p, chain in table.items():
+    for p, chain in json_object(table, "residue-chain table").items():
         p = strict_prime(json_int(p, "chain prime"), "chain prime")
         if p in out:
             raise ValueError(f"prime {_shown(p)} listed twice")
@@ -106,9 +111,7 @@ def validate_chain_table(table: Mapping) -> dict:
 
 def _checked_chain(p: int, chain) -> tuple:
     """The residue chain of the prime p as a tuple, checked as validate_chain_table checks each."""
-    if not isinstance(chain, (list, tuple)):
-        raise ValueError(f"residue chain for {_shown(p)} must be a list, got {_shown(chain)}")
-    chain = tuple(json_int(r, "chain residue") for r in chain)
+    chain = tuple(json_int(r, "chain residue") for r in json_array(chain, f"residue chain for {_shown(p)}"))
     if not chain:
         raise ValueError(f"empty residue chain for prime {_shown(p)}")
     power, prev = 1, 0

@@ -71,17 +71,17 @@ def _hull(els: tuple):
 
 
 def is_convex(elements: Iterable) -> bool:
-    """True iff the set holds its convex hull (see convex_hull); refuses a member
-    past the default factoring budget as down_closure does, unless a smaller one
-    has already shown the set is not convex."""
+    """True iff the set holds its convex hull (see convex_hull).  A member past the default
+    factoring budget is refused as down_closure does, unless a smaller one has already shown
+    the set is not convex."""
     els = _elements(elements)
     have = set(els)
     return all(z in have for z in _hull(els))
 
 
 def convex_hull(elements: Iterable) -> list:
-    """Least convex superset: all z with x | z | y for some set members x, y; refuses
-    a member past the default factoring budget as down_closure does."""
+    """Least convex superset: all z with x | z | y for some set members x, y.  A member
+    past the default factoring budget is refused as down_closure does."""
     return sorted(set(_hull(_elements(elements))))
 
 

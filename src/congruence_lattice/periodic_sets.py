@@ -45,7 +45,8 @@ from itertools import chain, filterfalse
 from math import gcd, inf, lcm, prod
 from operator import itemgetter
 
-from .primes import Record, _factorize, _int_value, _shown, json_int, strict_int, strict_ints
+from .primes import Record, _factorize, _int_value, _shown, json_array, json_int, json_object, strict_int
+from .primes import strict_ints
 
 _NO_EDITS = frozenset()  # shared by every set built without edits
 
@@ -208,19 +209,14 @@ class PeriodicSet(Record):
         return {"modulus": self.modulus, "residues": sorted(self.residues), **edits}
 
     @staticmethod
-    def from_json(data: dict) -> "PeriodicSet":
-        if not isinstance(data, dict):
-            raise ValueError("periodic set JSON must be an object")
-        if "modulus" not in data:
-            raise ValueError('periodic set JSON: missing field "modulus"')
-        fields = {}
+    def from_json(data) -> "PeriodicSet":
+        """The set of `to_json`'s object; the arrays may be left out, and an int may be a decimal string."""
+        data = json_object(data, "periodic set JSON", "modulus")
+        fields = []
         for key in ("residues", "add", "remove"):
-            value = data.get(key, ())
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f'periodic set JSON: field "{key}" must be an array')
-            fields[key] = [json_int(v, f'periodic set JSON field "{key}"') for v in value]
-        modulus = json_int(data["modulus"], 'periodic set JSON field "modulus"')
-        return make(modulus, fields["residues"], fields["add"], fields["remove"])
+            what = f'periodic set JSON field "{key}"'
+            fields.append([json_int(v, what) for v in json_array(data.get(key, ()), what)])
+        return make(json_int(data["modulus"], 'periodic set JSON field "modulus"'), *fields)
 
 
 # -- product form ----------------------------------------------------------------

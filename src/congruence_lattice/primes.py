@@ -5,13 +5,14 @@ and `antichain.verify` share, the integer checks on outside input, and `Record`.
 included, `strict_ints` the one check on a collection of them and
 `strict_prime` the one check on a prime: every public entry point of the
 library refuses through them, with one wording per failure, and every
-refusal shows an outside value by `_shown`.  `json_int` is the one coercer
-of integers that arrive as JSON or as command-line text, and `_int_value` the one membership rule.
+refusal shows an outside value by `_shown`.  `json_int`, `json_object` and `json_array` are the one
+check on each kind of JSON value from outside, and `_int_value` is the one membership rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, log2
@@ -353,9 +354,30 @@ def json_int(value, what: str) -> int:
     raise ValueError(f"{what}: expected an integer, got {_shown(value)}")
 
 
+def json_object(value, what: str, *fields):
+    """The one check on a JSON object: value if it is a mapping that holds every field named."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what}: expected an object, got {_shown(value)}")
+    for field in fields:
+        if field not in value:
+            raise ValueError(f'{what}: missing field "{field}"')
+    return value
+
+
+def json_array(value, what: str):
+    """The one check on a JSON array: value if it is a list or a tuple."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise ValueError(f"{what}: expected an array, got {_shown(value)}")
+
+
 def _int_value(value):
-    """The int that value equals (3.0 and True: 3 and 1), or None (2.5, nan, "3"): what `in` tests."""
+    """The int that value equals (3.0 and True: 3 and 1), or None (2.5, nan, "3"): what `in` tests.  Read
+    from the exact ratio of a value that has one, so Decimal("1e1000000") is never compared with its int."""
     try:
+        if hasattr(value, "as_integer_ratio"):
+            n, d = value.as_integer_ratio()  # nan and inf raise
+            return n if d == 1 else None
         i = int(value)
     except (TypeError, ValueError, OverflowError):
         return None

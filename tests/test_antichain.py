@@ -61,18 +61,18 @@ def test_spec_rejects_non_integer_primes_and_residues():
         ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": [1, 4.0]}]})
     with pytest.raises(ValueError, match="expected an integer"):
         ac.AntichainSpec(chains=((3, (1,)),), divisor_primes=(True,))
-    with pytest.raises(ValueError, match="must be a list"):
+    with pytest.raises(ValueError, match="^residue chain for 3: expected an array, got '14'$"):
         ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": "14"}]})
-    with pytest.raises(ValueError, match='needs a "chains" array'):
+    with pytest.raises(ValueError, match='^antichain spec JSON field "chains": expected an array, got 5$'):
         ac.AntichainSpec.from_json({"chains": 5})
-    with pytest.raises(ValueError, match="must be an array"):
+    with pytest.raises(ValueError, match="""^antichain spec JSON field "divisors": expected an array, got '23'$"""):
         ac.AntichainSpec.from_json({"chains": [{"prime": 3, "residues": [1]}], "divisors": "23"})
     spec = ac.AntichainSpec.from_json({"chains": [{"prime": "3", "residues": ["1", "4"]}]})
     assert spec == ac.AntichainSpec(chains=((3, (1, 4)),))
 
 
 def test_spec_json_names_a_chain_without_residues():
-    with pytest.raises(ValueError, match='^antichain spec JSON: chain 0 needs "prime" and "residues"$'):
+    with pytest.raises(ValueError, match='^antichain spec JSON chain 0: missing field "residues"$'):
         ac.AntichainSpec.from_json({"chains": [{"prime": 3}]})
 
 

@@ -54,7 +54,7 @@ def test_crt_solve_names_missing_field(capsys):
 def test_crt_solve_refuses_a_congruence_that_is_no_object(capsys):
     code, out, err = run(capsys, "crt", "solve", "[5]")
     assert (code, out) == (2, "")
-    assert err == "error: congruence 0: expected an object\n"
+    assert err == "error: system[0]: congruence JSON: expected an object, got 5\n"
 
 
 def test_crt_solve_malformed_json(capsys):

@@ -194,6 +194,15 @@ def test_group_help_lists_exactly_its_commands(capsys, group):
     assert offered == [c.name for c in cli.COMMANDS if c.group == group]
 
 
+@pytest.mark.parametrize("group", sorted(cli.GROUPS))
+def test_group_help_describes_every_command(capsys, group):
+    code, out, _ = exits(capsys, group, "-h")
+    assert code == 0
+    # argparse lists a command only with a help text: on its own line, or indented deeper on the next
+    for command in (c for c in cli.COMMANDS if c.group == group):
+        assert re.search(rf"^    {re.escape(command.name)}(?: +|\n {{5,}})\S", out, re.M), command.name
+
+
 def test_unknown_group_exits_2_naming_every_group(capsys):
     code, _, err = exits(capsys, "nosuch")
     assert code == 2

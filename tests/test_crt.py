@@ -208,7 +208,7 @@ def test_classify_rejects_non_integer_residues():
     # chains are JSON integers: no truncation of 4.5, no iterating over a string
     with pytest.raises(ValueError, match="expected an integer"):
         crt.classify_prime_support({3: [1, 4.5]})
-    with pytest.raises(ValueError, match="must be a list"):
+    with pytest.raises(ValueError, match="^residue chain for 3: expected an array, got '14'$"):
         crt.classify_prime_support({3: "14"})
     with pytest.raises(ValueError, match="expected an integer"):
         crt.classify_prime_support({3.0: [1]})
@@ -217,7 +217,7 @@ def test_classify_rejects_non_integer_residues():
 def test_a_table_that_is_not_a_mapping_is_refused():
     for table in ([3], [(3, [1])], "3"):
         for check in (crt.classify_prime_support, crt.validate_chain_table):
-            with pytest.raises(ValueError, match="^residue-chain table must be a mapping, got "):
+            with pytest.raises(ValueError, match="^residue-chain table: expected an object, got "):
                 check(table)
 
 

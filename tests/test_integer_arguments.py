@@ -324,7 +324,7 @@ PAST_THE_DIGIT_LIMIT = {
     "a chain that is no list": (
         lambda: crt.classify_prime_support({3: {1: HUGE}}),
         ValueError,
-        "residue chain for 3 must be a list, got <dict too long to print>",
+        "residue chain for 3: expected an array, got <dict too long to print>",
     ),
     "strict_int of a tuple": (
         lambda: primes.strict_int((HUGE,), "x"),

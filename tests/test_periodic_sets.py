@@ -2,9 +2,11 @@
 
 import random
 import re
+import signal
 import time
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
 
@@ -12,6 +14,7 @@ import pytest
 
 from congruence_lattice import filter_lab as fl, lattice, oracles
 from congruence_lattice import periodic_sets as ps
+from congruence_lattice.crt import Congruence
 
 
 def scan(s, hi):
@@ -120,6 +123,28 @@ def test_membership_answers_as_a_frozenset_of_the_members_does():
         for x in (*values, *_DECIMALS, *big):
             assert (x in s) == s.member(x) == (x in listed), (s, x)
     assert 3.0 in odd and True in odd and 4.0 not in odd and False not in odd
+
+
+def test_membership_reads_a_value_by_its_exact_ratio():
+    # Decimal("1e1000000") converted whole and compared with its int took 53 s; its ratio takes under 1 s
+    def too_slow(signum, frame):
+        raise TimeoutError("membership of Decimal('1e1000000') took over 5 s")
+
+    big = Decimal("1e1000000")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        assert big in ps.progression(5, 0) and ps.progression(5, 0).member(big)
+        assert big not in ps.progression(5, 0).residues and Congruence(5, 0).satisfied_by(big)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the answers of the rule that converted every value with int() and compared
+    values = (3.0, True, 2.5, float("nan"), float("inf"), "3", Fraction(6, 2), Decimal("3.0"), Decimal("NaN"), 3 + 0j)
+    s, members = ps.progression(3, 0), [3.0, Fraction(6, 2), Decimal("3.0")]
+    assert [x for x in values if x in s] == [x for x in values if s.member(x)] == members
+    assert [x for x in values if Congruence(3, 0).satisfied_by(x)] == members
+    assert not any(x in s.residues for x in values)
 
 
 def test_enumerate_up_to():
@@ -832,5 +857,5 @@ def test_json_rejects_missing_modulus():
 
 
 def test_json_rejects_a_field_that_is_no_array():
-    with pytest.raises(ValueError, match='^periodic set JSON: field "residues" must be an array$'):
+    with pytest.raises(ValueError, match='^periodic set JSON field "residues": expected an array, got 5$'):
         ps.PeriodicSet.from_json({"modulus": 3, "residues": 5})
