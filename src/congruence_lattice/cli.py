@@ -104,31 +104,24 @@ def _named(what, build, data):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _items(source, what, read):
-    """read(item) for each item of the JSON array that source holds, naming a refused one what[i]."""
-    items = json_array(_load_json(source, what), what)
+def _item(source, what, record):
+    """The `record` ("crt.Congruence") read by its from_json from the JSON that source holds, named `what`."""
+    return _named(what, _lib(record).from_json, _load_json(source, what))
+
+
+def _items(source, what, record):
+    """A `record` read from each item of the JSON array that source holds, naming a refused one what[i]."""
+    items, read = json_array(_load_json(source, what), what), _lib(record).from_json
     return [_named(f"{what}[{i}]", read, item) for i, item in enumerate(items)]
 
 
-def _parse_base(source, what):
-    return _items(source, what, _lib("periodic_sets.PeriodicSet").from_json)
-
-
 def _filter_base(source, what):
-    return _named(what, _lib("filter_lab.FilterBase"), tuple(_parse_base(source, what)))
-
-
-def _parse_spec(source):
-    from_json = _lib("antichain.AntichainSpec").from_json
-    return _named("antichain spec", from_json, _load_json(source, "antichain spec"))
+    members = tuple(_items(source, what, "periodic_sets.PeriodicSet"))
+    return _named(what, _lib("filter_lab.FilterBase"), members)
 
 
 def _class_json(c):
     return {"infeasible": True} if c is None else {"M": c.modulus, "x0": c.residue}
-
-
-def _set(args):
-    return _named("--set", _lib("periodic_sets.PeriodicSet").from_json, _load_json(args.set, "--set"))
 
 
 # -- handlers that are more than one expression; each gets its operation and the arguments
@@ -136,7 +129,7 @@ def _set(args):
 
 def _crt_stream(stream_type, args):
     stream = stream_type()
-    system = _items(args.system, "system", _lib("crt.Congruence").from_json)
+    system = _items(args.system, "system", "crt.Congruence")
     states = [_class_json(stream.push(c)) for c in system]
     return {"states": states, "final": _class_json(stream.state)}
 
@@ -167,19 +160,19 @@ def _geom_structure(structure_check, args):
 
 
 def _antichain_depths(depths, args):
-    spec = _parse_spec(args.spec)
+    spec = _item(args.spec, "--spec", "antichain.AntichainSpec")
     return dict(zip(spec.chain_primes, depths(spec)))
 
 
 def _antichain_verify(verify, args):
-    spec = _parse_spec(args.spec)
+    spec = _item(args.spec, "--spec", "antichain.AntichainSpec")
     prefix = json_array(_load_json(args.prefix, "--prefix"), "--prefix")
     values = [json_int(v, f"--prefix[{i}]") for i, v in enumerate(prefix)]
     return verify(values, spec, substitution=args.substitution).to_json()
 
 
 def _filter_extend(extend, args):
-    extended = extend(_filter_base(args.base, "--base"), _set(args))
+    extended = extend(_filter_base(args.base, "--base"), _item(args.set, "--set", "periodic_sets.PeriodicSet"))
     return {"inconsistent": True} if extended is None else {"members": [m.to_json() for m in extended.members]}
 
 
@@ -239,7 +232,7 @@ COMMANDS = (
     Command(
         "crt", "solve", "crt.solve_system",
         (_SYSTEM, _arg("--fail-on-infeasible", action="store_true")),
-        lambda f, a: _class_json(f(_items(a.system, "system", _lib("crt.Congruence").from_json))),
+        lambda f, a: _class_json(f(_items(a.system, "system", "crt.Congruence"))),
         exit_code=lambda a, out: int(a.fail_on_infeasible and "infeasible" in out),
     ),
     Command("crt", "stream", "crt.FeasibilityStream", (_SYSTEM,), _crt_stream),
@@ -311,13 +304,17 @@ COMMANDS = (
         lambda f, a: {"members": f(a.level, a.bound)},
     ),
     Command(
-        "lattice", "is-upward", "lattice.is_upward_closed", (_SET,), lambda f, a: {"upward_closed": f(_set(a))}
+        "lattice", "is-upward", "lattice.is_upward_closed", (_SET,),
+        lambda f, a: {"upward_closed": f(_item(a.set, "--set", "periodic_sets.PeriodicSet"))},
     ),
     Command("antichain", "depths", "antichain.first_nonzero_depths", (_SPEC,), _antichain_depths),
     Command(
         "antichain", "build", "antichain.build",
         (_SPEC, _arg("-n", type=_int, required=True, help="index of the last element"), _SUBSTITUTION),
-        lambda f, a: [_decimal(v) for v in f(_parse_spec(a.spec), a.n, substitution=a.substitution)],
+        lambda f, a: [
+            _decimal(v)
+            for v in f(_item(a.spec, "--spec", "antichain.AntichainSpec"), a.n, substitution=a.substitution)
+        ],
     ),
     Command(
         "antichain", "verify", "antichain.verify",
@@ -325,7 +322,8 @@ COMMANDS = (
         _antichain_verify,
     ),
     Command(
-        "filter", "fip", "filter_lab.has_fip", (_BASE,), lambda f, a: {"fip": f(_parse_base(a.base, "--base"))}
+        "filter", "fip", "filter_lab.has_fip", (_BASE,),
+        lambda f, a: {"fip": f(_items(a.base, "--base", "periodic_sets.PeriodicSet"))},
     ),
     Command("filter", "extend", "filter_lab.extend", (_BASE, _SET), _filter_extend),
     Command(

@@ -6,11 +6,11 @@ to "every finite intersection is infinite", so a valid base always extends
 to nonprincipal ultrafilters; for a finite family that is equivalent to
 the single condition that the meet of all members is infinite.
 
-Everything here is exact.  A base holds its members alone; edits are finite, so
-their meet is infinite iff their periodic parts meet, which `periodic_sets`' fold
-decides without building it.  No function here builds the meet: `feasible_residues`
-reads the products that fold yields (pairwise coprime moduli), so no lcm of the family
-is listed; residues and upward closure are asked of `periodic_sets`, which alone reads parts.
+Everything here is exact.  A base holds its members alone; edits are finite, so their meet is
+infinite iff their periodic parts meet, which `periodic_sets`' fold decides without building it.
+No function here builds the meet: `feasible_residues` reads each product the fold yields, complemented
+or not, by its parts (pairwise coprime moduli), so no lcm of the family is listed; residues and
+upward closure are asked of `periodic_sets`, which alone reads parts.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def feasible_residues(base: FilterBase | Sequence, modulus: int) -> set:
 
     These are exactly the r for which extend(base, progression(modulus, r))
     would succeed; every ultrafilter extending the base has its residue in
-    this set.  By CRT, r is feasible iff for some product of the meet, as the fold
-    yields them unbuilt, r mod g_i is hit by its part i for every part, where
-    g_i = gcd(part modulus, modulus).  A degenerate base whose meet is finite (a
-    principal carrier) falls back to the residues of the points every member holds.
+    this set.  By CRT, r is feasible iff for some product of the meet, as the fold yields
+    them unbuilt, r mod g_i is hit by its part i for every part (for a complemented product,
+    not filled by part i for some part), g_i = gcd(part modulus, modulus).  A degenerate base
+    whose meet is finite (a principal carrier) falls back to the residues of the points all members hold.
     Time and memory are linear in `modulus` per product read, with no budget: 0.14 s and 67 MiB at 10^6.
     """
     strict_int(modulus, "modulus", 2)

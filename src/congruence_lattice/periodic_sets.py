@@ -25,12 +25,13 @@ over both views' parts, a bound on what that meet lifts, else by a walk of v.
 A view is unhashable; a PeriodicSet hashes its fields, R by count and sum mod m.
 `~` flips a flag.  Every meet is one fold of (parts, co) pairs: part by part, it joins a part with each it
 shares a factor with (at their lcm), keeps the coprime ones and stops at the first empty join; it yields
-products whose union is the meet.  A complemented part turns its flag; a complemented product of k > 1 parts
-is the union of its parts turned.  One priced rule: at the first such product, the pairs left are met once
-each and their complemented products listed by smaller side, least first, while the product of the k left
-times the price of a try exceeds the side; the rest's parts are tried depth first, after the other pairs.  A
-decision (`_core`) pays 1 a try, a read mod m pays m, and `_meet` (`&`, `|`) never tries; `|` folds the pairs
-with co flipped and complements its product (De Morgan), then settles the edited points once.  Only the fold
+(parts, co) products whose union is the meet.  A complemented part turns its flag; a complemented product of
+k > 1 parts is the union of its parts turned.  One priced rule: at the first such product, the pairs left are
+met once each.  Alone (nothing joined, all else everything) it is the whole meet, yielded as it is; else the
+complemented products are listed by smaller side, least first, while the product of the k left times the price
+of a try exceeds the side, and the rest's parts are tried depth first, after the other pairs.  A decision
+(`_core`) pays 1 a try, a read mod m pays m, and `_meet` (`&`, `|`) never tries; `|` folds the pairs with co
+flipped and complements its product (De Morgan), then settles the edited points once.  Only the fold
 materialises parts, there and in a join; residues mod m and `is_upward_closed` read parts here, nowhere else.
 
 The universe is the non-negative integers; callers that work over the
@@ -255,18 +256,21 @@ def _join(p, q):
 
 
 def _core(pairs):
-    """Parts of a nonempty product inside the meet of (parts, co) pairs, or None when it is empty."""
+    """A nonempty (parts, co) product inside the meet of (parts, co) pairs, or None when it is empty."""
     return next(_fold(iter(pairs), [], 1), None)
 
 
 def _fold(pairs, parts, price):
-    """Products whose union is the meet of the pairs left with `parts`, the fold so far, by the module
-    docstring's one priced rule; `price` is what one try costs the caller: 0 inside a try, 1 for a decision
-    (`_core`), m for a read mod m (`_residues_met`), inf for a result (`_meet`)."""
+    """(parts, co) products whose union is the meet of the pairs left with `parts`, the fold so far, by the
+    module docstring's one priced rule; `price` is what one try costs the caller: 0 inside a try, 1 for a
+    decision (`_core`), m for a read mod m (`_residues_met`), inf for a result (`_meet`)."""
     for stored, co in pairs:
         if co and len(stored) != 1:  # nothing (no parts), or the union of its k > 1 parts, each turned
             if price:  # decided once, for this product and those left, so no try lists one
                 left = list(dict.fromkeys([(stored, co), *pairs]))  # equal products met once
+                if stored and not parts and all(pair == ((), False) for pair in left[1:]):  # the whole meet
+                    yield stored, co
+                    return
                 insides = [ProductView(s, False) for s, c in left if c and len(s) > 1]
                 sides = sorted(((min(n := len(v), v.modulus - n), v) for v in insides), key=itemgetter(0))
                 width, listed = prod(len(v.parts) for v in insides), 0  # the tries the products left open
@@ -293,18 +297,18 @@ def _fold(pairs, parts, price):
                     return
             # the parts are coprime, so q, joined with each that shares a factor, is coprime to the rest
             parts = rest + [q]
-    yield parts
+    yield parts, False
 
 
 def _meet(sets, union=False) -> PeriodicSet:
     """The meet of a sequence of sets, or their join if `union` (everything, or nothing, when there are none):
     the product of their parts, or by De Morgan the complement of the product of their parts with co flipped
     (no complement built), then their edited points settled once."""
-    parts = next(_fold(iter(_views(sets, union)), [], inf), None)  # a result is one product: list, never try
+    parts, co = next(_fold(iter(_views(sets, union)), [], inf), ((), True))  # one product, never tried
     # only the operands' edited points can differ from the periodic meet or join
     edits = frozenset().union(*(s.added for s in sets), *(s.removed for s in sets))
     inside = {n for n in edits if (any if union else all)(n in s for s in sets)} if edits else edits
-    return _finish(_assemble(parts or (), (parts is None) != union), inside, edits - inside)
+    return _finish(_assemble(parts, co != union), inside, edits - inside)
 
 
 def _views(sets, flip=False) -> list:
@@ -315,15 +319,11 @@ def _views(sets, flip=False) -> list:
 
 def _residues_met(sets, modulus: int) -> set:
     """Residues r mod `modulus` whose class meets the meet of `sets` infinitely (for a finite meet, those of
-    the points every set holds): one set is read from its parts, several as the union of the reads of the
-    products their fold yields at `modulus` a try, so tries read no more than listing would have.
-
+    the points every set holds): the union of the reads of the products their fold yields at `modulus` a try.
     By CRT over the coprime parts (m, R, c) of a product, g = gcd(m, modulus): r qualifies iff every
     part meets class r mod g; for a complemented product, unless every part holds all of that class."""
-    one = len(sets) == 1 and sets[0].residues  # an empty one is folded, which yields nothing
-    products = [(one.parts, one.co)] if one else ((p, False) for p in _fold(iter(_views(sets)), [], modulus))
     met = ()
-    for parts, co in products:
+    for parts, co in _fold(iter(_views(sets)), [], modulus):
         out = set(range(modulus))
         for m, r, c in parts:
             g = gcd(m, modulus)
@@ -448,8 +448,8 @@ def _multiples(divisors, removed=()) -> PeriodicSet:
     """divisibility_union of checked ints >= 1, less the points of `removed`: the
     complement of the meet of the non-multiples of each divisor n, one part (n, {0}, True)."""
     pairs = ((((n, frozenset({0}), True),), False) for n in divisors)
-    parts = _core(pairs) if divisors[0] > 1 else None
-    return _finish(_assemble(parts or (), parts is not None), (), removed)
+    parts, co = _core(pairs) if divisors[0] > 1 else ((), True)  # the meet's one product, or nothing
+    return _finish(_assemble(parts, not co), (), removed)
 
 
 def non_divisibility(n: int) -> PeriodicSet:

@@ -281,11 +281,11 @@ def test_every_pair_with_a_complemented_product_of_two_or_three_parts(monkeypatc
             # one fold at price 0 once the decision is taken, then one for each try
             routes[s is t, calls["listed"] > 0, calls[0] > 1] += 1
     # keyed (s is t, listed, tried): of the 435 pairs of distinct products, 5 are only tried, 73 only
-    # listed and 357 list one and try the other; a product met with itself is met once, so of those 30
-    # pairs 19 are only tried and 11 only listed, none both
+    # listed and 357 list one and try the other; a product met with itself is met once, and alone it is
+    # the whole meet, so each of those 30 pairs is kept whole, neither listed nor tried
     assert routes == {
         (False, False, True): 5, (False, True, False): 73, (False, True, True): 357,
-        (True, False, True): 19, (True, True, False): 11,
+        (True, False, False): 30,
     }
 
 

@@ -85,11 +85,11 @@ REFUSALS = {
     "conlat --spec, --prefix": (
         (
             ["antichain", "verify", "--spec", '{"chains":3}', "--prefix", "[3]"],
-            "antichain spec: antichain spec JSON field \"chains\": expected an array, got 3",
+            "--spec: antichain spec JSON field \"chains\": expected an array, got 3",
         ),
         (
             ["antichain", "verify", "--spec", "{}", "--prefix", "[3]"],
-            'antichain spec: antichain spec JSON: missing field "chains"',
+            '--spec: antichain spec JSON: missing field "chains"',
         ),
         (
             ["antichain", "verify", "--spec", SPEC, "--prefix", '{"a":1}'],
